@@ -17,12 +17,43 @@ SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
 def _poly_from_values(fn, deg):
-    """Coefficients of a degree-deg polynomial from Chebyshev-node samples on [0, 1]."""
-    k = np.arange(deg + 1)
-    nodes = 0.5 * (1.0 + np.cos((2 * k + 1) * math.pi / (2.0 * (deg + 1))))
-    vals = np.array([fn(s) for s in nodes])
-    v = np.vander(nodes, deg + 1, increasing=True)
-    return np.linalg.solve(v, vals)
+    """Coefficients of a degree-deg polynomial from its values at the roots of unity."""
+    roots = np.exp(2j * math.pi * np.arange(deg + 1) / (deg + 1))
+    vals = np.array([fn(s) for s in roots])
+    return np.real(np.fft.fft(vals)) / (deg + 1)
+
+
+def _gf_probs(alpha, base, border):
+    """p_{N,k} from the generating function Z(s) built on the block base + (s-1) alpha.
+
+    The block has shape (ceil(N/2), floor(N/2)). For even N, Z(s) is its
+    determinant; for odd N, it fills the (even row, odd column) entries of a
+    skew N x N core, and Z(s) is the Pfaffian of that core bordered by border.
+    Z is normalised at s = 1 and its coefficients land on k = N, N-2, ...
+    """
+    rows, cols = alpha.shape
+    n = rows + cols
+
+    def signed_log_z(s):
+        block = base + (s - 1.0) * alpha
+        if n % 2 == 0:
+            return np.linalg.slogdet(block)
+        core = np.zeros((n, n), dtype=block.dtype)
+        core[0::2, 1::2] = block
+        core[1::2, 0::2] = -block.T
+        return pfaffian.pfaffian_bordered_signed_log(core, border)
+
+    # the reference goes through the same complex arithmetic as the other
+    # roots of unity, so Z(1) = 1 exactly and sum_k p_{N,k} = 1 to rounding
+    sign_ref, log_ref = signed_log_z(1.0 + 0j)
+
+    def z(s):
+        sign, log_v = signed_log_z(s)
+        return sign / sign_ref * np.exp(log_v - log_ref)
+
+    probs = np.zeros(n + 1)
+    probs[n % 2::2] = _poly_from_values(z, cols)
+    return probs
 
 
 # ---------------------------------------------------------------------------
@@ -56,62 +87,15 @@ def ginibre_alpha_via_recursion(j, l):
     return 2.0 * l * big_i[l - 1, j] - big_i[l, j]
 
 
-def _ginibre_core(n, s):
-    """Skew-basis generating-function matrix for the first n skew polynomials."""
-    a = np.zeros((n, n))
-    fam_norms = [2.0 * SQRT2PI * math.gamma(2 * k + 1) for k in range((n + 1) // 2)]
-    for i in range(n):
-        for j in range(n):
-            if i % 2 == 0 and j % 2 == 1:
-                val = (s - 1.0) * ginibre_alpha(i // 2, (j - 1) // 2)
-                if j == i + 1:
-                    val += fam_norms[i // 2]
-                a[i, j] = val
-                a[j, i] = -val
-    return a
-
-
 def ginibre_prob_gf(n):
     """Probabilities p_{N,k} of k real eigenvalues for the real Ginibre ensemble."""
     if n > 40:
         raise ValueError("supported up to order 40")
-    probs = np.zeros(n + 1)
-    if n % 2 == 0:
-        half = n // 2
-
-        def build(s):
-            b = np.zeros((half, half))
-            for j in range(half):
-                for l in range(half):
-                    b[j, l] = (s - 1.0) * ginibre_alpha(j, l)
-                    if j == l:
-                        b[j, l] += 2.0 * SQRT2PI * math.gamma(2 * j + 1)
-            return b
-
-        _, log_ref = np.linalg.slogdet(build(1.0))
-
-        def fn(s):
-            sign, log_d = np.linalg.slogdet(build(s))
-            return sign * math.exp(log_d - log_ref)
-
-        coeffs = _poly_from_values(fn, half)
-        for m in range(half + 1):
-            probs[2 * m] = coeffs[m]
-    else:
-        border = np.array([ginibre_nu(j) for j in range(n)])
-        sign_ref, log_ref = pfaffian.pfaffian_bordered_signed_log(
-            _ginibre_core(n, 1.0), border)
-
-        def fn(s):
-            sign, log_p = pfaffian.pfaffian_bordered_signed_log(
-                _ginibre_core(n, s), border)
-            return (sign / sign_ref) * math.exp(log_p - log_ref)
-
-        half = (n - 1) // 2
-        coeffs = _poly_from_values(fn, half)
-        for m in range(half + 1):
-            probs[2 * m + 1] = coeffs[m]
-    return probs
+    rows, cols = (n + 1) // 2, n // 2
+    alpha = np.array([[ginibre_alpha(j, l) for l in range(cols)] for j in range(rows)])
+    norms = [2.0 * SQRT2PI * math.gamma(2 * k + 1) for k in range(rows)]
+    border = np.array([ginibre_nu(i) for i in range(n)])
+    return _gf_probs(alpha, np.diag(norms)[:, :cols], border)
 
 
 def ginibre_pnn(n):
@@ -186,62 +170,32 @@ def partial_nu(j):
     return double_factorial(j - 2) * SQRT2PI
 
 
+def _partial_beta_block(rows, cols, tau):
+    """partial_beta(j, l, tau) for j <= rows and l <= cols, with one I(q) per odd q.
+
+    The (s, t) terms of partial_beta with s + t = q share Gamma(j + l - 1 - q/2)
+    and I(q); their binomial weights sum to the x^q coefficient of
+    (1 + x)^(2j-2) (1 - x)^(2l-1).
+    """
+    j = np.arange(1, rows + 1)[:, None, None, None]
+    l = np.arange(1, cols + 1)[None, :, None, None]
+    s = np.arange(2 * rows - 1)[:, None]
+    q = np.arange(1, 2 * (rows + cols) - 2, 2)
+    terms = sp.comb(2 * j - 2, s) * sp.comb(2 * l - 1, q - s) * (-1.0) ** (q - s)
+    weights = np.sum(terms, axis=2)
+    i_q = np.array([_partial_i(k, tau) for k in q])
+    gammas = sp.gamma(j[..., 0] + l[..., 0] - 1.0 - q / 2.0)
+    return -4.0 * np.sum(weights * gammas * i_q, axis=-1)
+
+
 def partial_prob_gf(n, tau):
     """Probabilities p_{N,k} for the partially symmetric real Ginibre ensemble."""
-    alpha = {}
-    beta = {}
-    for a in range(1, n + 1, 2):
-        for b in range(2, n + 1, 2):
-            alpha[(a, b)] = partial_alpha((a + 1) // 2, b // 2)
-            beta[(a, b)] = partial_beta((a + 1) // 2, b // 2, tau)
-    probs = np.zeros(n + 1)
-    if n % 2 == 0:
-        half = n // 2
-
-        def build(s):
-            c = np.zeros((half, half))
-            for a in range(half):
-                for b in range(half):
-                    key = (2 * a + 1, 2 * b + 2)
-                    c[a, b] = s * alpha[key] + beta[key]
-            return c
-
-        _, log_ref = np.linalg.slogdet(build(1.0))
-
-        def fn(s):
-            sign, log_d = np.linalg.slogdet(build(s))
-            return sign * math.exp(log_d - log_ref)
-
-        coeffs = _poly_from_values(fn, half)
-        for m in range(half + 1):
-            probs[2 * m] = coeffs[m]
-    else:
-        def core(s):
-            a = np.zeros((n, n))
-            for r in range(1, n + 1):
-                for c in range(r + 1, n + 1):
-                    if r % 2 == 1 and c % 2 == 0:
-                        val = s * alpha[(r, c)] + beta[(r, c)]
-                    elif r % 2 == 0 and c % 2 == 1:
-                        val = -(s * alpha[(c, r)] + beta[(c, r)])
-                    else:
-                        continue
-                    a[r - 1, c - 1] = val
-                    a[c - 1, r - 1] = -val
-            return a
-
-        border = np.array([partial_nu(r) for r in range(1, n + 1)])
-        sign_ref, log_ref = pfaffian.pfaffian_bordered_signed_log(core(1.0), border)
-
-        def fn(s):
-            sign, log_p = pfaffian.pfaffian_bordered_signed_log(core(s), border)
-            return (sign / sign_ref) * math.exp(log_p - log_ref)
-
-        half = (n - 1) // 2
-        coeffs = _poly_from_values(fn, half)
-        for m in range(half + 1):
-            probs[2 * m + 1] = coeffs[m]
-    return probs
+    rows, cols = (n + 1) // 2, n // 2
+    alpha = np.array([[partial_alpha(j, l) for l in range(1, cols + 1)]
+                      for j in range(1, rows + 1)])
+    beta = _partial_beta_block(rows, cols, tau)
+    border = np.array([partial_nu(r) for r in range(1, n + 1)])
+    return _gf_probs(alpha, alpha + beta, border)
 
 
 def partial_pnn(n, tau):
@@ -381,28 +335,29 @@ def truncated_theta(coeffs, big_l):
     return cw * total
 
 
-def _trunc_alpha(fc, gc, big_l, n_nodes=240):
-    """Sign-weighted double integral of two polynomials against the real weight."""
+def _trunc_alpha_matrix(fam, big_l, n_nodes=240):
+    """Alpha block of the truncated family, every entry from one quadrature rule.
+
+    Entry (j, l) is the sign-weighted double integral of polynomials 2j and
+    2l+1 against the real weight.
+    """
     cw = _trunc_cw(big_l)
-    fc = np.asarray(fc)
-    total_f = 0.0
-    for m, c in enumerate(fc):
-        if c != 0.0:
-            total_f += c * float(_trunc_moment_antiderivative(big_l, m, 1.0))
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
-    vals = 0.0
-    for lo, hi in ((-math.pi / 2.0, 0.0), (0.0, math.pi / 2.0)):
-        u = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-        wu = 0.5 * (hi - lo) * w
-        y = np.sin(u)
-        wy = cw * np.cos(u) ** (big_l - 1)
-        pf = np.zeros_like(y)
-        for m, c in enumerate(fc):
-            if c != 0.0:
-                pf += c * _trunc_moment_antiderivative(big_l, m, y)
-        g = sopoly.eval_poly(gc, y)
-        vals += np.sum(wu * wy * g * (2.0 * cw * pf - cw * total_f))
-    return vals
+    rule = np.polynomial.legendre.leggauss(n_nodes)
+    # substitute y = sin(u) on each half of (-pi/2, pi/2) so the weight is smooth
+    u, wu = np.concatenate([sopoly._gl_nodes(lo, hi, rule) for lo, hi in
+                            ((-math.pi / 2.0, 0.0), (0.0, math.pi / 2.0))], axis=1)
+    y = np.sin(u)
+    wts = wu * cw * np.cos(u) ** (big_l - 1)
+    m = len(fam)
+    coeffs = np.zeros((m, m))
+    for i, c in enumerate(fam.coeffs):
+        coeffs[i, :len(c)] = c
+    degs = np.arange(m)
+    moments = _trunc_moment_antiderivative(big_l, degs[:, None], y)
+    totals = _trunc_moment_antiderivative(big_l, degs, 1.0)
+    inner = coeffs[0::2] @ (2.0 * cw * moments - cw * totals[:, None])
+    outer = coeffs[1::2] @ np.vander(y, m, increasing=True).T
+    return (inner * wts) @ outer.T
 
 
 def truncated_prob_gf(m, big_l):
@@ -410,55 +365,9 @@ def truncated_prob_gf(m, big_l):
     if m > 12:
         raise ValueError("supported up to order 12")
     fam = sopoly.truncated_family(m, big_l)
-    probs = np.zeros(m + 1)
-    if m % 2 == 0:
-        half = m // 2
-        a = np.zeros((half, half))
-        for j in range(half):
-            for l in range(half):
-                a[j, l] = _trunc_alpha(fam.coeffs[2 * j], fam.coeffs[2 * l + 1], big_l)
-
-        def build(s):
-            return (s - 1.0) * a + np.diag(fam.norms)
-
-        _, log_ref = np.linalg.slogdet(build(1.0))
-
-        def fn(s):
-            sign, log_d = np.linalg.slogdet(build(s))
-            return sign * math.exp(log_d - log_ref)
-
-        coeffs = _poly_from_values(fn, half)
-        for k in range(half + 1):
-            probs[2 * k] = coeffs[k]
-    else:
-        n_pairs = (m - 1) // 2
-        a = np.zeros((n_pairs + 1, n_pairs))
-        for j in range(n_pairs + 1):
-            for l in range(n_pairs):
-                a[j, l] = _trunc_alpha(fam.coeffs[2 * j], fam.coeffs[2 * l + 1], big_l)
-        border = np.array([truncated_theta(c, big_l) for c in fam.coeffs])
-
-        def core(s):
-            mat = np.zeros((m, m))
-            for j in range(n_pairs + 1):
-                for l in range(n_pairs):
-                    val = (s - 1.0) * a[j, l]
-                    if j == l:
-                        val += fam.norms[j]
-                    mat[2 * j, 2 * l + 1] = val
-                    mat[2 * l + 1, 2 * j] = -val
-            return mat
-
-        sign_ref, log_ref = pfaffian.pfaffian_bordered_signed_log(core(1.0), border)
-
-        def fn(s):
-            sign, log_p = pfaffian.pfaffian_bordered_signed_log(core(s), border)
-            return (sign / sign_ref) * math.exp(log_p - log_ref)
-
-        coeffs = _poly_from_values(fn, n_pairs)
-        for k in range(n_pairs + 1):
-            probs[2 * k + 1] = coeffs[k]
-    return probs
+    border = np.array([truncated_theta(c, big_l) for c in fam.coeffs])
+    return _gf_probs(_trunc_alpha_matrix(fam, big_l),
+                     np.diag(fam.norms)[:, :m // 2], border)
 
 
 def _log_vol_orthogonal(n):

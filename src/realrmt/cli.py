@@ -79,7 +79,9 @@ def _prob_rows(ensemble, n, tau, big_l, reps, seed, workers):
         row = {"k": k, "p_exact": float(probs[k])}
         if reps:
             p_hat = hist[k] / reps
-            stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 1e-300) / reps)
+            # the exact p keeps the error finite for an outcome with no draws
+            var = max(p_hat * (1.0 - p_hat), probs[k] * (1.0 - probs[k]), 1e-300)
+            stderr = math.sqrt(var / reps)
             row["p_hat"] = p_hat
             row["stderr"] = stderr
             row["z"] = (p_hat - probs[k]) / stderr if stderr > 0 else 0.0
@@ -101,7 +103,7 @@ common_options = [
     click.option("--out", default="-"),
     click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
                  default="csv"),
-    click.option("--workers", type=int, default=1),
+    click.option("--workers", type=click.IntRange(min=1), default=1),
 ]
 
 
@@ -120,7 +122,7 @@ def cli():
 
 @cli.command()
 @_add_options(common_options)
-@click.option("--reps", type=int, default=0)
+@click.option("--reps", type=click.IntRange(min=0), default=0)
 def probs(ensemble, n, big_l, tau, seed, out, fmt, workers, reps):
     """Exact distribution of the number of real eigenvalues, optionally with MC."""
     _validate(ensemble, n, tau, big_l)
@@ -142,7 +144,7 @@ def probs(ensemble, n, big_l, tau, seed, out, fmt, workers, reps):
 
 @cli.command()
 @_add_options(common_options)
-@click.option("--reps", type=int, default=1)
+@click.option("--reps", type=click.IntRange(min=0), default=1)
 def sample(ensemble, n, big_l, tau, seed, out, fmt, workers, reps):
     """Draw matrices and emit their classified eigenvalues."""
     _validate(ensemble, n, tau, big_l)
@@ -193,7 +195,7 @@ def _density_fn(ensemble, n, tau, big_l):
 @cli.command()
 @_add_options(common_options)
 @click.option("--grid", required=True, help="min:max:bins")
-@click.option("--reps", type=int, default=0)
+@click.option("--reps", type=click.IntRange(min=0), default=0)
 def density(ensemble, n, big_l, tau, seed, out, fmt, workers, grid, reps):
     """Analytic real-eigenvalue density on a grid, optionally with a histogram."""
     _validate(ensemble, n, tau, big_l)
@@ -243,7 +245,7 @@ def density(ensemble, n, big_l, tau, seed, out, fmt, workers, grid, reps):
 
 @cli.command()
 @_add_options(common_options)
-@click.option("--reps", type=int, default=10000)
+@click.option("--reps", type=click.IntRange(min=1), default=10000)
 @click.option("--z-max", type=float, default=4.0)
 @click.option("--perturb-exact", type=float, default=0.0,
               help="testing aid: shift the exact values to force a mismatch")
@@ -251,8 +253,6 @@ def compare(ensemble, n, big_l, tau, seed, out, fmt, workers, reps, z_max,
             perturb_exact):
     """Compare exact probabilities against a Monte Carlo run; exit 2 on mismatch."""
     _validate(ensemble, n, tau, big_l)
-    if reps < 1:
-        raise click.UsageError("--reps must be positive for compare")
     rows = _prob_rows(ensemble, n, tau, big_l, reps, seed, workers)
     worst = 0.0
     for row in rows:

@@ -161,8 +161,9 @@ def truncated_family(n, big_l):
 # numerical skew inner products
 
 
-def _gl_nodes(a, b, n):
-    x, w = np.polynomial.legendre.leggauss(n)
+def _gl_nodes(a, b, rule):
+    """Gauss-Legendre rule (x, w) on [-1, 1] mapped affinely onto [a, b]."""
+    x, w = rule
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
@@ -172,10 +173,11 @@ def _sgn_pair_integral(f, g, weight, lo, hi, n=160):
     Evaluated as the integral of w(x)w(y)(f(x)g(y) - f(y)g(x)) over the
     triangle y > x, which is smooth and handled by nested Gauss-Legendre.
     """
-    x, wx = _gl_nodes(lo, hi, n)
+    rule = np.polynomial.legendre.leggauss(n)
+    x, wx = _gl_nodes(lo, hi, rule)
     total = 0.0
     for xi, wxi in zip(x, wx):
-        y, wy = _gl_nodes(xi, hi, n)
+        y, wy = _gl_nodes(xi, hi, rule)
         inner = np.sum(wy * weight(y) * (f(xi) * g(y) - f(y) * g(xi)))
         total += wxi * weight(xi) * inner
     return total
@@ -183,8 +185,9 @@ def _sgn_pair_integral(f, g, weight, lo, hi, n=160):
 
 def _im_pair_integral(f, g, weight, xs, ys, n=160):
     """-4 * integral of W(x, y) Im(f(z) conj(g(z))) over a half-plane grid."""
-    x, wx = _gl_nodes(xs[0], xs[1], n)
-    y, wy = _gl_nodes(ys[0], ys[1], n)
+    rule = np.polynomial.legendre.leggauss(n)
+    x, wx = _gl_nodes(xs[0], xs[1], rule)
+    y, wy = _gl_nodes(ys[0], ys[1], rule)
     xg, yg = np.meshgrid(x, y, indexing="ij")
     z = xg + 1j * yg
     vals = weight(xg, yg) * np.imag(f(z) * np.conj(g(z)))
@@ -231,10 +234,11 @@ def inner_product_numeric(family, j, l, n=160):
         c_n = math.gamma((big_n + 1) / 2.0) / (2.0 * math.gamma(big_n / 2.0 + 1.0))
         halfshift = (big_n - 1) / 2.0
         ph = lambda t: np.exp(-1j * halfshift * t)
-        th1, w1 = _gl_nodes(0.0, 2.0 * math.pi, 2 * n)
+        rule = np.polynomial.legendre.leggauss(2 * n)
+        th1, w1 = _gl_nodes(0.0, 2.0 * math.pi, rule)
         circle = 0.0
         for t1, wt1 in zip(th1, w1):
-            th2, w2 = _gl_nodes(t1, 2.0 * math.pi, 2 * n)
+            th2, w2 = _gl_nodes(t1, 2.0 * math.pi, rule)
             e1 = np.exp(1j * t1)
             e2 = np.exp(1j * th2)
             inner = np.sum(w2 * ph(th2) * (f(e1) * g(e2) - f(e2) * g(e1)))
@@ -246,8 +250,9 @@ def inner_product_numeric(family, j, l, n=160):
         phi = 2.0 * math.pi * (np.arange(n_phi) + 0.5) / n_phi
         wphi = 2.0 * math.pi / n_phi
         disk = 0.0
+        rule = np.polynomial.legendre.leggauss(n)
         for lo, hi in ((1e-12, 0.25), (0.25, 0.75), (0.75, 1.0)):
-            r, wr = _gl_nodes(lo, hi, n)
+            r, wr = _gl_nodes(lo, hi, rule)
             rad = _tail_integral((1.0 / r - r) / 2.0, big_n) / math.sqrt(math.pi)
             rg, pg = np.meshgrid(r, phi, indexing="ij")
             w_pt = rg * np.exp(1j * pg)
@@ -262,13 +267,14 @@ def inner_product_numeric(family, j, l, n=160):
         big_l = family.params["L"]
         cw = math.sqrt(big_l * math.gamma((big_l + 1) / 2.0) / math.gamma(big_l / 2.0))
         cw /= math.sqrt(2.0) * math.pi ** 0.25
+        rule = np.polynomial.legendre.leggauss(2 * n)
 
         # real-real part: substitute x = sin(u) so the weight is smooth
         def alpha_part():
-            u1, wu1 = _gl_nodes(-math.pi / 2.0, math.pi / 2.0, 2 * n)
+            u1, wu1 = _gl_nodes(-math.pi / 2.0, math.pi / 2.0, rule)
             total = 0.0
             for ui, wi in zip(u1, wu1):
-                u2, wu2 = _gl_nodes(ui, math.pi / 2.0, 2 * n)
+                u2, wu2 = _gl_nodes(ui, math.pi / 2.0, rule)
                 x = math.sin(ui)
                 y = np.sin(u2)
                 wx = cw * math.cos(ui) ** (big_l - 1)
@@ -289,8 +295,8 @@ def inner_product_numeric(family, j, l, n=160):
             return big_l * (big_l - 1) / (2.0 * math.pi) * q ** (big_l - 2) * tail
 
         def beta_part():
-            r, wr = _gl_nodes(1e-9, 1.0 - 1e-12, 2 * n)
-            p, wp = _gl_nodes(0.0, math.pi, 2 * n)
+            r, wr = _gl_nodes(1e-9, 1.0 - 1e-12, rule)
+            p, wp = _gl_nodes(0.0, math.pi, rule)
             rg, pg = np.meshgrid(r, p, indexing="ij")
             xg = rg * np.cos(pg)
             yg = rg * np.sin(pg)

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import integrate
 
-from realrmt import analytics
+from realrmt import analytics, sopoly
 
 
 @pytest.mark.parametrize("ensemble,n,kwargs", [
@@ -111,3 +112,87 @@ def test_rational_form():
     assert analytics.rational_form(0.5) == Fraction(1, 2)
     assert analytics.rational_form(2.0 / 3.0) == Fraction(2, 3)
     assert analytics.rational_form(math.pi, max_denominator=1000) is None
+
+
+# every order of the exact-table sweep with a closed-form p_{N,N}
+SWEEP_TRUNCATED = {1: range(2, 10), 2: range(2, 10), 3: range(2, 10),
+                   4: range(2, 11), 6: range(2, 11), 8: range(2, 12)}
+SWEEP_PARTIAL = {0.5: range(8, 15), 0.75: (14, 16), 0.25: (12,), -0.5: (8,)}
+SWEEP_GINIBRE = (7, 9, 11)
+
+TABLE_CASES = (
+    [("truncated", m, {"big_l": big_l})
+     for big_l in (1, 2, 3, 4, 6, 8) for m in range(1, 13)]
+    + [("partial", n, {"tau": tau})
+       for tau in (0.5, -0.5, 0.25, 0.75) for n in range(1, 17)]
+    + [("ginibre", n, {}) for n in range(1, 17)]
+    + [("spherical", n, {}) for n in range(1, 31)]
+)
+
+
+def test_exact_tables_are_distributions():
+    for ensemble, n, kwargs in TABLE_CASES:
+        probs = analytics.prob_table(ensemble, n, **kwargs)
+        assert probs.min() >= -1e-12, (ensemble, n, kwargs)
+        assert probs.max() <= 1.0 + 1e-12, (ensemble, n, kwargs)
+        assert abs(probs.sum() - 1.0) <= 1e-12, (ensemble, n, kwargs)
+
+
+def test_sweep_all_real_probabilities_match_closed_forms():
+    cases = ([(analytics.truncated_prob_gf(m, big_l)[m],
+               analytics.truncated_pmm(m, big_l))
+              for big_l, ms in SWEEP_TRUNCATED.items() for m in ms]
+             + [(analytics.partial_prob_gf(n, tau)[n], analytics.partial_pnn(n, tau))
+                for tau, ns in SWEEP_PARTIAL.items() for n in ns]
+             + [(analytics.ginibre_prob_gf(n)[n], analytics.ginibre_pnn(n))
+                for n in SWEEP_GINIBRE])
+    for got, want in cases:
+        assert got == pytest.approx(want, rel=1e-5)
+
+
+def test_coefficients_read_off_at_roots_of_unity():
+    coeffs = np.array([0.1, 0.0, 0.25, 0.3, 1e-9, 0.35 - 1e-9])
+    got = analytics._poly_from_values(
+        lambda s: np.polynomial.polynomial.polyval(s, coeffs), len(coeffs) - 1)
+    assert np.max(np.abs(got - coeffs)) < 1e-15
+
+
+def test_partial_beta_block_matches_entrywise_formula():
+    for rows, cols, tau in ((3, 2, 0.5), (4, 4, -0.25), (8, 8, 0.75)):
+        block = analytics._partial_beta_block(rows, cols, tau)
+        for j in range(1, rows + 1):
+            for l in range(1, cols + 1):
+                assert block[j - 1, l - 1] == pytest.approx(
+                    analytics.partial_beta(j, l, tau), rel=1e-12, abs=1e-12)
+
+
+def _trunc_alpha_reference(fam, big_l):
+    """Alpha block by nested adaptive quadrature with algebraic end weights."""
+    a = big_l / 2.0 - 1.0
+    cw = analytics._trunc_cw(big_l)
+    tol = {"epsabs": 1e-13, "epsrel": 1e-12}
+    evens, odds = fam.coeffs[0::2], fam.coeffs[1::2]
+    out = np.zeros((len(evens), len(odds)))
+    for j, fc in enumerate(evens):
+        for l, gc in enumerate(odds):
+            def sgn_integral(x):
+                # integral of sgn(y - x) w(y) g(y) over (-1, 1), w(y) = cw (1 - y^2)^a
+                g = lambda y: sopoly.eval_poly(gc, y)
+                above = integrate.quad(lambda y: (1.0 + y) ** a * g(y), x, 1.0,
+                                       weight="alg", wvar=(0.0, a), **tol)[0]
+                below = integrate.quad(lambda y: (1.0 - y) ** a * g(y), -1.0, x,
+                                       weight="alg", wvar=(a, 0.0), **tol)[0]
+                return cw * (above - below)
+
+            out[j, l] = integrate.quad(
+                lambda x: cw * sopoly.eval_poly(fc, x) * sgn_integral(x), -1.0, 1.0,
+                weight="alg", wvar=(a, a), **tol)[0]
+    return out
+
+
+@pytest.mark.parametrize("big_l", [2, 3])
+def test_truncated_alpha_block_against_nested_quadrature(big_l):
+    fam = sopoly.truncated_family(4, big_l)
+    got = analytics._trunc_alpha_matrix(fam, big_l)
+    assert got.shape == (2, 2)
+    assert np.max(np.abs(got - _trunc_alpha_reference(fam, big_l))) < 1e-10

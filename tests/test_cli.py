@@ -1,6 +1,7 @@
 """Tests for the command line interface."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -105,6 +106,33 @@ def test_compare_passes_and_reports():
     doc = json.loads(res.stdout)
     assert doc["verdict"] == "pass"
     assert {r["k"] for r in doc["rows"]} == {0, 2, 4}
+
+
+def test_compare_passes_with_an_outcome_that_got_no_draws():
+    # p_{8,8} * reps is 0.5, and this seed gives k = 8 no draw
+    res = run_cli("compare", "--ensemble", "ginibre", "--n", "8",
+                  "--reps", "8192", "--seed", "5", "--format", "json")
+    assert res.returncode == 0
+    doc = json.loads(res.stdout)
+    row = {r["k"]: r for r in doc["rows"]}[8]
+    assert row["p_hat"] == 0.0
+    assert math.isfinite(row["z"]) and abs(row["z"]) < 4.0
+
+
+@pytest.mark.parametrize("args", [
+    ("probs", "--reps", "-5"),
+    ("sample", "--reps", "-1"),
+    ("density", "--grid", "-1:1:4", "--reps", "-3"),
+    ("compare", "--reps", "0"),
+    ("probs", "--workers", "0"),
+    ("sample", "--workers", "-2"),
+    ("density", "--grid", "-1:1:4", "--workers", "0"),
+    ("compare", "--reps", "100", "--workers", "0"),
+])
+def test_invalid_reps_and_workers_exit_with_config_error(args):
+    res = run_cli(args[0], "--ensemble", "ginibre", "--n", "4", *args[1:])
+    assert res.returncode == 1
+    assert "Invalid value" in res.stderr
 
 
 def test_compare_fails_on_perturbed_exact_values():

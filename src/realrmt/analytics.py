@@ -7,9 +7,7 @@ import numpy as np
 from scipy import special as sp
 
 from . import pfaffian, sopoly
-from .specfun import double_factorial, hyp2f1
-
-SQRT2PI = math.sqrt(2.0 * math.pi)
+from .specfun import hyp2f1, log_vol_orthogonal
 
 
 # ---------------------------------------------------------------------------
@@ -67,9 +65,7 @@ def ginibre_alpha(j, l):
 
 def ginibre_nu(j):
     """One-sided integral of the j-th skew polynomial against the Gaussian weight."""
-    if j % 2 == 1:
-        return 0.0
-    return double_factorial(j - 1) * SQRT2PI
+    return sopoly._gauss_moment(j)
 
 
 def ginibre_alpha_via_recursion(j, l):
@@ -93,9 +89,8 @@ def ginibre_prob_gf(n):
         raise ValueError("supported up to order 40")
     rows, cols = (n + 1) // 2, n // 2
     alpha = np.array([[ginibre_alpha(j, l) for l in range(cols)] for j in range(rows)])
-    norms = [2.0 * SQRT2PI * math.gamma(2 * k + 1) for k in range(rows)]
     border = np.array([ginibre_nu(i) for i in range(n)])
-    return _gf_probs(alpha, np.diag(norms)[:, :cols], border)
+    return _gf_probs(alpha, np.diag(sopoly._ginibre_norms(rows))[:, :cols], border)
 
 
 def ginibre_pnn(n):
@@ -165,9 +160,7 @@ def partial_beta(j, l, tau):
 
 def partial_nu(j):
     """Monomial-basis one-sided integral; nonzero for odd index."""
-    if j % 2 == 0:
-        return 0.0
-    return double_factorial(j - 2) * SQRT2PI
+    return sopoly._gauss_moment(j - 1)
 
 
 def _partial_beta_block(rows, cols, tau):
@@ -207,62 +200,11 @@ def partial_pnn(n, tau):
 # real spherical ensemble
 
 
-def _spherical_g(n):
-    return math.exp(math.lgamma((n + 1) / 2.0) - math.lgamma(n / 2.0 + 1.0))
-
-
-def spherical_norm_alpha(n, l):
-    """Circle contribution to the norm of the l-th even/odd monomial pair."""
-    return 2.0 * math.pi * _spherical_g(n) / (n - 1.0 - 4.0 * l)
-
-
-def spherical_norm_beta(n, l):
-    """Disk contribution to the norm of the l-th even/odd monomial pair."""
-    h = math.exp(n * math.log(2.0) + math.lgamma(2 * l + 1) + math.lgamma(n - 2 * l)
-                 - math.lgamma(n + 1))
-    return (2.0 * math.sqrt(math.pi) / (n - 1.0 - 4.0 * l)) \
-        * (h - math.sqrt(math.pi) * _spherical_g(n))
-
-
-def spherical_norm_alpha_half(n, l):
-    """Circle contribution for the shifted pairs appearing at odd order."""
-    return 2.0 * math.pi * _spherical_g(n) / (n - 3.0 - 4.0 * l)
-
-
-def spherical_norm_beta_half(n, l):
-    """Disk contribution for the shifted pairs appearing at odd order."""
-    h = math.exp(n * math.log(2.0) + math.lgamma(2 * l + 2) + math.lgamma(n - 2 * l - 1)
-                 - math.lgamma(n + 1))
-    return (2.0 * math.sqrt(math.pi) / (n - 3.0 - 4.0 * l)) \
-        * (h - math.sqrt(math.pi) * _spherical_g(n))
-
-
-def spherical_nu_bar(n):
-    """Norm-type constant attached to the unpaired middle polynomial at odd order."""
-    return math.pi * math.sqrt(math.exp(
-        math.lgamma((n + 1) / 2.0) - math.lgamma(n / 2.0 + 1.0)))
-
-
 def spherical_bernoulli(n):
     """Success probabilities t for the independent pair-by-pair real/complex choices."""
     log_g = math.lgamma((n + 1) / 2.0) - math.lgamma(n / 2.0 + 1.0)
-    ts = []
-    if n % 2 == 0:
-        for l in range(n // 2):
-            log_h = (n * math.log(2.0) + math.lgamma(2 * l + 1)
-                     + math.lgamma(n - 2 * l) - math.lgamma(n + 1))
-            ts.append(math.exp(0.5 * math.log(math.pi) + log_g - log_h))
-    else:
-        cut = math.ceil((n - 1) / 4.0)
-        for l in range((n - 1) // 2):
-            if l < cut:
-                log_h = (n * math.log(2.0) + math.lgamma(2 * l + 1)
-                         + math.lgamma(n - 2 * l) - math.lgamma(n + 1))
-            else:
-                log_h = (n * math.log(2.0) + math.lgamma(2 * l + 2)
-                         + math.lgamma(n - 2 * l - 1) - math.lgamma(n + 1))
-            ts.append(math.exp(0.5 * math.log(math.pi) + log_g - log_h))
-    return np.array(ts)
+    return np.array([math.exp(0.5 * math.log(math.pi) + log_g - sopoly._sph_log_h(n, a))
+                     for a in sopoly._sph_pairs(n)])
 
 
 def spherical_prob_gf(n):
@@ -311,23 +253,9 @@ def gaussian_local_limit_curve(n):
 # real truncated orthogonal ensemble
 
 
-def _trunc_cw(big_l):
-    return math.sqrt(big_l * math.gamma((big_l + 1) / 2.0)
-                     / math.gamma(big_l / 2.0)) / (math.sqrt(2.0) * math.pi ** 0.25)
-
-
-def _trunc_moment_antiderivative(big_l, m, y):
-    """Integral of x^m (1 - x^2)^(L/2 - 1) from -1 to y (vectorized in y)."""
-    bm = 0.5 * sp.beta((m + 1) / 2.0, big_l / 2.0)
-    inc = sp.betainc((m + 1) / 2.0, big_l / 2.0, np.minimum(y * y, 1.0))
-    pos = (-1.0) ** m + inc
-    neg = (-1.0) ** m * (1.0 - inc)
-    return bm * np.where(y >= 0, pos, neg)
-
-
 def truncated_theta(coeffs, big_l):
     """Full-interval integral of a polynomial against the truncation weight."""
-    cw = _trunc_cw(big_l)
+    cw = sopoly._trunc_cw(big_l)
     total = 0.0
     for m, c in enumerate(np.asarray(coeffs)):
         if c != 0.0 and m % 2 == 0:
@@ -341,7 +269,7 @@ def _trunc_alpha_matrix(fam, big_l, n_nodes=240):
     Entry (j, l) is the sign-weighted double integral of polynomials 2j and
     2l+1 against the real weight.
     """
-    cw = _trunc_cw(big_l)
+    cw = sopoly._trunc_cw(big_l)
     rule = np.polynomial.legendre.leggauss(n_nodes)
     # substitute y = sin(u) on each half of (-pi/2, pi/2) so the weight is smooth
     u, wu = np.concatenate([sopoly._gl_nodes(lo, hi, rule) for lo, hi in
@@ -353,8 +281,8 @@ def _trunc_alpha_matrix(fam, big_l, n_nodes=240):
     for i, c in enumerate(fam.coeffs):
         coeffs[i, :len(c)] = c
     degs = np.arange(m)
-    moments = _trunc_moment_antiderivative(big_l, degs[:, None], y)
-    totals = _trunc_moment_antiderivative(big_l, degs, 1.0)
+    moments = sopoly._trunc_moment_antiderivative(big_l, degs[:, None], y)
+    totals = sopoly._trunc_moment_antiderivative(big_l, degs, 1.0)
     inner = coeffs[0::2] @ (2.0 * cw * moments - cw * totals[:, None])
     outer = coeffs[1::2] @ np.vander(y, m, increasing=True).T
     return (inner * wts) @ outer.T
@@ -370,16 +298,10 @@ def truncated_prob_gf(m, big_l):
                      np.diag(fam.norms)[:, :m // 2], border)
 
 
-def _log_vol_orthogonal(n):
-    from .specfun import log_vol_orthogonal
-
-    return log_vol_orthogonal(n)
-
-
 def truncated_pmm(m, big_l):
     """Closed-form probability that all eigenvalues of the truncation are real."""
-    log_c = (_log_vol_orthogonal(big_l) + _log_vol_orthogonal(m)
-             - _log_vol_orthogonal(big_l + m)
+    log_c = (log_vol_orthogonal(big_l) + log_vol_orthogonal(m)
+             - log_vol_orthogonal(big_l + m)
              + (m / 2.0) * (big_l * math.log(2.0 * math.pi) - math.lgamma(big_l + 1)))
     log_p = (m * (big_l - 1.0) + m * m / 2.0) * math.log(2.0)
     log_p += log_c
@@ -401,15 +323,12 @@ def truncated_expected_reals(m, big_l):
 def truncated_expected_reals_strong(m, big_l):
     """Large-order expectation at fixed truncation depth."""
     alpha = m / (m + big_l)
-    pre = 2.0 * math.gamma((big_l + 1) / 2.0) / (math.sqrt(math.pi)
-                                                 * math.gamma(big_l / 2.0))
-    return pre * math.atanh(math.sqrt(alpha))
+    return 2.0 * sopoly._gamma_ratio(big_l) * math.atanh(math.sqrt(alpha))
 
 
 def truncated_expected_reals_log(m, big_l):
     """Leading logarithmic growth of the expectation at fixed truncation depth."""
-    return math.gamma((big_l + 1) / 2.0) / (math.sqrt(math.pi)
-                                            * math.gamma(big_l / 2.0)) * math.log(m)
+    return sopoly._gamma_ratio(big_l) * math.log(m)
 
 
 def truncated_expected_reals_weak(m):

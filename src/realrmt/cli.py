@@ -25,22 +25,27 @@ def _write_csv(out, header, rows):
     out.write(SCHEMA + "\n")
     out.write(",".join(header) + "\n")
     for row in rows:
-        out.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                           for v in row) + "\n")
+        out.write(",".join(_fmt(row[h]) if isinstance(row[h], float) else str(row[h])
+                           for h in header) + "\n")
 
 
-def _write_json(out, config, rows, verdict=None):
-    doc = {"config": config, "rows": rows}
-    if verdict is not None:
-        doc["verdict"] = verdict
-    json.dump(doc, out, indent=2, sort_keys=True)
-    out.write("\n")
-
-
-def _open_out(path):
-    if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w"), True
+def _emit(out, fmt, config, header, rows, verdict=None):
+    """Write row dicts to the path out ("-": stdout) as JSON, or as CSV columns header."""
+    stream = sys.stdout if out in (None, "-") else open(out, "w")
+    try:
+        if fmt == "json":
+            doc = {"config": config, "rows": rows}
+            if verdict is not None:
+                doc["verdict"] = verdict
+            json.dump(doc, stream, indent=2, sort_keys=True)
+            stream.write("\n")
+        else:
+            _write_csv(stream, header, rows)
+            if verdict is not None:
+                stream.write("#verdict=%s\n" % verdict)
+    finally:
+        if stream is not sys.stdout:
+            stream.close()
 
 
 def _validate(ensemble, n, tau, big_l):
@@ -129,17 +134,8 @@ def probs(ensemble, n, big_l, tau, seed, out, fmt, workers, reps):
     rows = _prob_rows(ensemble, n, tau, big_l, reps, seed, workers)
     config = {"command": "probs", "ensemble": ensemble, "n": n, "l": big_l,
               "tau": tau, "reps": reps, "seed": seed}
-    stream, close = _open_out(out)
-    try:
-        if fmt == "json":
-            _write_json(stream, config, rows)
-        else:
-            header = ["k", "p_exact"] + (["p_hat", "stderr", "z"] if reps else [])
-            _write_csv(stream, header, [[r[h] if h == "k" else float(r[h])
-                                         for h in header] for r in rows])
-    finally:
-        if close:
-            stream.close()
+    header = ["k", "p_exact"] + (["p_hat", "stderr", "z"] if reps else [])
+    _emit(out, fmt, config, header, rows)
 
 
 @cli.command()
@@ -148,36 +144,25 @@ def probs(ensemble, n, big_l, tau, seed, out, fmt, workers, reps):
 def sample(ensemble, n, big_l, tau, seed, out, fmt, workers, reps):
     """Draw matrices and emit their classified eigenvalues."""
     _validate(ensemble, n, tau, big_l)
-    rows = []
-    chunk = ensembles.CHUNK
-    n_chunks = (reps + chunk - 1) // chunk
-    for c in range(n_chunks):
-        rng = ensembles.rng_for(seed, c)
-        size = min(chunk, reps - c * chunk)
-        for i in range(size):
+
+    def draw_chunk(rng, first, size):
+        part = []
+        for draw in range(first, first + size):
             mat = ensembles.sample_matrix(ensemble, n, rng, tau=tau, big_l=big_l)
-            eigs = np.linalg.eigvals(mat)
-            reals, upper = ensembles.classify_spectrum(eigs)
-            draw = c * chunk + i
+            reals, upper = ensembles.classify_spectrum(np.linalg.eigvals(mat))
             for lam in np.sort(reals):
-                rows.append({"draw": draw, "species": "r", "re": float(lam),
+                part.append({"draw": draw, "species": "r", "re": float(lam),
                              "im": 0.0})
             for w in sorted(upper, key=lambda v: (v.real, v.imag)):
-                rows.append({"draw": draw, "species": "c", "re": float(w.real),
+                part.append({"draw": draw, "species": "c", "re": float(w.real),
                              "im": float(w.imag)})
+        return part
+
+    rows = [row for part in ensembles._run_chunks(reps, seed, workers, draw_chunk)
+            for row in part]
     config = {"command": "sample", "ensemble": ensemble, "n": n, "l": big_l,
               "tau": tau, "reps": reps, "seed": seed}
-    stream, close = _open_out(out)
-    try:
-        if fmt == "json":
-            _write_json(stream, config, rows)
-        else:
-            header = ["draw", "species", "re", "im"]
-            _write_csv(stream, header,
-                       [[r["draw"], r["species"], r["re"], r["im"]] for r in rows])
-    finally:
-        if close:
-            stream.close()
+    _emit(out, fmt, config, ["draw", "species", "re", "im"], rows)
 
 
 def _density_fn(ensemble, n, tau, big_l):
@@ -210,15 +195,10 @@ def density(ensemble, n, big_l, tau, seed, out, fmt, workers, grid, reps):
     rows = []
     emp = stderr = None
     if reps:
+        vals = ensembles.simulate_real_eigenvalues(ensemble, n, reps, seed, tau=tau,
+                                                   big_l=big_l, workers=workers)
         if ensemble == "spherical":
-            vals = ensembles.simulate_real_eigenvalues(ensemble, n, reps, seed,
-                                                       tau=tau, big_l=big_l,
-                                                       workers=workers)
             vals = ensembles.boundary_angle(vals)
-        else:
-            vals = ensembles.simulate_real_eigenvalues(ensemble, n, reps, seed,
-                                                       tau=tau, big_l=big_l,
-                                                       workers=workers)
         hist, _ = np.histogram(vals, bins=edges)
         emp = hist / (reps * width)
         stderr = np.sqrt(np.maximum(hist, 1.0)) / (reps * width)
@@ -230,17 +210,7 @@ def density(ensemble, n, big_l, tau, seed, out, fmt, workers, grid, reps):
         rows.append(row)
     config = {"command": "density", "ensemble": ensemble, "n": n, "l": big_l,
               "tau": tau, "reps": reps, "seed": seed, "grid": grid}
-    stream, close = _open_out(out)
-    try:
-        if fmt == "json":
-            _write_json(stream, config, rows)
-        else:
-            header = ["x", "rho"] + (["emp", "stderr"] if reps else [])
-            _write_csv(stream, header, [[float(r[h]) for h in header]
-                                        for r in rows])
-    finally:
-        if close:
-            stream.close()
+    _emit(out, fmt, config, ["x", "rho"] + (["emp", "stderr"] if reps else []), rows)
 
 
 @cli.command()
@@ -263,18 +233,8 @@ def compare(ensemble, n, big_l, tau, seed, out, fmt, workers, reps, z_max,
     verdict = "pass" if worst <= z_max else "fail"
     config = {"command": "compare", "ensemble": ensemble, "n": n, "l": big_l,
               "tau": tau, "reps": reps, "seed": seed, "z_max": z_max}
-    stream, close = _open_out(out)
-    try:
-        if fmt == "json":
-            _write_json(stream, config, rows, verdict=verdict)
-        else:
-            header = ["k", "p_exact", "p_hat", "stderr", "z"]
-            _write_csv(stream, header, [[r[h] if h == "k" else float(r[h])
-                                         for h in header] for r in rows])
-            stream.write("#verdict=%s\n" % verdict)
-    finally:
-        if close:
-            stream.close()
+    _emit(out, fmt, config, ["k", "p_exact", "p_hat", "stderr", "z"], rows,
+          verdict=verdict)
     if verdict == "fail":
         sys.exit(EXIT_COMPARE)
 

@@ -126,40 +126,43 @@ def sample_matrix(ensemble, n, rng, tau=None, big_l=None):
 CHUNK = 1024
 
 
+def _run_chunks(reps, seed, workers, draw_chunk):
+    """Results of draw_chunk(rng, first, size) for each CHUNK-sized block of draws.
+
+    Block c draws from rng_for(seed, c), so the results, returned in block
+    order, are identical for any worker count.
+    """
+    def run(c):
+        return draw_chunk(rng_for(seed, c), c * CHUNK, min(CHUNK, reps - c * CHUNK))
+
+    n_chunks = (reps + CHUNK - 1) // CHUNK
+    if workers and workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            return list(ex.map(run, range(n_chunks)))
+    return [run(c) for c in range(n_chunks)]
+
+
 def simulate_real_counts(ensemble, n, reps, seed, tau=None, big_l=None, workers=1):
     """Histogram of the number of real eigenvalues over reps draws.
 
     Work is split into fixed chunks with per-chunk derived streams, so the
     result is identical for any worker count.
     """
-    n_chunks = (reps + CHUNK - 1) // CHUNK
-
-    def run_chunk(c):
-        rng = rng_for(seed, c)
-        size = min(CHUNK, reps - c * CHUNK)
+    def draw_chunk(rng, first, size):
         mats = np.stack([sample_matrix(ensemble, n, rng, tau=tau, big_l=big_l)
                          for _ in range(size)])
         return count_real_eigenvalues(mats)
 
-    if workers and workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(run_chunk, range(n_chunks)))
-    else:
-        parts = [run_chunk(c) for c in range(n_chunks)]
+    parts = _run_chunks(reps, seed, workers, draw_chunk)
     counts = np.concatenate(parts) if parts else np.zeros(0, dtype=int)
-    hist = np.bincount(counts, minlength=n + 1)[: n + 1]
-    return hist
+    return np.bincount(counts, minlength=n + 1)[: n + 1]
 
 
 def simulate_real_eigenvalues(ensemble, n, reps, seed, tau=None, big_l=None, workers=1):
     """All real eigenvalues pooled over reps draws."""
-    n_chunks = (reps + CHUNK - 1) // CHUNK
-
-    def run_chunk(c):
-        rng = rng_for(seed, c)
-        size = min(CHUNK, reps - c * CHUNK)
+    def draw_chunk(rng, first, size):
         out = []
         for _ in range(size):
             mat = sample_matrix(ensemble, n, rng, tau=tau, big_l=big_l)
@@ -169,11 +172,5 @@ def simulate_real_eigenvalues(ensemble, n, reps, seed, tau=None, big_l=None, wor
                 out.append(classify_spectrum(np.linalg.eigvals(mat))[0])
         return np.concatenate(out) if out else np.zeros(0)
 
-    if workers and workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(run_chunk, range(n_chunks)))
-    else:
-        parts = [run_chunk(c) for c in range(n_chunks)]
+    parts = _run_chunks(reps, seed, workers, draw_chunk)
     return np.concatenate(parts) if parts else np.zeros(0)

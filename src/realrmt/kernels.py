@@ -6,9 +6,10 @@ import numpy as np
 from scipy import special as sp
 
 from . import pfaffian, sopoly
+from .sopoly import trunc_omega_real, trunc_omega_sq_complex
 from .specfun import upper_gamma_regularized
 
-C2PI = 1.0 / math.sqrt(2.0 * math.pi)
+C2PI = 1.0 / sopoly.SQRT2PI
 
 
 # ---------------------------------------------------------------------------
@@ -150,22 +151,16 @@ class GOEKernel:
 # real Ginibre ensemble
 
 
-def _pow_exp(x, k, quad):
-    """x^k e^{-quad} with log-domain magnitude control for real x."""
-    if x == 0.0:
-        return 0.0 if k > 0 else math.exp(-quad)
-    return math.copysign(1.0, x) ** k * math.exp(k * math.log(abs(x)) - quad)
+def _gin_tail(n, w, y):
+    """Finite-size summand of S at points w (any species) and y (real).
 
-
-def _gin_tail(n, x, y):
-    """Second summand of S_rr: the finite-size correction term."""
-    if x == 0.0 and n > 1:
-        return 0.0
+    It is sgn(y)^(n-1) P((n-1)/2, y^2/2) w^(n-1) e^(-w^2/2) times
+    2^((n-3)/2) Gamma((n-1)/2) / Gamma(n-1).
+    """
     lead = ((n - 3.0) / 2.0 * math.log(2.0) + math.lgamma((n - 1.0) / 2.0)
             - math.lgamma(n - 1.0))
     inc = sp.gammainc((n - 1.0) / 2.0, y * y / 2.0)
-    return (math.copysign(1.0, y) * inc
-            * _pow_exp(x, n - 1, x * x / 2.0) * math.exp(lead))
+    return inc * (math.copysign(1.0, y) * w) ** (n - 1) * np.exp(lead - w * w / 2.0)
 
 
 def _rt_erfc(w):
@@ -188,11 +183,7 @@ def ginibre_src(n, x, w):
 def ginibre_scr(n, w, x):
     """Complex-real kernel element S."""
     q = upper_gamma_regularized(n - 1, w * x)
-    lead = ((n - 3.0) / 2.0 * math.log(2.0) + math.lgamma((n - 1.0) / 2.0)
-            - math.lgamma(n - 1.0))
-    inc = sp.gammainc((n - 1.0) / 2.0, x * x / 2.0)
-    tail = math.copysign(1.0, x) * inc * w ** (n - 1) * np.exp(-w * w / 2.0 + lead)
-    return C2PI * (np.exp(-(w - x) ** 2 / 2.0) * q + tail) * _rt_erfc(w)
+    return C2PI * (np.exp(-(w - x) ** 2 / 2.0) * q + _gin_tail(n, w, x)) * _rt_erfc(w)
 
 
 def ginibre_scc(n, w, z):
@@ -231,51 +222,35 @@ def _gin_half_moment(k2, y):
 def ginibre_irr(n, x, y):
     """Real-real kernel element I~."""
     def one_sided(a, b):
-        total = 0.0
-        if n % 2 == 0:
-            for k in range(n // 2):
-                total += (_pow_exp(a, 2 * k, a * a / 2.0) / math.gamma(2 * k + 1)
-                          * _gin_half_moment(2 * k, b))
-        else:
-            nb = _dfact(n - 2) * math.sqrt(2.0 * math.pi)
-            gn = (2.0 ** (n / 2.0 - 1.0) * math.gamma(n / 2.0)
-                  * sp.gammainc(n / 2.0, b * b / 2.0) * math.copysign(1.0, b))
-            for k in range((n - 1) // 2):
-                nk = _dfact(2 * k - 1) * math.sqrt(2.0 * math.pi)
-                total += (_pow_exp(a, 2 * k, a * a / 2.0) / math.gamma(2 * k + 1)
-                          * (_gin_half_moment(2 * k, b) - nk / nb * gn))
-            total += gn / nb
+        total = shift = 0.0
+        if n % 2 == 1:
+            # each even polynomial is skew-orthogonalised against x^(n-1)
+            shift = _gin_half_moment(n - 1, b) / sopoly._gauss_moment(n - 1)
+            total = shift
+        weight = math.exp(-a * a / 2.0)
+        for k in range(n // 2):
+            moment = _gin_half_moment(2 * k, b)
+            if shift:
+                moment -= sopoly._gauss_moment(2 * k) * shift
+            total += weight * a ** (2 * k) / math.gamma(2 * k + 1) * moment
         return total
 
-    return C2PI * (one_sided(x, y) - one_sided(y, x)) + 0.5 * np.sign(x - y)
-
-
-def _dfact(k):
-    if k <= 0:
-        return 1.0
-    r = 1.0
-    while k > 1:
-        r *= k
-        k -= 2
-    return r
+    return C2PI * (one_sided(y, x) - one_sided(x, y)) - 0.5 * np.sign(x - y)
 
 
 def ginibre_irc(n, x, w):
     """Real-complex kernel element I~."""
     wb = np.conj(w)
     q = upper_gamma_regularized(n - 1, complex(x) * wb)
-    lead = ((n - 3.0) / 2.0 * math.log(2.0) + math.lgamma((n - 1.0) / 2.0)
-            - math.lgamma(n - 1.0))
-    inc = sp.gammainc((n - 1.0) / 2.0, x * x / 2.0)
-    tail = math.copysign(1.0, x) * inc * wb ** (n - 1) * np.exp(-wb * wb / 2.0 + lead)
-    return -1j * C2PI * (np.exp(-(x - wb) ** 2 / 2.0) * q + tail) * _rt_erfc(w)
+    return (1j * C2PI * (np.exp(-(x - wb) ** 2 / 2.0) * q + _gin_tail(n, wb, x))
+            * _rt_erfc(w))
 
 
 def ginibre_icc(n, w, z):
     """Complex-complex kernel element I~."""
     wb, zb = np.conj(w), np.conj(z)
     q = upper_gamma_regularized(n - 1, wb * zb)
-    return (1j * C2PI * np.exp(-(wb - zb) ** 2 / 2.0) * (wb - zb) * q
+    return (-C2PI * np.exp(-(wb - zb) ** 2 / 2.0) * (wb - zb) * q
             * _rt_erfc(w) * _rt_erfc(z))
 
 
@@ -283,11 +258,7 @@ def ginibre_density_real(n, x):
     """Density of real eigenvalues for the real Ginibre ensemble."""
     x = float(x)
     q = upper_gamma_regularized(n - 1, x * x)
-    lead = ((n - 3.0) / 2.0 * math.log(2.0) + math.lgamma((n - 1.0) / 2.0)
-            - math.lgamma(n - 1.0))
-    inc = sp.gammainc((n - 1.0) / 2.0, x * x / 2.0)
-    tail = inc * _pow_exp(abs(x), n - 1, x * x / 2.0) * math.exp(lead)
-    return C2PI * (q + tail)
+    return C2PI * (q + _gin_tail(n, x, x))
 
 
 def ginibre_density_complex(n, w):
@@ -368,12 +339,7 @@ class GinibreKernel:
 
 def _partial_nu_bar(coeffs, c):
     """Integral of R(z) e^{-z^2/(2c)} dz for a polynomial R."""
-    total = 0.0
-    for m, a in enumerate(np.asarray(coeffs)):
-        if a != 0.0 and m % 2 == 0:
-            total += a * math.sqrt(2.0 * math.pi * c) * c ** (m // 2) \
-                * _dfact(m - 1)
-    return total
+    return sum(a * sopoly._gauss_moment(m, c) for m, a in enumerate(coeffs))
 
 
 def partial_srr(n, tau, x, y):
@@ -456,27 +422,15 @@ def crossover_scc(alpha, w1, w2, nodes=400):
 # real spherical ensemble
 
 
-def _sph_tail(u, n):
-    """Integral of (1 + t^2)^(-(n/2 + 1)) from u to infinity (signed lower limit)."""
-    b = (n + 1) / 2.0
-    btot = sp.beta(0.5, b)
-    half = 0.5 * btot * sp.betainc(b, 0.5, 1.0 / (1.0 + u * u))
-    return np.where(u >= 0, half, btot - half)
-
-
 def spherical_srr(n, t1, t2):
     """Circle-circle kernel element S as a function of the two angles."""
-    pre = math.exp(math.lgamma((n + 1) / 2.0) - math.lgamma(n / 2.0)) \
-        / (2.0 * math.sqrt(math.pi))
-    return pre * np.cos((t2 - t1) / 2.0) ** (n - 1)
+    return sopoly._sph_pre(n) * np.cos((t2 - t1) / 2.0) ** (n - 1)
 
 
 def spherical_drr(n, t1, t2):
     """Circle-circle kernel element D = dS/d(theta_2)."""
-    pre = math.exp(math.lgamma((n + 1) / 2.0) - math.lgamma(n / 2.0)) \
-        / (2.0 * math.sqrt(math.pi))
     half = (t2 - t1) / 2.0
-    return -pre * (n - 1) / 2.0 * np.cos(half) ** (n - 2) * np.sin(half)
+    return -sopoly._sph_pre(n) * (n - 1) / 2.0 * np.cos(half) ** (n - 2) * np.sin(half)
 
 
 def spherical_irr(n, t1, t2, nodes=400):
@@ -489,15 +443,14 @@ def spherical_irr(n, t1, t2, nodes=400):
 
 def spherical_density_real(n):
     """Uniform density of the angles of real eigenvalues on the circle."""
-    return math.exp(math.lgamma((n + 1) / 2.0) - math.lgamma(n / 2.0)) \
-        / (2.0 * math.sqrt(math.pi))
+    return sopoly._sph_pre(n)
 
 
 def spherical_density_complex(n, w):
     """Density of disk-mapped complex eigenvalues at the point w, |w| < 1."""
     r = abs(w)
     u = (1.0 / r - r) / 2.0
-    tail = float(_sph_tail(u, n))
+    tail = float(sopoly._sph_tail(u, n))
     return (n * (n - 1.0) / (2.0 ** (n + 1) * math.pi * r * r)
             * (1.0 / r + r) ** (n - 2) * (1.0 / r - r) * tail)
 
@@ -506,8 +459,8 @@ def spherical_scc(n, w, z):
     """Disk-disk kernel element S."""
     rw, rz = abs(w), abs(z)
     tw, tz = np.angle(w), np.angle(z)
-    jw = float(_sph_tail((1.0 / rw - rw) / 2.0, n))
-    jz = float(_sph_tail((1.0 / rz - rz) / 2.0, n))
+    jw = float(sopoly._sph_tail((1.0 / rw - rw) / 2.0, n))
+    jz = float(sopoly._sph_tail((1.0 / rz - rz) / 2.0, n))
     rr = rw * rz
     plus = rr ** -0.5 * np.exp(1j * (tz - tw) / 2.0) + rr ** 0.5 * np.exp(-1j * (tz - tw) / 2.0)
     minus = rr ** -0.5 * np.exp(1j * (tz - tw) / 2.0) - rr ** 0.5 * np.exp(-1j * (tz - tw) / 2.0)
@@ -559,25 +512,6 @@ class SphericalKernel:
 # real truncated orthogonal ensemble
 
 
-def trunc_omega_real(big_l, x):
-    """Real-axis weight of the truncated ensemble."""
-    cw = (math.sqrt(big_l * math.gamma((big_l + 1) / 2.0)
-                    / math.gamma(big_l / 2.0)) / (math.sqrt(2.0) * math.pi ** 0.25))
-    return cw * (1.0 - x * x) ** (big_l / 2.0 - 1.0)
-
-
-def trunc_omega_sq_complex(big_l, z):
-    """Squared complex weight of the truncated ensemble inside the disk."""
-    q = abs(1.0 - z * z)
-    y = abs(np.imag(z))
-    if big_l == 1:
-        return 1.0 / (2.0 * math.pi * q)
-    u = min(2.0 * y / q, 1.0)
-    tail = 0.5 * sp.beta(0.5, (big_l - 1) / 2.0) \
-        * (1.0 - sp.betainc(0.5, (big_l - 1) / 2.0, u * u))
-    return big_l * (big_l - 1.0) / (2.0 * math.pi) * q ** (big_l - 2.0) * tail
-
-
 def truncated_d(m, big_l, mu, eta, species=("r", "r")):
     """Kernel element D for the truncated ensemble, any species pair."""
     def omega(val, sp_tag):
@@ -597,17 +531,14 @@ def truncated_d(m, big_l, mu, eta, species=("r", "r")):
 
 def _trunc_tau_poly(coeffs, big_l, y):
     """tau_j(y) = -(1/2) integral of sgn(y - z) omega(z) p_j(z) dz."""
-    from .analytics import _trunc_cw, _trunc_moment_antiderivative
-
-    cw = _trunc_cw(big_l)
     total = 0.0
     lower = 0.0
     for m, c in enumerate(np.asarray(coeffs)):
         if c == 0.0:
             continue
-        lower += c * _trunc_moment_antiderivative(big_l, m, y)
-        total += c * float(_trunc_moment_antiderivative(big_l, m, 1.0))
-    return -cw * (lower - total / 2.0)
+        lower += c * sopoly._trunc_moment_antiderivative(big_l, m, y)
+        total += c * float(sopoly._trunc_moment_antiderivative(big_l, m, 1.0))
+    return -sopoly._trunc_cw(big_l) * (lower - total / 2.0)
 
 
 def truncated_srr(m, big_l, x, y):
@@ -616,8 +547,7 @@ def truncated_srr(m, big_l, x, y):
     r_last = fam.norms[m // 2 - 1]
     tau_val = _trunc_tau_poly(fam.coeffs[m - 2], big_l, y)
     first = -2.0 * trunc_omega_real(big_l, x) / r_last * x ** (m - 1) * tau_val
-    pre = math.exp(math.lgamma((big_l + 1) / 2.0) - math.lgamma(big_l / 2.0)) \
-        / math.sqrt(math.pi)
+    pre = sopoly._gamma_ratio(big_l)
     coeff = 1.0
     total = 0.0
     for j in range(m - 1):
@@ -635,32 +565,22 @@ def truncated_density_real(m, big_l, x):
     r_last = fam.norms[m // 2 - 1]
     tau_val = _trunc_tau_poly(fam.coeffs[m - 2], big_l, x)
     first = -2.0 * trunc_omega_real(big_l, x) / r_last * x ** (m - 1) * tau_val
-    pre = math.exp(math.lgamma((big_l + 1) / 2.0) - math.lgamma(big_l / 2.0)) \
-        / math.sqrt(math.pi)
-    second = pre * (1.0 - sp.betainc(m - 1.0, float(big_l), x * x)) / (1.0 - x * x)
+    tail = 1.0 - sp.betainc(m - 1.0, float(big_l), x * x)
+    second = sopoly._gamma_ratio(big_l) * tail / (1.0 - x * x)
     return first + second
 
 
 def truncated_density_complex(m, big_l, z):
     """Density of complex eigenvalues for the truncated ensemble."""
-    y = abs(np.imag(z))
     r2 = abs(z) ** 2
-    q = abs(1.0 - z * z)
     tail_beta = 1.0 - sp.betainc(m - 1.0, big_l + 1.0, r2)
-    if big_l == 1:
-        return 2.0 * y / (math.pi * q * (1.0 - r2) ** 2) * tail_beta
-    u = min(2.0 * y / q, 1.0)
-    tail = 0.5 * sp.beta(0.5, (big_l - 1) / 2.0) \
-        * (1.0 - sp.betainc(0.5, (big_l - 1) / 2.0, u * u))
-    return (2.0 * y * big_l * (big_l - 1.0) / math.pi * q ** (big_l - 2.0)
-            * (1.0 - r2) ** (-(big_l + 1.0)) * tail * tail_beta)
+    return (4.0 * abs(z.imag) * trunc_omega_sq_complex(big_l, z)
+            * (1.0 - r2) ** (-(big_l + 1.0)) * tail_beta)
 
 
 def truncated_strong_density_real(big_l, x):
     """Strong-truncation limit of the real density."""
-    pre = math.exp(math.lgamma((big_l + 1) / 2.0) - math.lgamma(big_l / 2.0)) \
-        / math.sqrt(math.pi)
-    return pre / (1.0 - x * x)
+    return sopoly._gamma_ratio(big_l) / (1.0 - x * x)
 
 
 def truncated_weak_density_real(m, big_l, x):
@@ -714,7 +634,10 @@ def npoint_correlation(kernel, points):
     """n-point correlation from the kernel elements via a 2n x 2n Pfaffian.
 
     points is a sequence of (species, value) pairs with species 'r' or 'c'.
-    Coincident points are rejected; use the density functions instead.
+    The 2 x 2 block of points i and j is [[-I~_ij, S_ij], [-S_ji, D_ij]], so
+    the matrix is [[-I~, S], [-S^T, D]] with its rows and columns interleaved;
+    I~ and D vanish on the diagonal. Coincident points are rejected; use the
+    density functions instead.
     """
     pts = list(points)
     n = len(pts)

@@ -98,12 +98,8 @@ def pfaffian_laplace(a):
     return total
 
 
-def pfaffian_bordered(core, border):
-    """Pfaffian of an odd-order skew core extended by a border vector.
-
-    The bordered matrix has the core in the top-left block, +border as the
-    last column and -border as the last row.
-    """
+def _bordered(core, border):
+    """The bordered matrix of pfaffian_bordered, after checking the core and border."""
     core = _as_skew(core)
     n = core.shape[0]
     border = np.asarray(border)
@@ -115,19 +111,21 @@ def pfaffian_bordered(core, border):
     big[:n, :n] = core
     big[:n, n] = border
     big[n, :n] = -border
-    return pfaffian(big)
+    return big
+
+
+def pfaffian_bordered(core, border):
+    """Pfaffian of an odd-order skew core extended by a border vector.
+
+    The bordered matrix has the core in the top-left block, +border as the
+    last column and -border as the last row.
+    """
+    return pfaffian(_bordered(core, border))
 
 
 def pfaffian_bordered_signed_log(core, border):
     """Signed-log Pfaffian of the bordered extension of an odd-order core."""
-    core = _as_skew(core)
-    n = core.shape[0]
-    border = np.asarray(border)
-    big = np.zeros((n + 1, n + 1), dtype=np.result_type(core, border))
-    big[:n, :n] = core
-    big[:n, n] = border
-    big[n, :n] = -border
-    return pfaffian_signed_log(big)
+    return pfaffian_signed_log(_bordered(core, border))
 
 
 def symplectic_unit(n2):

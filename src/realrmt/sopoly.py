@@ -1,10 +1,15 @@
-"""Skew-orthogonal polynomial families for the five ensembles."""
+"""Skew-orthogonal polynomial families of the five ensembles, with their weights,
+weight moments and normalising constants."""
 
 import math
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 from scipy import special as sp
+
+from .specfun import double_factorial
+
+SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
 class PolynomialFamily:
@@ -44,39 +49,32 @@ def _hermite_coeffs(n_max):
     return hs[: n_max + 1]
 
 
+def _skew_family(ensemble, base, step, norms, params=None):
+    """Family whose odd members are p_j = base_j - step(k) base_{j-2}, k = (j-1)/2 >= 1.
+
+    Even members are the base polynomials themselves.
+    """
+    coeffs = []
+    for j, c in enumerate(base):
+        k = (j - 1) // 2
+        if j % 2 == 1 and k > 0:
+            c = P.polysub(c, step(k) * base[j - 2])
+        coeffs.append(c)
+    return PolynomialFamily(ensemble, coeffs, norms, params)
+
+
 def goe_family(n):
     """Skew-orthogonal polynomials and norms for the Gaussian orthogonal ensemble."""
     hs = _hermite_coeffs(n)
-    coeffs = []
-    for j in range(n):
-        if j % 2 == 0:
-            coeffs.append(hs[j] / 2.0 ** j)
-        else:
-            c = hs[j] / 2.0 ** j
-            k = (j - 1) // 2
-            if k > 0:
-                c = P.polysub(c, k * hs[j - 2] / 2.0 ** (j - 2))
-            coeffs.append(c)
     norms = [math.gamma(2 * k + 1) * math.sqrt(math.pi) / 2.0 ** (2 * k)
              for k in range((n + 1) // 2)]
-    return PolynomialFamily("goe", coeffs, norms)
+    return _skew_family("goe", [hs[j] / 2.0 ** j for j in range(n)], lambda k: k, norms)
 
 
 def ginibre_family(n):
     """Skew-orthogonal polynomials and norms for the real Ginibre ensemble."""
-    coeffs = []
-    for j in range(n):
-        if j % 2 == 0:
-            coeffs.append(_monomial(j))
-        else:
-            c = _monomial(j)
-            k = (j - 1) // 2
-            if k > 0:
-                c = P.polysub(c, 2.0 * k * _monomial(j - 2))
-            coeffs.append(c)
-    norms = [2.0 * math.sqrt(2.0 * math.pi) * math.gamma(2 * k + 1)
-             for k in range((n + 1) // 2)]
-    return PolynomialFamily("ginibre", coeffs, norms)
+    return _skew_family("ginibre", [_monomial(j) for j in range(n)],
+                        lambda k: 2.0 * k, _ginibre_norms((n + 1) // 2))
 
 
 def _partial_base(n, tau):
@@ -91,70 +89,127 @@ def _partial_base(n, tau):
 
 def partial_family(n, tau):
     """Skew-orthogonal polynomials and norms for the partially symmetric ensemble."""
-    cs = _partial_base(n, tau)
-    coeffs = []
-    for j in range(n):
-        if j % 2 == 0:
-            coeffs.append(cs[j])
-        else:
-            c = cs[j]
-            k = (j - 1) // 2
-            if k > 0:
-                c = P.polysub(c, 2.0 * k * cs[j - 2])
-            coeffs.append(c)
     norms = [math.gamma(2 * k + 1) * 2.0 * math.sqrt(2.0 * math.pi) * (1.0 + tau)
              for k in range((n + 1) // 2)]
-    return PolynomialFamily("partial", coeffs, norms, params={"tau": tau})
+    return _skew_family("partial", _partial_base(n, tau)[:n], lambda k: 2.0 * k,
+                        norms, params={"tau": tau})
 
 
 def spherical_family(big_n):
     """Skew-orthogonal polynomials and norms for the real spherical ensemble.
 
-    Returns all big_n polynomials; pair norms come from the closed-form
-    pair sums in the analytics module.
+    Each pair is the monomials (a, N-1-a), with a from _sph_pairs; at odd
+    order the unpaired middle monomial comes last.
     """
-    from . import analytics
-
     coeffs = []
     norms = []
-    if big_n % 2 == 0:
-        for l in range(big_n // 2):
-            coeffs.append(_monomial(2 * l))
-            coeffs.append(_monomial(big_n - 1 - 2 * l))
-            norms.append(analytics.spherical_norm_alpha(big_n, l)
-                         + analytics.spherical_norm_beta(big_n, l))
-    else:
-        for j in range((big_n - 1) // 2):
-            if 2 * j < (big_n - 1) / 2:
-                coeffs.append(_monomial(2 * j))
-                coeffs.append(_monomial(big_n - 1 - 2 * j))
-                norms.append(analytics.spherical_norm_alpha(big_n, j)
-                             + analytics.spherical_norm_beta(big_n, j))
-            else:
-                coeffs.append(_monomial(2 * j + 1))
-                coeffs.append(_monomial(big_n - 2 - 2 * j))
-                norms.append(analytics.spherical_norm_alpha_half(big_n, j)
-                             + analytics.spherical_norm_beta_half(big_n, j))
+    for a in _sph_pairs(big_n):
+        coeffs += [_monomial(a), _monomial(big_n - 1 - a)]
+        norms.append(_sph_norm(big_n, a))
+    if big_n % 2 == 1:
         coeffs.append(_monomial((big_n - 1) // 2))
     return PolynomialFamily("spherical", coeffs, norms, params={"N": big_n})
 
 
 def truncated_family(n, big_l):
     """Skew-orthogonal polynomials and norms for the real truncated ensemble."""
-    coeffs = []
-    for j in range(n):
-        if j % 2 == 0:
-            coeffs.append(_monomial(j))
-        else:
-            c = _monomial(j)
-            k = (j - 1) // 2
-            if k > 0:
-                c = P.polysub(c, (2.0 * k / (big_l + 2.0 * k)) * _monomial(j - 2))
-            coeffs.append(c)
     norms = [math.exp(math.lgamma(big_l + 1) + math.lgamma(2 * k + 1)
                       - math.lgamma(big_l + 2 * k + 1))
              for k in range((n + 1) // 2)]
-    return PolynomialFamily("truncated", coeffs, norms, params={"L": big_l})
+    return _skew_family("truncated", [_monomial(j) for j in range(n)],
+                        lambda k: 2.0 * k / (big_l + 2.0 * k), norms,
+                        params={"L": big_l})
+
+
+# ---------------------------------------------------------------------------
+# weights, weight moments and normalising constants
+
+
+def _gamma_ratio(a):
+    """Gamma((a + 1)/2) / (sqrt(pi) Gamma(a/2))."""
+    return (math.exp(math.lgamma((a + 1) / 2.0) - math.lgamma(a / 2.0))
+            / math.sqrt(math.pi))
+
+
+def _gauss_moment(m, c=1.0):
+    """Integral of x^m e^{-x^2/(2c)} over the real line."""
+    if m % 2 == 1:
+        return 0.0
+    return double_factorial(m - 1) * math.sqrt(2.0 * math.pi * c) * c ** (m // 2)
+
+
+def _ginibre_norms(count):
+    """Pair norms 2 sqrt(2 pi) (2k)! of the real Ginibre family, k < count."""
+    return [2.0 * SQRT2PI * math.gamma(2 * k + 1) for k in range(count)]
+
+
+def _sph_pairs(big_n):
+    """Lower degree a of each monomial pair (a, N-1-a) of the spherical family.
+
+    At odd order the pairs past the middle shift up by one degree, so that
+    the middle monomial (N-1)/2 stays unpaired.
+    """
+    if big_n % 2 == 0:
+        return [2 * l for l in range(big_n // 2)]
+    return [2 * j if 4 * j < big_n - 1 else 2 * j + 1 for j in range((big_n - 1) // 2)]
+
+
+def _sph_log_h(big_n, a):
+    """log h = log(2^N a! (N-1-a)! / N!) for the spherical pair of lower degree a."""
+    return (big_n * math.log(2.0) + math.lgamma(a + 1) + math.lgamma(big_n - a)
+            - math.lgamma(big_n + 1))
+
+
+def _sph_norm(big_n, a):
+    """Spherical pair norm: circle plus disk part, 2 sqrt(pi) h / (N - 1 - 2a)."""
+    return (2.0 * math.sqrt(math.pi) * math.exp(_sph_log_h(big_n, a))
+            / (big_n - 1.0 - 2.0 * a))
+
+
+def _sph_pre(big_n):
+    """Uniform density Gamma((N+1)/2) / (2 sqrt(pi) Gamma(N/2)) of real angles."""
+    return _gamma_ratio(big_n) / 2.0
+
+
+def _sph_tail(u, big_n):
+    """Integral of (1 + t^2)^(-(N/2 + 1)) from u to infinity (signed lower limit)."""
+    b = (big_n + 1) / 2.0
+    btot = sp.beta(0.5, b)
+    half = 0.5 * btot * sp.betainc(b, 0.5, 1.0 / (1.0 + u * u))
+    return np.where(u >= 0, half, btot - half)
+
+
+def _trunc_cw(big_l):
+    """Normalising constant c_w of the truncated real weight."""
+    return math.sqrt(big_l * math.gamma((big_l + 1) / 2.0)
+                     / math.gamma(big_l / 2.0)) / (math.sqrt(2.0) * math.pi ** 0.25)
+
+
+def trunc_omega_real(big_l, x):
+    """Real-axis weight of the truncated ensemble."""
+    return _trunc_cw(big_l) * (1.0 - x * x) ** (big_l / 2.0 - 1.0)
+
+
+def trunc_omega_sq_complex(big_l, z):
+    """Squared complex weight of the truncated ensemble in the disk (vectorized in z)."""
+    q = abs(1.0 - z * z)
+    if big_l == 1:
+        return 1.0 / (2.0 * math.pi * q)
+    a = 0.5
+    b = (big_l - 1) / 2.0
+    # with u = 2 |Im z| / q, 1 - I_{u^2}(a, b) = I_{1-u^2}(b, a), and
+    # 1 - u^2 = ((1 - |z|^2) / q)^2 needs no clipping to [0, 1]
+    tail = 0.5 * sp.beta(a, b) * sp.betainc(b, a, ((1.0 - abs(z) ** 2) / q) ** 2)
+    return big_l * (big_l - 1.0) / (2.0 * math.pi) * q ** (big_l - 2.0) * tail
+
+
+def _trunc_moment_antiderivative(big_l, m, y):
+    """Integral of x^m (1 - x^2)^(L/2 - 1) from -1 to y (vectorized in y)."""
+    bm = 0.5 * sp.beta((m + 1) / 2.0, big_l / 2.0)
+    inc = sp.betainc((m + 1) / 2.0, big_l / 2.0, np.minimum(y * y, 1.0))
+    pos = (-1.0) ** m + inc
+    neg = (-1.0) ** m * (1.0 - inc)
+    return bm * np.where(y >= 0, pos, neg)
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +247,6 @@ def _im_pair_integral(f, g, weight, xs, ys, n=160):
     z = xg + 1j * yg
     vals = weight(xg, yg) * np.imag(f(z) * np.conj(g(z)))
     return -4.0 * np.einsum("i,j,ij->", wx, wy, vals)
-
-
-def _tail_integral(u, big_n):
-    """Integral of (1 + t^2)^(-(N/2 + 1)) from u >= 0 to infinity."""
-    b = (big_n + 1) / 2.0
-    btot = sp.beta(0.5, b)
-    return 0.5 * btot * sp.betainc(b, 0.5, 1.0 / (1.0 + u * u))
 
 
 def inner_product_numeric(family, j, l, n=160):
@@ -253,7 +301,7 @@ def inner_product_numeric(family, j, l, n=160):
         rule = np.polynomial.legendre.leggauss(n)
         for lo, hi in ((1e-12, 0.25), (0.25, 0.75), (0.75, 1.0)):
             r, wr = _gl_nodes(lo, hi, rule)
-            rad = _tail_integral((1.0 / r - r) / 2.0, big_n) / math.sqrt(math.pi)
+            rad = _sph_tail((1.0 / r - r) / 2.0, big_n) / math.sqrt(math.pi)
             rg, pg = np.meshgrid(r, phi, indexing="ij")
             w_pt = rg * np.exp(1j * pg)
             w_mirr = np.exp(1j * pg) / rg
@@ -265,8 +313,7 @@ def inner_product_numeric(family, j, l, n=160):
 
     if kind == "truncated":
         big_l = family.params["L"]
-        cw = math.sqrt(big_l * math.gamma((big_l + 1) / 2.0) / math.gamma(big_l / 2.0))
-        cw /= math.sqrt(2.0) * math.pi ** 0.25
+        cw = _trunc_cw(big_l)
         rule = np.polynomial.legendre.leggauss(2 * n)
 
         # real-real part: substitute x = sin(u) so the weight is smooth
@@ -283,25 +330,12 @@ def inner_product_numeric(family, j, l, n=160):
                 total += wi * wx * inner
             return total
 
-        def omega_sq(x, y):
-            z = x + 1j * y
-            q = np.abs(1.0 - z * z)
-            if big_l == 1:
-                return 1.0 / (2.0 * math.pi * q)
-            u = np.clip(2.0 * np.abs(y) / q, 0.0, 1.0)
-            a = 0.5
-            b = (big_l - 1) / 2.0
-            tail = 0.5 * sp.beta(a, b) * (1.0 - sp.betainc(a, b, u * u))
-            return big_l * (big_l - 1) / (2.0 * math.pi) * q ** (big_l - 2) * tail
-
         def beta_part():
             r, wr = _gl_nodes(1e-9, 1.0 - 1e-12, rule)
             p, wp = _gl_nodes(0.0, math.pi, rule)
             rg, pg = np.meshgrid(r, p, indexing="ij")
-            xg = rg * np.cos(pg)
-            yg = rg * np.sin(pg)
-            z = xg + 1j * yg
-            vals = omega_sq(xg, yg) * np.imag(f(z) * np.conj(g(z))) * rg
+            z = rg * np.cos(pg) + 1j * (rg * np.sin(pg))
+            vals = trunc_omega_sq_complex(big_l, z) * np.imag(f(z) * np.conj(g(z))) * rg
             return -4.0 * np.einsum("i,j,ij->", wr, wp, vals)
 
         return alpha_part() + beta_part()

@@ -169,7 +169,7 @@ def test_partial_beta_block_matches_entrywise_formula():
 def _trunc_alpha_reference(fam, big_l):
     """Alpha block by nested adaptive quadrature with algebraic end weights."""
     a = big_l / 2.0 - 1.0
-    cw = analytics._trunc_cw(big_l)
+    cw = sopoly._trunc_cw(big_l)
     tol = {"epsabs": 1e-13, "epsrel": 1e-12}
     evens, odds = fam.coeffs[0::2], fam.coeffs[1::2]
     out = np.zeros((len(evens), len(odds)))

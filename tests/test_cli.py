@@ -57,10 +57,15 @@ def test_probs_rejects_bad_order():
     assert res.returncode == 1
 
 
-def test_probs_output_is_worker_invariant(tmp_path):
+@pytest.mark.parametrize("command", [
+    pytest.param(["probs"], id="probs"),
+    pytest.param(["sample"], id="sample"),
+    pytest.param(["density", "--grid", "-3:3:12"], id="density"),
+])
+def test_probs_output_is_worker_invariant(tmp_path, command):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    common = ["probs", "--ensemble", "ginibre", "--n", "3", "--reps", "3000",
-              "--seed", "11"]
+    common = command + ["--ensemble", "ginibre", "--n", "3", "--reps", "3000",
+                        "--seed", "11"]
     assert run_cli(*common, "--workers", "1", "--out", str(out1)).returncode == 0
     assert run_cli(*common, "--workers", "3", "--out", str(out2)).returncode == 0
     assert out1.read_bytes() == out2.read_bytes()

@@ -246,9 +246,62 @@ def test_npoint_rejects_coincident_points():
 
 
 def test_ginibre_mixed_two_point_factorizes_at_separation():
-    kern = kernels.GinibreKernel(10)
+    # both points lie inside the bulk, |w| < sqrt(20); at order 10 they lie
+    # outside it, where the finite-order kernel keeps them correlated
+    kern = kernels.GinibreKernel(20)
     x, w = -4.0, 4.0 + 1.0j
     rho2 = kernels.npoint_correlation(kern, [("r", x), ("c", w)])
-    prod = (kernels.ginibre_density_real(10, x)
-            * kernels.ginibre_density_complex(10, w))
+    prod = (kernels.ginibre_density_real(20, x)
+            * kernels.ginibre_density_complex(20, w))
     assert rho2 == pytest.approx(prod, rel=0.01)
+
+
+def _gl(a, b, n):
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_ginibre_correlations_integrate_to_count_moments(n):
+    # k real eigenvalues and m = (n - k)/2 in the upper half plane: the
+    # integrals of rho_1 and rho_2 are E[k], E[m], E[k(k-1)], E[km], E[m(m-1)]
+    probs = analytics.ginibre_prob_gf(n)
+    k = np.arange(n + 1)
+    m = (n - k) / 2.0
+    want = {"r": k @ probs, "c": m @ probs, "rr": (k * (k - 1)) @ probs,
+            "rc": (k * m) @ probs, "cc": (m * (m - 1)) @ probs}
+    kern = kernels.GinibreKernel(n)
+    rho = lambda *pts: kernels.npoint_correlation(kern, pts)
+    edge = math.sqrt(n) + 3.0
+    x, wx = _gl(-edge, edge, 20)
+    u, wu = _gl(-edge, edge, 14)
+    v, wv = _gl(0.0, edge, 7)
+    zs = [complex(a, b) for a in u for b in v]
+    wz = np.outer(wu, wv).ravel()
+    rr = 0.0
+    for a, wa in zip(x, wx):
+        # rho_2 is symmetric and has a kink at y = x: integrate over y > x
+        y, wy = _gl(a, edge, 20)
+        rr += 2.0 * wa * sum(wb * rho(("r", a), ("r", b)) for b, wb in zip(y, wy))
+    got = {
+        "r": sum(wa * rho(("r", a)) for a, wa in zip(x, wx)),
+        "c": sum(wb * rho(("c", z)) for z, wb in zip(zs, wz)),
+        "rr": rr,
+        "rc": sum(wa * wb * rho(("r", a), ("c", z))
+                  for a, wa in zip(x, wx) for z, wb in zip(zs, wz)),
+        # rho_2 is symmetric and vanishes at coincidence
+        "cc": 2.0 * sum(wz[i] * wz[j] * rho(("c", zs[i]), ("c", zs[j]))
+                        for i in range(len(zs)) for j in range(i)),
+    }
+    for key in want:
+        assert got[key] == pytest.approx(want[key], rel=0.02), key
+
+
+def test_ginibre_two_point_vanishes_for_impossible_pairs():
+    # order 2: two real eigenvalues or one complex pair; order 3: at most one pair
+    w, z = 0.3 + 0.8j, -1.1 + 0.4j
+    for n in (2, 3):
+        kern = kernels.GinibreKernel(n)
+        assert abs(kernels.npoint_correlation(kern, [("c", w), ("c", z)])) < 1e-12
+    rc = kernels.npoint_correlation(kernels.GinibreKernel(2), [("r", -0.6), ("c", w)])
+    assert abs(rc) < 1e-12

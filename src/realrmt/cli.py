@@ -59,6 +59,10 @@ def _validate(ensemble, n, tau, big_l):
     if ensemble == "truncated":
         if big_l is None or big_l < 1:
             raise click.UsageError("truncated ensemble requires --l >= 1")
+    if tau is not None and ensemble != "partial":
+        raise click.UsageError("--tau applies only to the partial ensemble")
+    if big_l is not None and ensemble != "truncated":
+        raise click.UsageError("--l applies only to the truncated ensemble")
 
 
 def _parse_grid(grid):
@@ -145,20 +149,22 @@ def sample(ensemble, n, big_l, tau, seed, out, fmt, workers, reps):
     """Draw matrices and emit their classified eigenvalues."""
     _validate(ensemble, n, tau, big_l)
 
-    def draw_chunk(rng, first, size):
+    def stack_rows(first, mats):
+        eigs = np.linalg.eigvals(mats)
+        real, upper = ensembles.classify_spectra(eigs)
         part = []
-        for draw in range(first, first + size):
-            mat = ensembles.sample_matrix(ensemble, n, rng, tau=tau, big_l=big_l)
-            reals, upper = ensembles.classify_spectrum(np.linalg.eigvals(mat))
-            for lam in np.sort(reals):
+        for i, row in enumerate(eigs):
+            draw = first + i
+            for lam in np.sort(row.real[real[i]]):
                 part.append({"draw": draw, "species": "r", "re": float(lam),
                              "im": 0.0})
-            for w in sorted(upper, key=lambda v: (v.real, v.imag)):
+            for w in sorted(row[upper[i]], key=lambda v: (v.real, v.imag)):
                 part.append({"draw": draw, "species": "c", "re": float(w.real),
                              "im": float(w.imag)})
         return part
 
-    rows = [row for part in ensembles._run_chunks(reps, seed, workers, draw_chunk)
+    rows = [row for part in ensembles._run_stacks(ensemble, n, reps, seed, stack_rows,
+                                                  tau=tau, big_l=big_l, workers=workers)
             for row in part]
     config = {"command": "sample", "ensemble": ensemble, "n": n, "l": big_l,
               "tau": tau, "reps": reps, "seed": seed}

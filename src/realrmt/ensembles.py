@@ -14,19 +14,31 @@ def rng_for(seed, index):
     return np.random.Generator(np.random.Philox(key=(int(seed) << 64) | int(index)))
 
 
-def sample_goe(n, rng):
-    """Draw from the Gaussian orthogonal ensemble (diag var 1, off-diag var 1/2)."""
-    a = rng.standard_normal((n, n))
-    return (a + a.T) / 2.0
+COND_MAX = 1e12  # a spherical draw whose A has a larger condition number is redrawn
 
 
-def sample_ginibre(n, rng):
-    """Draw a real Ginibre matrix of iid standard normals."""
-    return rng.standard_normal((n, n))
+def _shape(size):
+    """Leading shape of a draw: () for one matrix, (size,) for a stack."""
+    return () if size is None else (size,)
 
 
-def sample_partial(n, tau, rng, b=None):
-    """Draw from the partially symmetric real Ginibre ensemble.
+def sample_goe(n, rng, size=None):
+    """Draw from the Gaussian orthogonal ensemble (diag var 1, off-diag var 1/2).
+
+    With size, return a stack of shape (size, n, n); the draws use the same
+    variates, in the same order, as size separate calls.
+    """
+    a = rng.standard_normal(_shape(size) + (n, n))
+    return (a + a.swapaxes(-1, -2)) / 2.0
+
+
+def sample_ginibre(n, rng, size=None):
+    """Draw a real Ginibre matrix of iid standard normals (size: as sample_goe)."""
+    return rng.standard_normal(_shape(size) + (n, n))
+
+
+def sample_partial(n, tau, rng, b=None, size=None):
+    """Draw from the partially symmetric real Ginibre ensemble (size: as sample_goe).
 
     X = (S + sqrt(c) A) / sqrt(b) with c = (1 - tau)/(1 + tau); the default
     b = 1/(1 + tau) gives off-diagonal variance 1 and correlation tau.
@@ -36,56 +48,84 @@ def sample_partial(n, tau, rng, b=None):
     if b is None:
         b = 1.0 / (1.0 + tau)
     c = (1.0 - tau) / (1.0 + tau)
-    g = rng.standard_normal((n, n))
-    h = rng.standard_normal((n, n))
-    s = (g + g.T) / 2.0
-    a = (h - h.T) / 2.0
+    gh = rng.standard_normal(_shape(size) + (2, n, n))
+    g, h = gh[..., 0, :, :], gh[..., 1, :, :]
+    s = (g + g.swapaxes(-1, -2)) / 2.0
+    a = (h - h.swapaxes(-1, -2)) / 2.0
     return (s + math.sqrt(c) * a) / math.sqrt(b)
 
 
-def sample_spherical(n, rng, max_attempts=10):
-    """Draw Y = A^{-1} B with A, B independent real Ginibre matrices."""
+def sample_spherical(n, rng, max_attempts=10, size=None):
+    """Draw Y = A^{-1} B with A, B independent real Ginibre matrices.
+
+    size: as sample_goe. A draw whose A has condition number COND_MAX or
+    more is redrawn. If any draw of a stack needs that, the stack is drawn
+    again one matrix at a time from the same stream position, so the
+    variates stay those of size separate calls.
+    """
+    if size is not None:
+        state = rng.bit_generator.state
+        ab = rng.standard_normal((size, 2, n, n))
+        a, b = ab[:, 0], ab[:, 1]
+        if np.all(np.linalg.cond(a) < COND_MAX):
+            return np.linalg.solve(a, b)
+        rng.bit_generator.state = state
+        return np.stack([sample_spherical(n, rng, max_attempts) for _ in range(size)])
     for _ in range(max_attempts):
         a = rng.standard_normal((n, n))
         b = rng.standard_normal((n, n))
-        if np.linalg.cond(a) < 1e12:
+        if np.linalg.cond(a) < COND_MAX:
             return np.linalg.solve(a, b)
     raise RuntimeError("failed to draw a well-conditioned spherical matrix")
 
 
-def sample_truncated(m, big_l, rng):
-    """Draw the bottom-right m x m block of a random (m+L) x (m+L) orthogonal matrix."""
+def sample_truncated(m, big_l, rng, size=None):
+    """Draw the bottom-right m x m block of a random (m+L) x (m+L) orthogonal matrix.
+
+    size: as sample_goe.
+    """
     n = m + big_l
-    x = rng.standard_normal((n, n))
+    x = rng.standard_normal(_shape(size) + (n, n))
     q, r = np.linalg.qr(x)
-    q = q * np.sign(np.diag(r))
-    return q[big_l:, big_l:]
+    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+    return q[..., big_l:, big_l:]
+
+
+def classify_spectra(eigs, rel_tol=1e-9):
+    """Masks (real, upper) of the real and upper-half-plane eigenvalues, row by row.
+
+    Each row of the 2-d eigs is one real matrix's spectrum. An eigenvalue is
+    real when |Im| <= rel_tol * max|eigenvalue| of its row. Where an odd
+    number are non-real, the one nearest the axis is taken as real if it lies
+    within ten tolerances; a row whose non-real eigenvalues still do not pair
+    up raises RuntimeError.
+    """
+    rows = np.asarray(eigs, dtype=complex)
+    scale = np.maximum(np.max(np.abs(rows), axis=1, initial=0.0), 1e-300)
+    tol = rel_tol * scale
+    real = np.abs(rows.imag) <= tol[:, None]
+    for i in np.flatnonzero(np.sum(~real, axis=1) % 2):
+        off_axis = np.where(real[i], np.inf, np.abs(rows[i].imag))
+        k = np.argmin(off_axis)
+        if off_axis[k] > 10.0 * tol[i] * max(1.0, scale[i]):
+            raise RuntimeError("inconsistent complex-conjugate pairing")
+        real[i, k] = True
+    upper = ~real & (rows.imag > 0)
+    if np.any(2 * np.sum(upper, axis=1) + np.sum(real, axis=1) != rows.shape[1]):
+        raise RuntimeError("inconsistent complex-conjugate pairing")
+    return real, upper
 
 
 def classify_spectrum(eigs, rel_tol=1e-9):
     """Split a real-matrix spectrum into real eigenvalues and upper-half-plane pairs."""
     eigs = np.asarray(eigs, dtype=complex)
-    scale = max(np.max(np.abs(eigs)) if eigs.size else 1.0, 1e-300)
-    tol = rel_tol * scale
-    is_real = np.abs(eigs.imag) <= tol
-    n_complex = int(np.sum(~is_real))
-    if n_complex % 2 == 1:
-        idx = np.where(~is_real)[0]
-        k = idx[np.argmin(np.abs(eigs.imag[idx]))]
-        if abs(eigs.imag[k]) > 10.0 * tol * max(1.0, scale):
-            raise RuntimeError("inconsistent complex-conjugate pairing")
-        is_real[k] = True
-    reals = eigs.real[is_real]
-    upper = eigs[(~is_real) & (eigs.imag > 0)]
-    if 2 * len(upper) + len(reals) != len(eigs):
-        raise RuntimeError("inconsistent complex-conjugate pairing")
-    return reals, upper
+    real, upper = classify_spectra(eigs[None], rel_tol)
+    return eigs.real[real[0]], eigs[upper[0]]
 
 
 def count_real_eigenvalues(mats, rel_tol=1e-9):
     """Number of real eigenvalues for each matrix in a stacked array."""
-    eigs = np.linalg.eigvals(mats)
-    return np.array([len(classify_spectrum(e, rel_tol)[0]) for e in eigs])
+    return np.sum(classify_spectra(np.linalg.eigvals(mats), rel_tol)[0], axis=-1)
 
 
 def mobius_to_disk(z):
@@ -108,40 +148,55 @@ def stereographic(z):
 
 
 _SAMPLERS = {
-    "goe": lambda n, rng, tau=None, big_l=None: sample_goe(n, rng),
-    "ginibre": lambda n, rng, tau=None, big_l=None: sample_ginibre(n, rng),
-    "partial": lambda n, rng, tau=None, big_l=None: sample_partial(n, tau, rng),
-    "spherical": lambda n, rng, tau=None, big_l=None: sample_spherical(n, rng),
-    "truncated": lambda n, rng, tau=None, big_l=None: sample_truncated(n, big_l, rng),
+    "goe": lambda n, rng, tau, big_l, size: sample_goe(n, rng, size=size),
+    "ginibre": lambda n, rng, tau, big_l, size: sample_ginibre(n, rng, size=size),
+    "partial": lambda n, rng, tau, big_l, size: sample_partial(n, tau, rng, size=size),
+    "spherical": lambda n, rng, tau, big_l, size: sample_spherical(n, rng, size=size),
+    "truncated": lambda n, rng, tau, big_l, size:
+        sample_truncated(n, big_l, rng, size=size),
 }
+
+
+def _sampler(ensemble):
+    if ensemble not in _SAMPLERS:
+        raise ValueError("unknown ensemble %r" % (ensemble,))
+    return _SAMPLERS[ensemble]
 
 
 def sample_matrix(ensemble, n, rng, tau=None, big_l=None):
     """Draw one matrix from the named ensemble."""
-    if ensemble not in _SAMPLERS:
-        raise ValueError("unknown ensemble %r" % (ensemble,))
-    return _SAMPLERS[ensemble](n, rng, tau=tau, big_l=big_l)
+    return _sampler(ensemble)(n, rng, tau, big_l, None)
 
 
 CHUNK = 1024
+STACK = 256
 
 
-def _run_chunks(reps, seed, workers, draw_chunk):
-    """Results of draw_chunk(rng, first, size) for each CHUNK-sized block of draws.
+def _run_stacks(ensemble, n, reps, seed, use, tau=None, big_l=None, workers=1):
+    """Results of use(first, mats) for each stack of draws, in draw order.
 
-    Block c draws from rng_for(seed, c), so the results, returned in block
-    order, are identical for any worker count.
+    Block c of CHUNK draws comes from rng_for(seed, c), as consecutive stacks
+    of at most STACK matrices; mats holds draws first, first + 1, ... and
+    equals as many sample_matrix calls on the block's stream. So the results
+    are identical for any worker count.
     """
+    draw = _sampler(ensemble)
+
     def run(c):
-        return draw_chunk(rng_for(seed, c), c * CHUNK, min(CHUNK, reps - c * CHUNK))
+        rng = rng_for(seed, c)
+        end = min((c + 1) * CHUNK, reps)
+        return [use(first, draw(n, rng, tau, big_l, min(STACK, end - first)))
+                for first in range(c * CHUNK, end, STACK)]
 
     n_chunks = (reps + CHUNK - 1) // CHUNK
     if workers and workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(run, range(n_chunks)))
-    return [run(c) for c in range(n_chunks)]
+            chunks = list(ex.map(run, range(n_chunks)))
+    else:
+        chunks = [run(c) for c in range(n_chunks)]
+    return [result for chunk in chunks for result in chunk]
 
 
 def simulate_real_counts(ensemble, n, reps, seed, tau=None, big_l=None, workers=1):
@@ -150,27 +205,21 @@ def simulate_real_counts(ensemble, n, reps, seed, tau=None, big_l=None, workers=
     Work is split into fixed chunks with per-chunk derived streams, so the
     result is identical for any worker count.
     """
-    def draw_chunk(rng, first, size):
-        mats = np.stack([sample_matrix(ensemble, n, rng, tau=tau, big_l=big_l)
-                         for _ in range(size)])
-        return count_real_eigenvalues(mats)
-
-    parts = _run_chunks(reps, seed, workers, draw_chunk)
+    parts = _run_stacks(ensemble, n, reps, seed,
+                        lambda first, mats: count_real_eigenvalues(mats),
+                        tau=tau, big_l=big_l, workers=workers)
     counts = np.concatenate(parts) if parts else np.zeros(0, dtype=int)
     return np.bincount(counts, minlength=n + 1)[: n + 1]
 
 
 def simulate_real_eigenvalues(ensemble, n, reps, seed, tau=None, big_l=None, workers=1):
-    """All real eigenvalues pooled over reps draws."""
-    def draw_chunk(rng, first, size):
-        out = []
-        for _ in range(size):
-            mat = sample_matrix(ensemble, n, rng, tau=tau, big_l=big_l)
-            if ensemble == "goe":
-                out.append(np.linalg.eigvalsh(mat))
-            else:
-                out.append(classify_spectrum(np.linalg.eigvals(mat))[0])
-        return np.concatenate(out) if out else np.zeros(0)
+    """All real eigenvalues pooled over reps draws, in draw order."""
+    def reals(first, mats):
+        if ensemble == "goe":
+            return np.linalg.eigvalsh(mats).ravel()
+        eigs = np.linalg.eigvals(mats)
+        return eigs.real[classify_spectra(eigs)[0]]
 
-    parts = _run_chunks(reps, seed, workers, draw_chunk)
+    parts = _run_stacks(ensemble, n, reps, seed, reals, tau=tau, big_l=big_l,
+                        workers=workers)
     return np.concatenate(parts) if parts else np.zeros(0)

@@ -155,8 +155,11 @@ def _gin_tail(n, w, y):
     """Finite-size summand of S at points w (any species) and y (real).
 
     It is sgn(y)^(n-1) P((n-1)/2, y^2/2) w^(n-1) e^(-w^2/2) times
-    2^((n-3)/2) Gamma((n-1)/2) / Gamma(n-1).
+    2^((n-3)/2) Gamma((n-1)/2) / Gamma(n-1). At n = 1 that product tends to
+    1, leaving e^(-w^2/2).
     """
+    if n == 1:
+        return np.exp(-w * w / 2.0)
     lead = ((n - 3.0) / 2.0 * math.log(2.0) + math.lgamma((n - 1.0) / 2.0)
             - math.lgamma(n - 1.0))
     inc = sp.gammainc((n - 1.0) / 2.0, y * y / 2.0)
@@ -257,7 +260,7 @@ def ginibre_icc(n, w, z):
 def ginibre_density_real(n, x):
     """Density of real eigenvalues for the real Ginibre ensemble."""
     x = float(x)
-    q = upper_gamma_regularized(n - 1, x * x)
+    q = upper_gamma_regularized(n - 1, x * x) if n > 1 else 0.0  # Q(0, .) = 0
     return C2PI * (q + _gin_tail(n, x, x))
 
 

@@ -5,9 +5,10 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from realrmt import analytics, kernels
+from realrmt import analytics, ensembles, kernels
 
 BASE = [sys.executable, "-m", "realrmt.cli"]
 
@@ -85,6 +86,41 @@ def test_sample_is_deterministic():
         assert total == 3
 
 
+def _sample_reference_csv(ensemble, n, reps, seed, tau=None, big_l=None):
+    """The sample command's CSV, from one sample_matrix call per draw."""
+    lines = ["#schema=real-rmt/v1", "draw,species,re,im"]
+    for draw in range(reps):
+        if draw % ensembles.CHUNK == 0:
+            rng = ensembles.rng_for(seed, draw // ensembles.CHUNK)
+        mat = ensembles.sample_matrix(ensemble, n, rng, tau=tau, big_l=big_l)
+        reals, upper = ensembles.classify_spectrum(np.linalg.eigvals(mat))
+        lines += ["%d,r,%.15g,0" % (draw, lam) for lam in np.sort(reals)]
+        lines += ["%d,c,%.15g,%.15g" % (draw, w.real, w.imag)
+                  for w in sorted(upper, key=lambda v: (v.real, v.imag))]
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("ensemble,n,tau,big_l", [
+    ("partial", 4, 0.5, None),
+    ("truncated", 3, None, 2),
+])
+def test_sample_prints_the_per_draw_reference(ensemble, n, tau, big_l):
+    # 1100 draws: two chunks, and stacks that end mid-chunk
+    args = ["sample", "--ensemble", ensemble, "--n", str(n), "--reps", "1100",
+            "--seed", "13"]
+    args += ["--tau", repr(tau)] if tau is not None else []
+    args += ["--l", str(big_l)] if big_l is not None else []
+    res = run_cli(*args)
+    assert res.returncode == 0
+    got = res.stdout.splitlines()
+    want = _sample_reference_csv(ensemble, n, 1100, 13, tau, big_l).splitlines()
+    # the first differing line, rather than a diff of some 4000 lines
+    diff = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]),
+                None)
+    assert diff is None and len(got) == len(want), (diff, len(got), len(want))
+    assert res.stdout.endswith("\n")
+
+
 def test_density_grid_values():
     res = run_cli("density", "--ensemble", "ginibre", "--n", "4",
                   "--grid", "-1:1:4")
@@ -95,6 +131,14 @@ def test_density_grid_values():
     assert x == pytest.approx(-0.75)
     assert float(rows[0]["rho"]) == pytest.approx(
         kernels.ginibre_density_real(4, x), rel=1e-12)
+
+
+def test_density_of_order_one_ginibre():
+    res = run_cli("density", "--ensemble", "ginibre", "--n", "1", "--grid", "-1:1:2")
+    assert res.returncode == 0
+    _, rows = _parse_csv(res.stdout)
+    assert [float(r["rho"]) for r in rows] == pytest.approx(
+        [math.exp(-0.125) / math.sqrt(2.0 * math.pi)] * 2, rel=1e-14)
 
 
 def test_density_rejects_bad_grid_and_odd_order():
@@ -138,6 +182,19 @@ def test_invalid_reps_and_workers_exit_with_config_error(args):
     res = run_cli(args[0], "--ensemble", "ginibre", "--n", "4", *args[1:])
     assert res.returncode == 1
     assert "Invalid value" in res.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("probs", "--ensemble", "ginibre", "--n", "4", "--tau", "0.5"),
+    ("sample", "--ensemble", "truncated", "--n", "3", "--l", "2", "--tau", "0.5"),
+    ("density", "--ensemble", "goe", "--n", "4", "--grid", "-1:1:4", "--tau", "0"),
+    ("probs", "--ensemble", "partial", "--n", "4", "--tau", "0.5", "--l", "2"),
+    ("compare", "--ensemble", "spherical", "--n", "3", "--l", "1"),
+])
+def test_options_of_another_ensemble_exit_with_config_error(args):
+    res = run_cli(*args)
+    assert res.returncode == 1
+    assert "applies only to the" in res.stderr
 
 
 def test_compare_fails_on_perturbed_exact_values():

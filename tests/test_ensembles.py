@@ -113,3 +113,153 @@ def test_sample_matrix_dispatch():
     assert ensembles.sample_matrix("goe", 3, rng).shape == (3, 3)
     with pytest.raises(ValueError):
         ensembles.sample_matrix("bogus", 3, rng)
+
+
+# ---------------------------------------------------------------------------
+# stacked draws: the same matrices as one sample_matrix call per draw
+
+CELLS = [("goe", 5, None, None), ("ginibre", 4, None, None),
+         ("partial", 5, 0.3, None), ("spherical", 4, None, None),
+         ("truncated", 3, None, 2)]
+
+
+def _stack(ensemble, n, rng, size, tau=None, big_l=None):
+    if ensemble == "goe":
+        return ensembles.sample_goe(n, rng, size=size)
+    if ensemble == "ginibre":
+        return ensembles.sample_ginibre(n, rng, size=size)
+    if ensemble == "partial":
+        return ensembles.sample_partial(n, tau, rng, size=size)
+    if ensemble == "spherical":
+        return ensembles.sample_spherical(n, rng, size=size)
+    return ensembles.sample_truncated(n, big_l, rng, size=size)
+
+
+def _per_draw(ensemble, n, rng, size, tau=None, big_l=None):
+    return np.stack([ensembles.sample_matrix(ensemble, n, rng, tau=tau, big_l=big_l)
+                     for _ in range(size)])
+
+
+@pytest.mark.parametrize("size", [1, 7, 256, 300])
+@pytest.mark.parametrize("ensemble,n,tau,big_l", CELLS)
+def test_stacked_draws_equal_per_draw_calls(ensemble, n, tau, big_l, size):
+    rng_a, rng_b = ensembles.rng_for(21, 0), ensembles.rng_for(21, 0)
+    stack = _stack(ensemble, n, rng_a, size, tau, big_l)
+    assert stack.shape == (size, n, n)
+    reference = _per_draw(ensemble, n, rng_b, size, tau, big_l)
+    np.testing.assert_array_equal(stack, reference)
+    # both leave the stream at the same place
+    np.testing.assert_array_equal(rng_a.standard_normal(3), rng_b.standard_normal(3))
+
+
+def _reference_draws(ensemble, n, reps, seed, tau=None, big_l=None):
+    """Real eigenvalues of each draw, one sample_matrix call per draw."""
+    out = []
+    for draw in range(reps):
+        if draw % ensembles.CHUNK == 0:
+            rng = ensembles.rng_for(seed, draw // ensembles.CHUNK)
+        mat = ensembles.sample_matrix(ensemble, n, rng, tau=tau, big_l=big_l)
+        if ensemble == "goe":
+            out.append(np.linalg.eigvalsh(mat))
+        else:
+            out.append(ensembles.classify_spectrum(np.linalg.eigvals(mat))[0])
+    return out
+
+
+@pytest.mark.parametrize("ensemble,n,tau,big_l", CELLS)
+def test_simulations_equal_the_per_draw_loop(ensemble, n, tau, big_l):
+    # 1300 draws: a full chunk of four stacks, then a chunk of 276 = 256 + 20
+    reps, seed = 1300, 4
+    ref = _reference_draws(ensemble, n, reps, seed, tau, big_l)
+    counts = np.bincount([len(r) for r in ref], minlength=n + 1)
+    np.testing.assert_array_equal(
+        ensembles.simulate_real_counts(ensemble, n, reps, seed, tau=tau, big_l=big_l),
+        counts)
+    np.testing.assert_array_equal(
+        ensembles.simulate_real_eigenvalues(ensemble, n, reps, seed, tau=tau,
+                                            big_l=big_l),
+        np.concatenate(ref))
+
+
+# Low enough that about one 3 x 3 draw in ten is redrawn
+LOW_COND_MAX = 40.0
+
+
+def test_spherical_stack_replays_redrawn_draws(monkeypatch):
+    plain = ensembles.sample_spherical(3, ensembles.rng_for(8, 0), size=300)
+    monkeypatch.setattr(ensembles, "COND_MAX", LOW_COND_MAX)
+    stack = ensembles.sample_spherical(3, ensembles.rng_for(8, 0), size=300)
+    # some draws were redrawn, which moves every later draw of the stream
+    assert not np.array_equal(stack, plain)
+    np.testing.assert_array_equal(
+        stack, _per_draw("spherical", 3, ensembles.rng_for(8, 0), 300))
+    ref = _reference_draws("spherical", 3, 600, 8)
+    np.testing.assert_array_equal(
+        ensembles.simulate_real_counts("spherical", 3, 600, 8),
+        np.bincount([len(r) for r in ref], minlength=4))
+
+
+# ---------------------------------------------------------------------------
+# the classification rule, one spectrum per row
+
+def _classify_reference(eigs, rel_tol=1e-9):
+    """The rule for one spectrum, written out element by element."""
+    eigs = np.asarray(eigs, dtype=complex)
+    scale = max(np.max(np.abs(eigs)) if eigs.size else 1.0, 1e-300)
+    tol = rel_tol * scale
+    is_real = np.abs(eigs.imag) <= tol
+    if np.sum(~is_real) % 2 == 1:
+        idx = np.where(~is_real)[0]
+        k = idx[np.argmin(np.abs(eigs.imag[idx]))]
+        if abs(eigs.imag[k]) > 10.0 * tol * max(1.0, scale):
+            raise RuntimeError("inconsistent complex-conjugate pairing")
+        is_real[k] = True
+    reals = eigs.real[is_real]
+    upper = eigs[(~is_real) & (eigs.imag > 0)]
+    if 2 * len(upper) + len(reals) != len(eigs):
+        raise RuntimeError("inconsistent complex-conjugate pairing")
+    return reals, upper
+
+
+@pytest.mark.parametrize("ensemble,n,tau,big_l", CELLS)
+def test_classify_spectra_matches_the_reference_rule(ensemble, n, tau, big_l):
+    rng = ensembles.rng_for(17, 0)
+    eigs = np.linalg.eigvals(_stack(ensemble, n, rng, 512, tau, big_l)).astype(complex)
+    real, upper = ensembles.classify_spectra(eigs)
+    for i, row in enumerate(eigs):
+        reals, ups = _classify_reference(row)
+        np.testing.assert_array_equal(row.real[real[i]], reals)
+        np.testing.assert_array_equal(row[upper[i]], ups)
+
+
+def test_classify_spectra_rows_match_classify_spectrum():
+    rows = np.array([
+        [3.0, 1.0 + 5e-9j, 0.5 + 1.0j, 0.5 - 1.0j],  # odd count: 1 + 5e-9i is real
+        [3.0, -1.0, 0.0, 2.5],                        # all real
+        [0.0, 0.0, 0.0, 0.0],                         # all zero: scale floor 1e-300
+        [2.0 - 1e-12j, 1.0 + 2.0j, 1.0 - 2.0j, -4.0],
+        [0.01, 0.02 + 1e-10j, 0.02 - 1e-10j, 0.0],    # a pair only at its row's scale
+    ])
+    real, upper = ensembles.classify_spectra(rows)
+    expected_reals = [[3.0, 1.0], [3.0, -1.0, 0.0, 2.5], [0.0] * 4, [2.0, -4.0],
+                      [0.01, 0.0]]
+    expected_upper = [[0.5 + 1.0j], [], [], [1.0 + 2.0j], [0.02 + 1e-10j]]
+    for i, row in enumerate(rows):
+        reals, ups = ensembles.classify_spectrum(row)
+        np.testing.assert_array_equal(reals, _classify_reference(row)[0])
+        np.testing.assert_array_equal(row.real[real[i]], reals)
+        np.testing.assert_array_equal(row[upper[i]], ups)
+        np.testing.assert_array_equal(reals, expected_reals[i])
+        np.testing.assert_array_equal(ups, expected_upper[i])
+
+
+@pytest.mark.parametrize("bad", [
+    [1.0, 2.0 + 1.0j, 0.0],           # odd count, far from the axis
+    [2.0 + 1.0j, 3.0 + 1.0j, 0.0],    # even count, no conjugates
+])
+def test_classify_spectra_rejects_unpaired_rows(bad):
+    rows = np.array([[1.0, 1.0 + 1.0j, 1.0 - 1.0j], bad])
+    with pytest.raises(RuntimeError, match="inconsistent complex-conjugate pairing"):
+        ensembles.classify_spectra(rows)
+    with pytest.raises(RuntimeError, match="inconsistent complex-conjugate pairing"):
+        ensembles.classify_spectrum(np.array(bad))

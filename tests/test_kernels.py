@@ -68,6 +68,13 @@ def test_ginibre_density_is_srr_diagonal():
             kernels.ginibre_srr(8, x, x), rel=1e-12)
 
 
+def test_ginibre_order_one_density_is_standard_normal():
+    # a 1 x 1 real Ginibre matrix is its own eigenvalue
+    for x in (-3.0, -0.7, 0.0, 0.3, 2.0):
+        assert kernels.ginibre_density_real(1, x) == pytest.approx(
+            C2PI * math.exp(-x * x / 2.0), rel=1e-15)
+
+
 def test_ginibre_complex_density_matches_scc():
     w = 1.0 + 0.8j
     rho = kernels.GinibreKernel(8)

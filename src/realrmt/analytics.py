@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import special as sp
 
-from . import pfaffian, sopoly
+from . import ensembles, pfaffian, sopoly
 from .specfun import hyp2f1, log_vol_orthogonal
 
 
@@ -85,8 +85,7 @@ def ginibre_alpha_via_recursion(j, l):
 
 def ginibre_prob_gf(n):
     """Probabilities p_{N,k} of k real eigenvalues for the real Ginibre ensemble."""
-    if n > 40:
-        raise ValueError("supported up to order 40")
+    ensembles.spec("ginibre", n, table=True)
     rows, cols = (n + 1) // 2, n // 2
     alpha = np.array([[ginibre_alpha(j, l) for l in range(cols)] for j in range(rows)])
     border = np.array([ginibre_nu(i) for i in range(n)])
@@ -183,6 +182,7 @@ def _partial_beta_block(rows, cols, tau):
 
 def partial_prob_gf(n, tau):
     """Probabilities p_{N,k} for the partially symmetric real Ginibre ensemble."""
+    ensembles.spec("partial", n, tau=tau, table=True)
     rows, cols = (n + 1) // 2, n // 2
     alpha = np.array([[partial_alpha(j, l) for l in range(1, cols + 1)]
                       for j in range(1, rows + 1)])
@@ -290,8 +290,7 @@ def _trunc_alpha_matrix(fam, big_l, n_nodes=240):
 
 def truncated_prob_gf(m, big_l):
     """Probabilities p_{M,k} of k real eigenvalues for the truncated ensemble."""
-    if m > 12:
-        raise ValueError("supported up to order 12")
+    ensembles.spec("truncated", m, big_l=big_l, table=True)
     fam = sopoly.truncated_family(m, big_l)
     border = np.array([truncated_theta(c, big_l) for c in fam.coeffs])
     return _gf_probs(_trunc_alpha_matrix(fam, big_l),
@@ -340,25 +339,20 @@ def truncated_expected_reals_weak(m):
 # dispatch and rational reconstruction
 
 
+# the lambdas look their builders up at call time, so rebinding a name reaches them
+_TABLES = {
+    "goe": lambda n, tau, big_l: np.eye(n + 1)[n],
+    "ginibre": lambda n, tau, big_l: ginibre_prob_gf(n),
+    "partial": lambda n, tau, big_l: partial_prob_gf(n, tau),
+    "spherical": lambda n, tau, big_l: spherical_prob_gf(n),
+    "truncated": lambda n, tau, big_l: truncated_prob_gf(n, big_l),
+}
+
+
 def prob_table(ensemble, n, tau=None, big_l=None):
     """Exact distribution of the number of real eigenvalues for an ensemble."""
-    if ensemble == "goe":
-        probs = np.zeros(n + 1)
-        probs[n] = 1.0
-        return probs
-    if ensemble == "ginibre":
-        return ginibre_prob_gf(n)
-    if ensemble == "partial":
-        if tau is None:
-            raise ValueError("partial ensemble requires tau")
-        return partial_prob_gf(n, tau)
-    if ensemble == "spherical":
-        return spherical_prob_gf(n)
-    if ensemble == "truncated":
-        if big_l is None:
-            raise ValueError("truncated ensemble requires L")
-        return truncated_prob_gf(n, big_l)
-    raise ValueError("unknown ensemble %r" % (ensemble,))
+    ensembles.spec(ensemble, n, tau=tau, big_l=big_l, table=True)
+    return _TABLES[ensemble](n, tau, big_l)
 
 
 def rational_form(x, max_denominator=2 ** 24, tol=1e-9):

@@ -7,7 +7,7 @@ import sys
 import click
 import numpy as np
 
-from . import analytics, ensembles, kernels
+from . import analytics, ensembles
 
 SCHEMA = "#schema=real-rmt/v1"
 
@@ -37,8 +37,8 @@ def _emit(out, fmt, config, header, rows, verdict=None):
             doc = {"config": config, "rows": rows}
             if verdict is not None:
                 doc["verdict"] = verdict
-            json.dump(doc, stream, indent=2, sort_keys=True)
-            stream.write("\n")
+            # dumps, unlike dump, runs the C encoder
+            stream.write(json.dumps(doc, sort_keys=True) + "\n")
         else:
             _write_csv(stream, header, rows)
             if verdict is not None:
@@ -46,23 +46,6 @@ def _emit(out, fmt, config, header, rows, verdict=None):
     finally:
         if stream is not sys.stdout:
             stream.close()
-
-
-def _validate(ensemble, n, tau, big_l):
-    if ensemble not in ("goe", "ginibre", "partial", "spherical", "truncated"):
-        raise click.UsageError("unknown ensemble %r" % (ensemble,))
-    if n is None or n < 1:
-        raise click.UsageError("matrix order --n must be a positive integer")
-    if ensemble == "partial":
-        if tau is None or not -1.0 < tau < 1.0:
-            raise click.UsageError("partial ensemble requires --tau in (-1, 1)")
-    if ensemble == "truncated":
-        if big_l is None or big_l < 1:
-            raise click.UsageError("truncated ensemble requires --l >= 1")
-    if tau is not None and ensemble != "partial":
-        raise click.UsageError("--tau applies only to the partial ensemble")
-    if big_l is not None and ensemble != "truncated":
-        raise click.UsageError("--l applies only to the truncated ensemble")
 
 
 def _parse_grid(grid):
@@ -100,8 +83,7 @@ def _prob_rows(ensemble, n, tau, big_l, reps, seed, workers):
 
 common_options = [
     click.option("--ensemble", required=True,
-                 type=click.Choice(["goe", "ginibre", "partial", "spherical",
-                                    "truncated"])),
+                 type=click.Choice(list(ensembles.ENSEMBLES))),
     click.option("--n", "--m", "n", type=int, required=True,
                  help="matrix order (for truncated: the truncation size M)"),
     click.option("--l", "big_l", type=int, default=None,
@@ -134,7 +116,6 @@ def cli():
 @click.option("--reps", type=click.IntRange(min=0), default=0)
 def probs(ensemble, n, big_l, tau, seed, out, fmt, workers, reps):
     """Exact distribution of the number of real eigenvalues, optionally with MC."""
-    _validate(ensemble, n, tau, big_l)
     rows = _prob_rows(ensemble, n, tau, big_l, reps, seed, workers)
     config = {"command": "probs", "ensemble": ensemble, "n": n, "l": big_l,
               "tau": tau, "reps": reps, "seed": seed}
@@ -147,8 +128,6 @@ def probs(ensemble, n, big_l, tau, seed, out, fmt, workers, reps):
 @click.option("--reps", type=click.IntRange(min=0), default=1)
 def sample(ensemble, n, big_l, tau, seed, out, fmt, workers, reps):
     """Draw matrices and emit their classified eigenvalues."""
-    _validate(ensemble, n, tau, big_l)
-
     def stack_rows(first, mats):
         eigs = np.linalg.eigvals(mats)
         real, upper = ensembles.classify_spectra(eigs)
@@ -171,39 +150,24 @@ def sample(ensemble, n, big_l, tau, seed, out, fmt, workers, reps):
     _emit(out, fmt, config, ["draw", "species", "re", "im"], rows)
 
 
-def _density_fn(ensemble, n, tau, big_l):
-    if ensemble == "goe":
-        return lambda x: float(kernels.goe_density(n, x))
-    if ensemble == "ginibre":
-        return lambda x: kernels.ginibre_density_real(n, x)
-    if ensemble == "partial":
-        return lambda x: kernels.partial_density_real(n, tau, x)
-    if ensemble == "spherical":
-        return lambda x: kernels.spherical_density_real(n)
-    return lambda x: kernels.truncated_density_real(n, big_l, x)
-
-
 @cli.command()
 @_add_options(common_options)
 @click.option("--grid", required=True, help="min:max:bins")
 @click.option("--reps", type=click.IntRange(min=0), default=0)
 def density(ensemble, n, big_l, tau, seed, out, fmt, workers, grid, reps):
     """Analytic real-eigenvalue density on a grid, optionally with a histogram."""
-    _validate(ensemble, n, tau, big_l)
-    if ensemble in ("goe", "truncated") and n % 2 == 1:
-        raise click.UsageError("density for this ensemble requires even order")
+    ens = ensembles.spec(ensemble, n, tau, big_l, density=True)
     lo, hi, bins = _parse_grid(grid)
     edges = np.linspace(lo, hi, bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     width = (hi - lo) / bins
-    fn = _density_fn(ensemble, n, tau, big_l)
-    rho = [fn(float(x)) for x in centers]
+    rho = [ens.density(n, tau, big_l, float(x)) for x in centers]
     rows = []
     emp = stderr = None
     if reps:
         vals = ensembles.simulate_real_eigenvalues(ensemble, n, reps, seed, tau=tau,
                                                    big_l=big_l, workers=workers)
-        if ensemble == "spherical":
+        if ens.angles:
             vals = ensembles.boundary_angle(vals)
         hist, _ = np.histogram(vals, bins=edges)
         emp = hist / (reps * width)
@@ -228,7 +192,6 @@ def density(ensemble, n, big_l, tau, seed, out, fmt, workers, grid, reps):
 def compare(ensemble, n, big_l, tau, seed, out, fmt, workers, reps, z_max,
             perturb_exact):
     """Compare exact probabilities against a Monte Carlo run; exit 2 on mismatch."""
-    _validate(ensemble, n, tau, big_l)
     rows = _prob_rows(ensemble, n, tau, big_l, reps, seed, workers)
     worst = 0.0
     for row in rows:
@@ -252,6 +215,9 @@ def main():
         exc.show()
         sys.exit(EXIT_CONFIG)
     except click.exceptions.Abort:
+        sys.exit(EXIT_CONFIG)
+    except ensembles.ConfigError as exc:
+        print("Error: %s" % exc, file=sys.stderr)
         sys.exit(EXIT_CONFIG)
     except SystemExit:
         raise

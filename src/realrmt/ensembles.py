@@ -1,8 +1,12 @@
-"""Samplers for the five real ensembles and spectrum utilities."""
+"""The five real ensembles: their registry, samplers and spectrum utilities."""
 
 import math
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
+
+from . import kernels
 
 
 def rng_for(seed, index):
@@ -43,8 +47,7 @@ def sample_partial(n, tau, rng, b=None, size=None):
     X = (S + sqrt(c) A) / sqrt(b) with c = (1 - tau)/(1 + tau); the default
     b = 1/(1 + tau) gives off-diagonal variance 1 and correlation tau.
     """
-    if not -1.0 < tau < 1.0:
-        raise ValueError("tau must lie in (-1, 1)")
+    spec("partial", n, tau=tau)
     if b is None:
         b = 1.0 / (1.0 + tau)
     c = (1.0 - tau) / (1.0 + tau)
@@ -147,25 +150,86 @@ def stereographic(z):
     return np.stack([2.0 * z.real / d, 2.0 * z.imag / d, (np.abs(z) ** 2 - 1.0) / d])
 
 
-_SAMPLERS = {
-    "goe": lambda n, rng, tau, big_l, size: sample_goe(n, rng, size=size),
-    "ginibre": lambda n, rng, tau, big_l, size: sample_ginibre(n, rng, size=size),
-    "partial": lambda n, rng, tau, big_l, size: sample_partial(n, tau, rng, size=size),
-    "spherical": lambda n, rng, tau, big_l, size: sample_spherical(n, rng, size=size),
-    "truncated": lambda n, rng, tau, big_l, size:
-        sample_truncated(n, big_l, rng, size=size),
+class ConfigError(ValueError):
+    """A configuration outside what an ensemble supports."""
+
+
+@dataclass(frozen=True)
+class Ensemble:
+    """What the package states about one ensemble.
+
+    sample(n, rng, tau, big_l, size) draws one matrix (size None) or a stack;
+    density(n, tau, big_l, x) is the density of real eigenvalues at x. Exact
+    tables up to order max_table have every p_{N,k} within 1e-12 of [0, 1]
+    and their sum within 1e-12 of 1.
+    """
+
+    sample: Callable
+    density: Callable
+    param: str | None = None  # keyword of the one parameter, if any
+    param_range: tuple = ()  # the open interval its value must lie in
+    max_table: float = math.inf
+    even_density: bool = False  # the real density is given at even order only
+    all_real: bool = False  # symmetric: every eigenvalue is real
+    angles: bool = False  # real eigenvalues are binned as boundary angles
+
+
+# the lambdas look their targets up at call time, so rebinding a name reaches them
+ENSEMBLES = {
+    "goe": Ensemble(
+        sample=lambda n, rng, tau, big_l, size: sample_goe(n, rng, size=size),
+        density=lambda n, tau, big_l, x: kernels.goe_density(n, x),
+        even_density=True, all_real=True),
+    "ginibre": Ensemble(
+        sample=lambda n, rng, tau, big_l, size: sample_ginibre(n, rng, size=size),
+        density=lambda n, tau, big_l, x: kernels.ginibre_density_real(n, x),
+        max_table=22),
+    "partial": Ensemble(
+        sample=lambda n, rng, tau, big_l, size: sample_partial(n, tau, rng, size=size),
+        density=lambda n, tau, big_l, x: kernels.partial_density_real(n, tau, x),
+        param="tau", param_range=(-1.0, 1.0), max_table=16),
+    "spherical": Ensemble(
+        sample=lambda n, rng, tau, big_l, size: sample_spherical(n, rng, size=size),
+        density=lambda n, tau, big_l, x: kernels.spherical_density_real(n),
+        angles=True),
+    "truncated": Ensemble(
+        sample=lambda n, rng, tau, big_l, size:
+            sample_truncated(n, big_l, rng, size=size),
+        density=lambda n, tau, big_l, x: kernels.truncated_density_real(n, big_l, x),
+        param="big_l", param_range=(0, math.inf), max_table=12, even_density=True),
 }
 
 
-def _sampler(ensemble):
-    if ensemble not in _SAMPLERS:
-        raise ValueError("unknown ensemble %r" % (ensemble,))
-    return _SAMPLERS[ensemble]
+def spec(name, n, tau=None, big_l=None, table=False, density=False):
+    """The named Ensemble, once it is shown to support order n and the parameters.
+
+    table asks for an exact table, density for the real density. Raises ConfigError.
+    """
+    ens = ENSEMBLES.get(name)
+    if ens is None:
+        raise ConfigError("unknown ensemble %r" % (name,))
+    if n is None or n < 1:
+        raise ConfigError("matrix order must be a positive integer")
+    for key, value in (("tau", tau), ("big_l", big_l)):
+        if key == ens.param:
+            lo, hi = ens.param_range
+            if value is None or not lo < value < hi:
+                raise ConfigError("%s ensemble requires %s in (%g, %g)"
+                                  % (name, key, lo, hi))
+        elif value is not None:
+            owner = next(k for k, e in ENSEMBLES.items() if e.param == key)
+            raise ConfigError("%s applies only to the %s ensemble" % (key, owner))
+    if table and n > ens.max_table:
+        raise ConfigError("%s exact tables are supported up to order %d"
+                          % (name, ens.max_table))
+    if density and ens.even_density and n % 2 == 1:
+        raise ConfigError("%s density requires even order" % (name,))
+    return ens
 
 
 def sample_matrix(ensemble, n, rng, tau=None, big_l=None):
     """Draw one matrix from the named ensemble."""
-    return _sampler(ensemble)(n, rng, tau, big_l, None)
+    return spec(ensemble, n, tau, big_l).sample(n, rng, tau, big_l, None)
 
 
 CHUNK = 1024
@@ -180,7 +244,7 @@ def _run_stacks(ensemble, n, reps, seed, use, tau=None, big_l=None, workers=1):
     equals as many sample_matrix calls on the block's stream. So the results
     are identical for any worker count.
     """
-    draw = _sampler(ensemble)
+    draw = spec(ensemble, n, tau, big_l).sample
 
     def run(c):
         rng = rng_for(seed, c)
@@ -215,7 +279,7 @@ def simulate_real_counts(ensemble, n, reps, seed, tau=None, big_l=None, workers=
 def simulate_real_eigenvalues(ensemble, n, reps, seed, tau=None, big_l=None, workers=1):
     """All real eigenvalues pooled over reps draws, in draw order."""
     def reals(first, mats):
-        if ensemble == "goe":
+        if ENSEMBLES[ensemble].all_real:
             return np.linalg.eigvalsh(mats).ravel()
         eigs = np.linalg.eigvals(mats)
         return eigs.real[classify_spectra(eigs)[0]]

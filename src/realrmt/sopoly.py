@@ -191,7 +191,7 @@ def trunc_omega_real(big_l, x):
 
 
 def trunc_omega_sq_complex(big_l, z):
-    """Squared complex weight of the truncated ensemble in the disk (vectorized in z)."""
+    """Squared complex weight of the truncated ensemble on the disk (vectorized in z)."""
     q = abs(1.0 - z * z)
     if big_l == 1:
         return 1.0 / (2.0 * math.pi * q)

@@ -8,6 +8,7 @@ import pytest
 from scipy import integrate
 
 from realrmt import analytics, sopoly
+from realrmt.ensembles import ENSEMBLES
 
 
 @pytest.mark.parametrize("ensemble,n,kwargs", [
@@ -41,6 +42,8 @@ def test_prob_table_argument_checks():
         analytics.ginibre_prob_gf(41)
     with pytest.raises(ValueError):
         analytics.truncated_prob_gf(13, 1)
+    with pytest.raises(ValueError):
+        analytics.partial_prob_gf(17, 0.5)
 
 
 def test_ginibre_alpha_recursion_cross_check():
@@ -120,14 +123,21 @@ SWEEP_TRUNCATED = {1: range(2, 10), 2: range(2, 10), 3: range(2, 10),
 SWEEP_PARTIAL = {0.5: range(8, 15), 0.75: (14, 16), 0.25: (12,), -0.5: (8,)}
 SWEEP_GINIBRE = (7, 9, 11)
 
+# every order up to each stated cap
 TABLE_CASES = (
     [("truncated", m, {"big_l": big_l})
-     for big_l in (1, 2, 3, 4, 6, 8) for m in range(1, 13)]
+     for big_l in (1, 2, 3, 4, 6, 8)
+     for m in range(1, ENSEMBLES["truncated"].max_table + 1)]
     + [("partial", n, {"tau": tau})
-       for tau in (0.5, -0.5, 0.25, 0.75) for n in range(1, 17)]
-    + [("ginibre", n, {}) for n in range(1, 17)]
+       for tau in (0.5, -0.5, 0.25, 0.75)
+       for n in range(1, ENSEMBLES["partial"].max_table + 1)]
+    + [("ginibre", n, {}) for n in range(1, ENSEMBLES["ginibre"].max_table + 1)]
     + [("spherical", n, {}) for n in range(1, 31)]
 )
+
+
+def test_table_map_covers_exactly_the_registry():
+    assert set(analytics._TABLES) == set(ENSEMBLES)
 
 
 def test_exact_tables_are_distributions():

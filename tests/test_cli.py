@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from realrmt import analytics, ensembles, kernels
+from realrmt.ensembles import ENSEMBLES
 
 BASE = [sys.executable, "-m", "realrmt.cli"]
 
@@ -195,6 +196,31 @@ def test_options_of_another_ensemble_exit_with_config_error(args):
     res = run_cli(*args)
     assert res.returncode == 1
     assert "applies only to the" in res.stderr
+
+
+def _ensemble_args(name, n):
+    ens = ENSEMBLES[name]
+    param = {None: [], "tau": ["--tau", "0.5"], "big_l": ["--l", "2"]}[ens.param]
+    return ["--ensemble", name, "--n", str(n)] + param
+
+
+@pytest.mark.parametrize("name", [k for k, e in ENSEMBLES.items()
+                                  if e.max_table < math.inf])
+def test_orders_past_the_table_cap_exit_with_config_error(name):
+    args = _ensemble_args(name, ENSEMBLES[name].max_table + 1)
+    for command in (["probs"], ["compare", "--reps", "10"]):
+        res = run_cli(*command, *args)
+        assert res.returncode == 1, (command, res.stderr)
+        assert "supported up to order" in res.stderr
+    # sampling has no cap
+    assert run_cli("sample", "--reps", "3", *args).returncode == 0
+
+
+@pytest.mark.parametrize("name", [k for k, e in ENSEMBLES.items() if e.even_density])
+def test_odd_order_density_exits_with_config_error(name):
+    res = run_cli("density", "--grid", "-1:1:4", *_ensemble_args(name, 5))
+    assert res.returncode == 1
+    assert "requires even order" in res.stderr
 
 
 def test_compare_fails_on_perturbed_exact_values():

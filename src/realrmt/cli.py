@@ -161,7 +161,8 @@ def density(ensemble, n, big_l, tau, seed, out, fmt, workers, grid, reps):
     edges = np.linspace(lo, hi, bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     width = (hi - lo) / bins
-    rho = [ens.density(n, tau, big_l, float(x)) for x in centers]
+    # one call on the whole grid; the spherical density is a constant
+    rho = np.broadcast_to(ens.density(n, tau, big_l, centers), centers.shape)
     rows = []
     emp = stderr = None
     if reps:

@@ -159,7 +159,8 @@ class Ensemble:
     """What the package states about one ensemble.
 
     sample(n, rng, tau, big_l, size) draws one matrix (size None) or a stack;
-    density(n, tau, big_l, x) is the density of real eigenvalues at x. Exact
+    density(n, tau, big_l, x) is the density of real eigenvalues at x, a float
+    or an array (spherical: a constant, whatever the shape of x). Exact
     tables up to order max_table have every p_{N,k} within 1e-12 of [0, 1]
     and their sum within 1e-12 of 1.
     """

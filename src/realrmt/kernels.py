@@ -63,27 +63,12 @@ def goe_phi(k, x):
 
 def goe_s(n, x, y):
     """Scalar kernel S_N(x, y) for the Gaussian orthogonal ensemble, n even."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    h_x = _hermite_vals(n - 1, x)
-    h_y = _hermite_vals(n - 1, y)
-    c1 = 1.0 / (2.0 ** (n - 1) * math.sqrt(math.pi) * math.gamma(n - 1.0))
-    c2 = 1.0 / (2.0 * math.sqrt(math.pi) * math.gamma(n - 1.0))
-    num = h_x[n - 1] * h_y[n - 2] - h_x[n - 2] * h_y[n - 1]
-    coincident = np.isclose(x, y)
-    limit = 2.0 * (n - 1) * h_x[n - 2] * h_y[n - 2]
-    if n > 2:
-        limit = limit - 2.0 * (n - 2) * h_x[n - 1] * h_y[n - 3]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(coincident, limit,
-                         num / np.where(coincident, 1.0, x - y))
-    term1 = np.exp(-(x * x + y * y) / 2.0) * c1 * ratio
-    term2 = np.exp(-y * y / 2.0) * c2 * h_y[n - 1] * goe_phi(n - 2, x)
-    return term1 + term2
+    return GOEKernel(n).s_xy(x, y)
 
 
 def goe_density(n, x):
-    """Real eigenvalue density for the Gaussian orthogonal ensemble, n even."""
+    """Real eigenvalue density for the Gaussian orthogonal ensemble, n even
+    (vectorized in x)."""
     x = np.asarray(x, dtype=float)
     h = _hermite_vals(n - 1, x)
     c1 = 1.0 / (2.0 ** (n - 2) * math.sqrt(math.pi) * math.gamma(n - 1.0))
@@ -97,30 +82,12 @@ def goe_density(n, x):
 
 def goe_d(n, x, y):
     """Antisymmetric partner kernel D_N(x, y) = dS_N(x, y)/dx, n even."""
-    fam = sopoly.goe_family(n)
-
-    def q(j, t):
-        return math.exp(-t * t / 2.0) * sopoly.eval_poly(fam.coeffs[j], t)
-
-    total = 0.0
-    for j in range(n // 2):
-        total += (q(2 * j, x) * q(2 * j + 1, y)
-                  - q(2 * j + 1, x) * q(2 * j, y)) / fam.norms[j]
-    return total
+    return GOEKernel(n).d_xy(x, y)
 
 
 def goe_itilde(n, x, y):
     """Antisymmetric partner kernel I~_N(x, y) from one-sided integrals, n even."""
-    fam = sopoly.goe_family(n)
-
-    def phi(j, t):
-        return -_signed_integral_poly(fam.coeffs[j], t)
-
-    total = 0.0
-    for j in range(n // 2):
-        total += (phi(2 * j, x) * phi(2 * j + 1, y)
-                  - phi(2 * j + 1, x) * phi(2 * j, y)) / fam.norms[j]
-    return -total - 0.5 * np.sign(x - y)
+    return GOEKernel(n).itilde_xy(x, y)
 
 
 def goe_semicircle(x):
@@ -129,22 +96,71 @@ def goe_semicircle(x):
     return np.where(np.abs(x) <= 1.0, 2.0 / math.pi * np.sqrt(np.clip(1 - x * x, 0, None)), 0.0)
 
 
+def _pair_sum(family, f, g):
+    """sum_j (f_2j g_2j+1 - f_2j+1 g_2j) / norms[j] over the family's pairs.
+
+    f and g are the per-polynomial values at the two points.
+    """
+    total = 0.0
+    for j in range(len(family) // 2):
+        total += (f[2 * j] * g[2 * j + 1] - f[2 * j + 1] * g[2 * j]) / family.norms[j]
+    return total
+
+
 class GOEKernel:
-    """Kernel-element source for n-point correlations, real species only."""
+    """Kernel elements of the Gaussian orthogonal ensemble at even order n.
+
+    The skew-orthogonal family is built once, here, and every element uses
+    it. The *_xy methods take values (vectorized); s, d and itilde take
+    (species, value) points, real species only.
+    """
 
     def __init__(self, n):
         self.n = n
+        self.family = sopoly.goe_family(n)
+
+    def _q(self, t):
+        w = np.exp(-t * t / 2.0)
+        return [w * sopoly.eval_poly(c, t) for c in self.family.coeffs]
+
+    def _phi(self, t):
+        return [-_signed_integral_poly(c, t) for c in self.family.coeffs]
+
+    def s_xy(self, x, y):
+        n = self.n
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        h_x = _hermite_vals(n - 1, x)
+        h_y = _hermite_vals(n - 1, y)
+        c1 = 1.0 / (2.0 ** (n - 1) * math.sqrt(math.pi) * math.gamma(n - 1.0))
+        c2 = 1.0 / (2.0 * math.sqrt(math.pi) * math.gamma(n - 1.0))
+        num = h_x[n - 1] * h_y[n - 2] - h_x[n - 2] * h_y[n - 1]
+        coincident = np.isclose(x, y)
+        limit = 2.0 * (n - 1) * h_x[n - 2] * h_y[n - 2]
+        if n > 2:
+            limit = limit - 2.0 * (n - 2) * h_x[n - 1] * h_y[n - 3]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(coincident, limit,
+                             num / np.where(coincident, 1.0, x - y))
+        term1 = np.exp(-(x * x + y * y) / 2.0) * c1 * ratio
+        phi = _signed_integral_poly(self.family.coeffs[n - 2], x)
+        term2 = np.exp(-y * y / 2.0) * c2 * h_y[n - 1] * phi
+        return term1 + term2
+
+    def d_xy(self, x, y):
+        return _pair_sum(self.family, self._q(x), self._q(y))
+
+    def itilde_xy(self, x, y):
+        return -_pair_sum(self.family, self._phi(x), self._phi(y)) - 0.5 * np.sign(x - y)
 
     def s(self, p, q):
-        return goe_s(self.n, p[1], q[1])
+        return self.s_xy(p[1], q[1])
 
     def d(self, p, q):
-        return goe_d(self.n, p[1], q[1])
+        return self.d_xy(p[1], q[1])
 
     def itilde(self, p, q):
-        if p[1] == q[1]:
-            return 0.0
-        return goe_itilde(self.n, p[1], q[1])
+        return self.itilde_xy(p[1], q[1])
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +179,7 @@ def _gin_tail(n, w, y):
     lead = ((n - 3.0) / 2.0 * math.log(2.0) + math.lgamma((n - 1.0) / 2.0)
             - math.lgamma(n - 1.0))
     inc = sp.gammainc((n - 1.0) / 2.0, y * y / 2.0)
-    return inc * (math.copysign(1.0, y) * w) ** (n - 1) * np.exp(lead - w * w / 2.0)
+    return inc * (np.copysign(1.0, y) * w) ** (n - 1) * np.exp(lead - w * w / 2.0)
 
 
 def _rt_erfc(w):
@@ -258,9 +274,9 @@ def ginibre_icc(n, w, z):
 
 
 def ginibre_density_real(n, x):
-    """Density of real eigenvalues for the real Ginibre ensemble."""
-    x = float(x)
-    q = upper_gamma_regularized(n - 1, x * x) if n > 1 else 0.0  # Q(0, .) = 0
+    """Density of real eigenvalues for the real Ginibre ensemble (vectorized in x)."""
+    x = np.asarray(x, dtype=float)
+    q = sp.gammaincc(n - 1, x * x) if n > 1 else 0.0  # Q(0, .) = 0
     return C2PI * (q + _gin_tail(n, x, x))
 
 
@@ -346,10 +362,11 @@ def _partial_nu_bar(coeffs, c):
 
 
 def partial_srr(n, tau, x, y):
-    """Real-real kernel element S for the partially symmetric ensemble."""
+    """Real-real kernel element S for the partially symmetric ensemble
+    (vectorized in x and y)."""
     fam = sopoly.partial_family(n if n % 2 == 0 else n + 1, tau)
     c = 1.0 + tau
-    h = lambda t: math.exp(-t * t / (2.0 * c))
+    hx = np.exp(-x * x / (2.0 * c))
     if n % 2 == 0:
         coeffs = fam.coeffs
         extra = 0.0
@@ -363,19 +380,20 @@ def partial_srr(n, tau, x, y):
                 cj = np.polynomial.polynomial.polysub(
                     cj, (nu_j / nu_last) * np.asarray(fam.coeffs[n - 1]))
             coeffs.append(cj)
-        extra = h(x) * sopoly.eval_poly(fam.coeffs[n - 1], x) / nu_last
+        extra = hx * sopoly.eval_poly(fam.coeffs[n - 1], x) / nu_last
     total = extra
     for j in range((n - 1 if n % 2 else n) // 2):
-        q_even = h(x) * sopoly.eval_poly(coeffs[2 * j], x)
-        q_odd = h(x) * sopoly.eval_poly(coeffs[2 * j + 1], x)
+        q_even = hx * sopoly.eval_poly(coeffs[2 * j], x)
+        q_odd = hx * sopoly.eval_poly(coeffs[2 * j + 1], x)
         phi_even = -_signed_integral_poly(coeffs[2 * j], y, scale=c)
         phi_odd = -_signed_integral_poly(coeffs[2 * j + 1], y, scale=c)
-        total += 2.0 / fam.norms[j] * (q_even * phi_odd - q_odd * phi_even)
+        total = total + 2.0 / fam.norms[j] * (q_even * phi_odd - q_odd * phi_even)
     return total
 
 
 def partial_density_real(n, tau, x):
-    """Density of real eigenvalues for the partially symmetric ensemble."""
+    """Density of real eigenvalues for the partially symmetric ensemble
+    (vectorized in x)."""
     return partial_srr(n, tau, x, x)
 
 
@@ -436,12 +454,21 @@ def spherical_drr(n, t1, t2):
     return -sopoly._sph_pre(n) * (n - 1) / 2.0 * np.cos(half) ** (n - 2) * np.sin(half)
 
 
-def spherical_irr(n, t1, t2, nodes=400):
-    """Circle-circle kernel element I~ by quadrature of S."""
-    t, w = np.polynomial.legendre.leggauss(nodes)
-    tt = 0.5 * (t2 - t1) * t + 0.5 * (t1 + t2)
-    ww = 0.5 * (t2 - t1) * w
-    return float(np.sum(ww * spherical_srr(n, t1, tt))) + np.sign(t1 - t2)
+def spherical_irr(n, t1, t2):
+    """Circle-circle kernel element I~: the integral of S(t1, t) over t from t1
+    to t2, plus sgn(t1 - t2) (vectorized in t1 and t2).
+
+    With u = (t2 - t1)/2 and m = N - 1 the integral is 2 S(t, t) times
+    int_0^u cos^m v dv = 2^-m sum_k C(m, k) sin((m - 2k) u)/(m - 2k), where
+    the k = m/2 term is u.
+    """
+    m = n - 1
+    u = (np.asarray(t2, dtype=float) - t1) / 2.0
+    total = 0.0
+    for k in range(m + 1):
+        j = m - 2 * k
+        total = total + math.comb(m, k) * (np.sin(j * u) / j if j else u)
+    return 2.0 * sopoly._sph_pre(n) * total / 2.0 ** m + np.sign(t1 - t2)
 
 
 def spherical_density_real(n):
@@ -506,8 +533,6 @@ class SphericalKernel:
         return spherical_drr(self.n, p[1], q[1])
 
     def itilde(self, p, q):
-        if p[1] == q[1]:
-            return 0.0
         return spherical_irr(self.n, p[1], q[1])
 
 
@@ -546,24 +571,12 @@ def _trunc_tau_poly(coeffs, big_l, y):
 
 def truncated_srr(m, big_l, x, y):
     """Real-real kernel element S for the truncated ensemble, m even."""
-    fam = sopoly.truncated_family(m, big_l)
-    r_last = fam.norms[m // 2 - 1]
-    tau_val = _trunc_tau_poly(fam.coeffs[m - 2], big_l, y)
-    first = -2.0 * trunc_omega_real(big_l, x) / r_last * x ** (m - 1) * tau_val
-    pre = sopoly._gamma_ratio(big_l)
-    coeff = 1.0
-    total = 0.0
-    for j in range(m - 1):
-        if j > 0:
-            coeff *= (big_l + j - 1.0) / j
-        total += coeff * (x * y) ** j
-    second = pre * (1.0 - x * x) ** (big_l / 2.0 - 1.0) \
-        * (1.0 - y * y) ** (big_l / 2.0) * total
-    return first + second
+    return TruncatedKernel(m, big_l).s_xy(x, y)
 
 
 def truncated_density_real(m, big_l, x):
-    """Density of real eigenvalues for the truncated ensemble, m even."""
+    """Density of real eigenvalues for the truncated ensemble, m even
+    (vectorized in x)."""
     fam = sopoly.truncated_family(m, big_l)
     r_last = fam.norms[m // 2 - 1]
     tau_val = _trunc_tau_poly(fam.coeffs[m - 2], big_l, x)
@@ -616,17 +629,50 @@ def kappa_rr_l1(x, y):
 
 
 class TruncatedKernel:
-    """Kernel-element source for real points of the truncated ensemble, m even."""
+    """Kernel elements for real points of the truncated ensemble, m even.
+
+    The skew-orthogonal family is built once, here. The *_xy methods take
+    values (vectorized); s, d and itilde take (species, value) points.
+    """
 
     def __init__(self, m, big_l):
         self.m = m
         self.big_l = big_l
+        self.family = sopoly.truncated_family(m, big_l)
+
+    def _tau(self, t):
+        return [_trunc_tau_poly(c, self.big_l, t) for c in self.family.coeffs]
+
+    def s_xy(self, x, y):
+        m, big_l = self.m, self.big_l
+        r_last = self.family.norms[m // 2 - 1]
+        tau_val = _trunc_tau_poly(self.family.coeffs[m - 2], big_l, y)
+        first = -2.0 * trunc_omega_real(big_l, x) / r_last * x ** (m - 1) * tau_val
+        pre = sopoly._gamma_ratio(big_l)
+        coeff = 1.0
+        total = 0.0
+        for j in range(m - 1):
+            if j > 0:
+                coeff *= (big_l + j - 1.0) / j
+            total = total + coeff * (x * y) ** j
+        second = pre * (1.0 - x * x) ** (big_l / 2.0 - 1.0) \
+            * (1.0 - y * y) ** (big_l / 2.0) * total
+        return first + second
+
+    def itilde_xy(self, x, y):
+        # the goe_itilde form; this family's norms carry the factor 2 that
+        # also appears in S and D
+        return (-2.0 * _pair_sum(self.family, self._tau(x), self._tau(y))
+                - 0.5 * np.sign(x - y))
 
     def s(self, p, q):
-        return truncated_srr(self.m, self.big_l, p[1], q[1])
+        return self.s_xy(p[1], q[1])
 
     def d(self, p, q):
         return truncated_d(self.m, self.big_l, p[1], q[1])
+
+    def itilde(self, p, q):
+        return self.itilde_xy(p[1], q[1])
 
 
 # ---------------------------------------------------------------------------
@@ -639,8 +685,9 @@ def npoint_correlation(kernel, points):
     points is a sequence of (species, value) pairs with species 'r' or 'c'.
     The 2 x 2 block of points i and j is [[-I~_ij, S_ij], [-S_ji, D_ij]], so
     the matrix is [[-I~, S], [-S^T, D]] with its rows and columns interleaved;
-    I~ and D vanish on the diagonal. Coincident points are rejected; use the
-    density functions instead.
+    I~ and D vanish on the diagonal. Each S element is computed once, and I~
+    and D only above the diagonal: both are antisymmetric. Coincident points
+    are rejected; use the density functions instead.
     """
     pts = list(points)
     n = len(pts)
@@ -648,21 +695,17 @@ def npoint_correlation(kernel, points):
         for j in range(i + 1, n):
             if pts[i] == pts[j]:
                 raise ValueError("coincident points are not allowed")
-    mat = np.zeros((2 * n, 2 * n), dtype=complex)
+    s = np.array([[kernel.s(p, q) for q in pts] for p in pts], dtype=complex)
+    itld = np.zeros((n, n), dtype=complex)
+    d = np.zeros((n, n), dtype=complex)
     for i in range(n):
-        for j in range(n):
-            s_ij = kernel.s(pts[i], pts[j])
-            if i == j:
-                itld = 0.0
-                d_ij = 0.0
-                s_ji = s_ij
-            else:
-                itld = kernel.itilde(pts[i], pts[j])
-                d_ij = kernel.d(pts[i], pts[j])
-                s_ji = kernel.s(pts[j], pts[i])
-            mat[2 * i, 2 * j] = -itld
-            mat[2 * i, 2 * j + 1] = s_ij
-            mat[2 * i + 1, 2 * j] = -s_ji
-            mat[2 * i + 1, 2 * j + 1] = d_ij
+        for j in range(i + 1, n):
+            itld[i, j] = kernel.itilde(pts[i], pts[j])
+            d[i, j] = kernel.d(pts[i], pts[j])
+    mat = np.empty((2 * n, 2 * n), dtype=complex)
+    mat[0::2, 0::2] = itld.T - itld
+    mat[0::2, 1::2] = s
+    mat[1::2, 0::2] = -s.T
+    mat[1::2, 1::2] = d - d.T
     value = pfaffian.pfaffian(pfaffian.SkewMatrix(mat, tol=1e-8))
     return float(np.real(value))

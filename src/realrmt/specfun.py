@@ -23,9 +23,9 @@ def log_gamma(x):
 def upper_gamma_regularized(n, x):
     """Regularized upper incomplete gamma Q(n, x) for integer n >= 1.
 
-    Uses the finite sum Q(n, x) = e^(-x) * sum_{j<n} x^j / j!, evaluated
-    stably in the log domain for positive x and by direct recurrence for
-    negative or complex x (where the sum is the analytic continuation).
+    For real x >= 0 this is scipy's gammaincc. For negative or complex x it
+    is the finite sum Q(n, x) = e^(-x) * sum_{j<n} x^j / j!, the analytic
+    continuation, by direct recurrence.
     """
     if n < 1 or int(n) != n:
         raise ValueError("upper_gamma_regularized requires integer n >= 1")
@@ -37,10 +37,7 @@ def upper_gamma_regularized(n, x):
             term = term * x / j
             total += term
         return np.exp(-x) * total
-    if x == 0:
-        return 1.0
-    lx = math.log(x)
-    return float(sum(math.exp(j * lx - x - math.lgamma(j + 1)) for j in range(n)))
+    return float(sp.gammaincc(n, x))
 
 
 def lower_gamma_regularized(n, x):

@@ -134,6 +134,25 @@ def test_density_grid_values():
         kernels.ginibre_density_real(4, x), rel=1e-12)
 
 
+@pytest.mark.parametrize("name,n,grid", [
+    ("goe", 6, "-5:5:40"), ("ginibre", 5, "-5:5:40"), ("partial", 5, "-6:6:40"),
+    ("spherical", 5, "0:6.283185307179586:40"), ("truncated", 4, "-1:1:40")])
+def test_density_matches_the_per_point_reference(name, n, grid):
+    args = _ensemble_args(name, n)
+    res = run_cli("density", "--grid", grid, *args)
+    assert res.returncode == 0, res.stderr
+    _, rows = _parse_csv(res.stdout)
+    tau = 0.5 if ENSEMBLES[name].param == "tau" else None
+    big_l = 2 if ENSEMBLES[name].param == "big_l" else None
+    lo, hi, bins = (float(v) for v in grid.split(":"))
+    edges = np.linspace(lo, hi, int(bins) + 1)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    assert [float(r["x"]) for r in rows] == pytest.approx(list(centers), rel=1e-14)
+    for row, x in zip(rows, centers):
+        want = float(ENSEMBLES[name].density(n, tau, big_l, float(x)))
+        assert float(row["rho"]) == pytest.approx(want, rel=1e-12), x
+
+
 def test_density_of_order_one_ginibre():
     res = run_cli("density", "--ensemble", "ginibre", "--n", "1", "--grid", "-1:1:2")
     assert res.returncode == 0

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from realrmt import analytics, kernels
+from realrmt import analytics, kernels, sopoly
+from realrmt.ensembles import ENSEMBLES
 
 C2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -30,6 +31,23 @@ def test_goe_kernel_one_and_two_point():
     assert rho2 > 0
     # two-point never exceeds the product for these repelling points
     assert rho2 < float(kernels.goe_density(6, x) * kernels.goe_density(6, y))
+
+
+def test_goe_kernel_builds_its_family_once(monkeypatch):
+    builds = []
+    build = sopoly.goe_family
+
+    def counted(n):
+        builds.append(n)
+        return build(n)
+
+    monkeypatch.setattr(sopoly, "goe_family", counted)
+    kern = kernels.GOEKernel(8)
+    rho2 = kernels.npoint_correlation(kern, [("r", 0.4), ("r", -1.3)])
+    assert builds == [8]
+    monkeypatch.undo()
+    assert rho2 == kernels.npoint_correlation(kernels.GOEKernel(8),
+                                              [("r", 0.4), ("r", -1.3)])
 
 
 def test_goe_partner_kernels_are_antisymmetric():
@@ -172,6 +190,15 @@ def test_spherical_kernel_two_point_symmetry():
     assert rho2 > 0
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_spherical_irr_closed_form_matches_quadrature(n):
+    for t1, t2 in ((0.4, 2.0), (5.9, 0.1), (1.0, 1.0 + 2.0 * math.pi), (3.0, 2.5)):
+        val, _ = integrate.quad(lambda t: kernels.spherical_srr(n, t1, t), t1, t2,
+                                epsabs=1e-13, epsrel=1e-13)
+        assert kernels.spherical_irr(n, t1, t2) == pytest.approx(
+            val + np.sign(t1 - t2), rel=1e-10, abs=1e-10)
+
+
 def test_spherical_complex_density_matches_scc_diagonal():
     n = 6
     w = 0.5 * np.exp(0.3j)
@@ -240,6 +267,49 @@ def test_truncated_strong_kernel_block():
     rho1 = kernels.npoint_correlation(kern, [("r", 0.2)])
     assert rho1 == pytest.approx(kernels.truncated_density_real(4, 2, 0.2),
                                  rel=1e-9)
+
+
+def test_truncated_correlations_integrate_to_count_moments():
+    # M = 4, L = 2: rho_1 is the density and integrates to E[k]; the
+    # integral of rho_2 over the square is E[k(k-1)] from the exact table
+    m, big_l = 4, 2
+    probs = analytics.truncated_prob_gf(m, big_l)
+    k = np.arange(m + 1)
+    kern = kernels.TruncatedKernel(m, big_l)
+    rho = lambda *pts: kernels.npoint_correlation(kern, pts)
+    for x in (-0.9, -0.35, 0.0, 0.2, 0.75):
+        assert rho(("r", x)) == pytest.approx(
+            float(kernels.truncated_density_real(m, big_l, x)), rel=1e-9)
+    x, wx = _gl(-1.0, 1.0, 20)
+    assert sum(wa * rho(("r", a)) for a, wa in zip(x, wx)) == pytest.approx(
+        k @ probs, rel=1e-6)
+    rr = 0.0
+    for a, wa in zip(x, wx):
+        # rho_2 is symmetric and has a kink at y = x: integrate over y > x
+        y, wy = _gl(a, 1.0, 20)
+        rr += 2.0 * wa * sum(wb * rho(("r", a), ("r", b)) for b, wb in zip(y, wy))
+    assert rr == pytest.approx((k * (k - 1)) @ probs, rel=0.02)
+
+
+# ---------------------------------------------------------------------------
+# one call per density grid
+
+
+# order, tau, L and grid half-width of each ensemble's array check
+DENSITY_CASES = {"goe": (8, None, None, 8.0), "ginibre": (7, None, None, 9.0),
+                 "partial": (7, 0.5, None, 9.0), "spherical": (6, None, None, math.pi),
+                 "truncated": (6, None, 3, 1.0)}
+
+
+@pytest.mark.parametrize("name", sorted(ENSEMBLES))
+def test_density_array_call_matches_per_point_loop(name):
+    n, tau, big_l, half = DENSITY_CASES[name]
+    edges = np.linspace(-half, half, 501)
+    xs = 0.5 * (edges[:-1] + edges[1:])
+    density = ENSEMBLES[name].density
+    got = np.broadcast_to(density(n, tau, big_l, xs), xs.shape)
+    want = np.array([float(density(n, tau, big_l, float(x))) for x in xs])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

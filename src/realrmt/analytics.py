@@ -277,9 +277,7 @@ def _trunc_alpha_matrix(fam, big_l, n_nodes=240):
     y = np.sin(u)
     wts = wu * cw * np.cos(u) ** (big_l - 1)
     m = len(fam)
-    coeffs = np.zeros((m, m))
-    for i, c in enumerate(fam.coeffs):
-        coeffs[i, :len(c)] = c
+    coeffs = fam.matrix()
     degs = np.arange(m)
     moments = sopoly._trunc_moment_antiderivative(big_l, degs[:, None], y)
     totals = sopoly._trunc_moment_antiderivative(big_l, degs, 1.0)
@@ -350,9 +348,20 @@ _TABLES = {
 
 
 def prob_table(ensemble, n, tau=None, big_l=None):
-    """Exact distribution of the number of real eigenvalues for an ensemble."""
+    """Exact distribution of the number of real eigenvalues for an ensemble.
+
+    Raises ArithmeticError when the table misses the bound the registry
+    states: some p_{N,k} outside [-1e-12, 1 + 1e-12], or a sum more than
+    1e-12 from 1.
+    """
     ensembles.spec(ensemble, n, tau=tau, big_l=big_l, table=True)
-    return _TABLES[ensemble](n, tau, big_l)
+    probs = _TABLES[ensemble](n, tau, big_l)
+    miss = max(-probs.min(), probs.max() - 1.0, abs(probs.sum() - 1.0))
+    if not miss <= 1e-12:
+        raise ArithmeticError("p_{N,k} table outside the 1e-12 bound: min %.3g, "
+                              "max %.3g, sum - 1 = %.3g"
+                              % (probs.min(), probs.max(), probs.sum() - 1.0))
+    return probs
 
 
 def rational_form(x, max_denominator=2 ** 24, tol=1e-9):

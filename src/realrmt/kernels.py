@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 from scipy import special as sp
 
 from . import pfaffian, sopoly
@@ -26,29 +27,94 @@ def _hermite_vals(n, x):
 
 
 def _gauss_lower_moment(m, x):
-    """Integral of t^m e^{-t^2/2} from -infinity to x."""
-    x = np.asarray(x, dtype=float)
-    half = 2.0 ** ((m - 1) / 2.0) * math.gamma((m + 1) / 2.0)
-    inc = sp.gammainc((m + 1) / 2.0, x * x / 2.0)
-    if m % 2 == 0:
-        return half + np.sign(x) * half * inc
-    return -half * (1.0 - inc)
+    """Integral of t^m e^{-t^2/2} from -infinity to x (vectorized in m and x)."""
+    m = np.asarray(m)
+    a = (m + 1) / 2.0
+    half = 2.0 ** (a - 1.0) * sp.gamma(a)
+    inc = sp.gammainc(a, np.square(x) / 2.0)
+    return np.where(m % 2 == 0, half + np.sign(x) * half * inc, -half * (1.0 - inc))
 
 
-def _signed_integral_poly(coeffs, y, scale=1.0):
-    """(1/2) integral of sgn(y - z) p(z) e^{-z^2/(2 scale)} dz for a polynomial p."""
+def _phi(coeffs, moment, y):
+    """(1/2) integral of sgn(y - t) w(t) p(t) dt for each polynomial p.
+
+    coeffs holds ascending-power coefficients, one polynomial per row (or one
+    1-d polynomial); moment(m, y) is the integral of t^m w(t) up to y,
+    vectorized in m and y, and moment(m, inf) the integral over the support.
+    The result has shape coeffs.shape[:-1] + y.shape.
+    """
     y = np.asarray(y, dtype=float)
-    lower = np.zeros_like(y)
-    total = 0.0
-    rt = math.sqrt(scale)
-    for m, c in enumerate(np.asarray(coeffs)):
-        if c == 0.0:
-            continue
-        fac = c * rt ** (m + 1)
-        lower = lower + fac * _gauss_lower_moment(m, y / rt)
-        if m % 2 == 0:
-            total += fac * 2.0 ** ((m - 1) / 2.0) * math.gamma((m + 1) / 2.0) * 2.0
-    return lower - total / 2.0
+    shape = np.shape(coeffs)[:-1] + y.shape
+    coeffs = np.reshape(coeffs, (-1, np.shape(coeffs)[-1]))
+    degs = np.flatnonzero(np.any(coeffs, axis=0))
+    table = moment(degs[:, None], np.append(y, np.inf))
+    return (coeffs[:, degs] @ (table[:, :-1] - 0.5 * table[:, -1:])).reshape(shape)
+
+
+class _PairSumKernel:
+    """Kernel elements at real points from a skew-orthogonal family of order n.
+
+    With q_j = w p_j for the weight w, Phi_j(y) = (1/2) int sgn(y - t) q_j(t) dt,
+    r_j the norm of the pair (2j, 2j+1) and c the family's norm factor:
+
+        S(x, y)  =  c sum_j (Phi_2j(x) q_2j+1(y) - Phi_2j+1(x) q_2j(y)) / r_j
+        D(x, y)  =  c sum_j (q_2j(x) q_2j+1(y) - q_2j+1(x) q_2j(y)) / r_j
+        I~(x, y) = -c sum_j (Phi_2j(x) Phi_2j+1(y) - Phi_2j+1(x) Phi_2j(y)) / r_j
+                   - sgn(x - y) / 2,
+
+    so D(x, y) = dS(x, y)/dx and dI~(x, y)/dx = S(y, x), the layout that
+    npoint_correlation takes. At odd n the last polynomial p_{n-1} stays
+    unpaired: every other p_j loses (nu_j / nu_{n-1}) p_{n-1}, nu_j being the
+    integral of q_j, S gains q_{n-1}(y) / nu_{n-1} and I~ gains
+    (Phi_{n-1}(x) - Phi_{n-1}(y)) / nu_{n-1} (Sinclair, J. Stat. Phys. 136,
+    2009). The family is built once, by the caller. The *_xy methods take
+    values (vectorized); s, d and itilde take (species, value) points.
+    """
+
+    def __init__(self, family, weight, moment, factor):
+        n = self.n = len(family)
+        coeffs = family.matrix()
+        self._unpaired = 0.0  # 1 / nu_{n-1} at odd n
+        if n % 2:
+            nu = coeffs @ moment(np.arange(n), np.inf)
+            coeffs[:-1] -= np.outer(nu[:-1] / nu[-1], coeffs[-1])
+            self._unpaired = 1.0 / nu[-1]
+        self._coeffs = coeffs
+        self._weight = weight
+        self._moment = moment
+        self._scale = factor / family.norms[: n // 2]
+
+    def _q(self, t):
+        t = np.asarray(t, dtype=float)
+        return self._weight(t) * P.polyval(t, self._coeffs.T)
+
+    def _pairs(self, f, g):
+        k = 2 * len(self._scale)
+        return np.tensordot(self._scale, f[0:k:2] * g[1:k:2] - f[1:k:2] * g[0:k:2],
+                            axes=1)
+
+    def s_xy(self, x, y):
+        q_y = self._q(y)
+        return (self._pairs(_phi(self._coeffs, self._moment, x), q_y)
+                + self._unpaired * q_y[-1])
+
+    def d_xy(self, x, y):
+        return self._pairs(self._q(x), self._q(y))
+
+    def itilde_xy(self, x, y):
+        phi_x = _phi(self._coeffs, self._moment, x)
+        phi_y = _phi(self._coeffs, self._moment, y)
+        return (-self._pairs(phi_x, phi_y) - 0.5 * np.sign(x - y)
+                + self._unpaired * (phi_x[-1] - phi_y[-1]))
+
+    def s(self, p, q):
+        return self.s_xy(p[1], q[1])
+
+    def d(self, p, q):
+        return self.d_xy(p[1], q[1])
+
+    def itilde(self, p, q):
+        return self.itilde_xy(p[1], q[1])
 
 
 # ---------------------------------------------------------------------------
@@ -57,12 +123,11 @@ def _signed_integral_poly(coeffs, y, scale=1.0):
 
 def goe_phi(k, x):
     """One-sided Gaussian integral of the k-th skew polynomial."""
-    fam = sopoly.goe_family(k + 1)
-    return _signed_integral_poly(fam.coeffs[k], x)
+    return _phi(sopoly.goe_family(k + 1).coeffs[k], _gauss_lower_moment, x)
 
 
 def goe_s(n, x, y):
-    """Scalar kernel S_N(x, y) for the Gaussian orthogonal ensemble, n even."""
+    """Scalar kernel S_N(x, y) for the Gaussian orthogonal ensemble."""
     return GOEKernel(n).s_xy(x, y)
 
 
@@ -81,12 +146,12 @@ def goe_density(n, x):
 
 
 def goe_d(n, x, y):
-    """Antisymmetric partner kernel D_N(x, y) = dS_N(x, y)/dx, n even."""
+    """Antisymmetric partner kernel D_N(x, y) = dS_N(x, y)/dx."""
     return GOEKernel(n).d_xy(x, y)
 
 
 def goe_itilde(n, x, y):
-    """Antisymmetric partner kernel I~_N(x, y) from one-sided integrals, n even."""
+    """Antisymmetric partner kernel I~_N(x, y) from one-sided integrals."""
     return GOEKernel(n).itilde_xy(x, y)
 
 
@@ -96,71 +161,13 @@ def goe_semicircle(x):
     return np.where(np.abs(x) <= 1.0, 2.0 / math.pi * np.sqrt(np.clip(1 - x * x, 0, None)), 0.0)
 
 
-def _pair_sum(family, f, g):
-    """sum_j (f_2j g_2j+1 - f_2j+1 g_2j) / norms[j] over the family's pairs.
-
-    f and g are the per-polynomial values at the two points.
-    """
-    total = 0.0
-    for j in range(len(family) // 2):
-        total += (f[2 * j] * g[2 * j + 1] - f[2 * j + 1] * g[2 * j]) / family.norms[j]
-    return total
-
-
-class GOEKernel:
-    """Kernel elements of the Gaussian orthogonal ensemble at even order n.
-
-    The skew-orthogonal family is built once, here, and every element uses
-    it. The *_xy methods take values (vectorized); s, d and itilde take
-    (species, value) points, real species only.
-    """
+class GOEKernel(_PairSumKernel):
+    """Kernel elements of the Gaussian orthogonal ensemble at order n:
+    weight e^{-x^2/2}, norm factor 1."""
 
     def __init__(self, n):
-        self.n = n
-        self.family = sopoly.goe_family(n)
-
-    def _q(self, t):
-        w = np.exp(-t * t / 2.0)
-        return [w * sopoly.eval_poly(c, t) for c in self.family.coeffs]
-
-    def _phi(self, t):
-        return [-_signed_integral_poly(c, t) for c in self.family.coeffs]
-
-    def s_xy(self, x, y):
-        n = self.n
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        h_x = _hermite_vals(n - 1, x)
-        h_y = _hermite_vals(n - 1, y)
-        c1 = 1.0 / (2.0 ** (n - 1) * math.sqrt(math.pi) * math.gamma(n - 1.0))
-        c2 = 1.0 / (2.0 * math.sqrt(math.pi) * math.gamma(n - 1.0))
-        num = h_x[n - 1] * h_y[n - 2] - h_x[n - 2] * h_y[n - 1]
-        coincident = np.isclose(x, y)
-        limit = 2.0 * (n - 1) * h_x[n - 2] * h_y[n - 2]
-        if n > 2:
-            limit = limit - 2.0 * (n - 2) * h_x[n - 1] * h_y[n - 3]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(coincident, limit,
-                             num / np.where(coincident, 1.0, x - y))
-        term1 = np.exp(-(x * x + y * y) / 2.0) * c1 * ratio
-        phi = _signed_integral_poly(self.family.coeffs[n - 2], x)
-        term2 = np.exp(-y * y / 2.0) * c2 * h_y[n - 1] * phi
-        return term1 + term2
-
-    def d_xy(self, x, y):
-        return _pair_sum(self.family, self._q(x), self._q(y))
-
-    def itilde_xy(self, x, y):
-        return -_pair_sum(self.family, self._phi(x), self._phi(y)) - 0.5 * np.sign(x - y)
-
-    def s(self, p, q):
-        return self.s_xy(p[1], q[1])
-
-    def d(self, p, q):
-        return self.d_xy(p[1], q[1])
-
-    def itilde(self, p, q):
-        return self.itilde_xy(p[1], q[1])
+        super().__init__(sopoly.goe_family(n), lambda t: np.exp(-t * t / 2.0),
+                         _gauss_lower_moment, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -232,29 +239,25 @@ def ginibre_dcc(n, w, z):
             * _rt_erfc(w) * _rt_erfc(z))
 
 
-def _gin_half_moment(k2, y):
-    """Integral of t^k2 e^{-t^2/2} from 0 to y (k2 even)."""
-    return (math.copysign(1.0, y) * 2.0 ** ((k2 - 1) / 2.0)
-            * math.gamma((k2 + 1) / 2.0) * sp.gammainc((k2 + 1) / 2.0, y * y / 2.0))
-
-
 def ginibre_irr(n, x, y):
     """Real-real kernel element I~."""
-    def one_sided(a, b):
-        total = shift = 0.0
-        if n % 2 == 1:
-            # each even polynomial is skew-orthogonalised against x^(n-1)
-            shift = _gin_half_moment(n - 1, b) / sopoly._gauss_moment(n - 1)
-            total = shift
-        weight = math.exp(-a * a / 2.0)
-        for k in range(n // 2):
-            moment = _gin_half_moment(2 * k, b)
-            if shift:
-                moment -= sopoly._gauss_moment(2 * k) * shift
-            total += weight * a ** (2 * k) / math.gamma(2 * k + 1) * moment
-        return total
+    def phi(m, b):
+        # (1/2) integral of sgn(b - t) t^m e^{-t^2/2} dt, m even
+        return (math.copysign(0.5, b) * sopoly._gauss_moment(m)
+                * sp.gammainc((m + 1) / 2.0, b * b / 2.0))
 
-    return C2PI * (one_sided(y, x) - one_sided(x, y)) - 0.5 * np.sign(x - y)
+    # at odd n each even monomial is skew-orthogonalised against the unpaired
+    # x^(n-1), which adds (phi_{n-1}(x) - phi_{n-1}(y)) / nu_{n-1} to I~
+    s_x = s_y = 0.0
+    if n % 2:
+        s_x, s_y = (phi(n - 1, b) / sopoly._gauss_moment(n - 1) for b in (x, y))
+    w_x, w_y = math.exp(-x * x / 2.0), math.exp(-y * y / 2.0)
+    total = 0.0
+    for m in range(0, n - 1, 2):
+        nu = sopoly._gauss_moment(m) if n % 2 else 0.0
+        total += (w_y * y ** m * (phi(m, x) - nu * s_x)
+                  - w_x * x ** m * (phi(m, y) - nu * s_y)) / math.gamma(m + 1)
+    return C2PI * total + s_x - s_y - 0.5 * np.sign(x - y)
 
 
 def ginibre_irc(n, x, w):
@@ -323,6 +326,8 @@ class GinibreKernel:
         self.n = n
 
     def s(self, p, q):
+        # npoint_correlation's S(p, q) is the element at (q, p)
+        p, q = q, p
         if p[0] == "r" and q[0] == "r":
             return ginibre_srr(self.n, p[1], q[1])
         if p[0] == "r":
@@ -342,8 +347,6 @@ class GinibreKernel:
 
     def itilde(self, p, q):
         if p[0] == "r" and q[0] == "r":
-            if p[1] == q[1]:
-                return 0.0
             return ginibre_irr(self.n, p[1], q[1])
         if p[0] == "r":
             return ginibre_irc(self.n, p[1], q[1])
@@ -356,45 +359,29 @@ class GinibreKernel:
 # partially symmetric real Ginibre ensemble
 
 
-def _partial_nu_bar(coeffs, c):
-    """Integral of R(z) e^{-z^2/(2c)} dz for a polynomial R."""
-    return sum(a * sopoly._gauss_moment(m, c) for m, a in enumerate(coeffs))
+class PartialKernel(_PairSumKernel):
+    """Kernel elements of the partially symmetric ensemble at real points, order
+    n: weight e^{-x^2/(2(1 + tau))}, norm factor 2."""
+
+    def __init__(self, n, tau):
+        c = 1.0 + tau
+        rt = math.sqrt(c)
+        super().__init__(sopoly.partial_family(n, tau),
+                         lambda t: np.exp(-t * t / (2.0 * c)),
+                         lambda m, y: rt ** (m + 1) * _gauss_lower_moment(m, y / rt), 2.0)
 
 
 def partial_srr(n, tau, x, y):
     """Real-real kernel element S for the partially symmetric ensemble
-    (vectorized in x and y)."""
-    fam = sopoly.partial_family(n if n % 2 == 0 else n + 1, tau)
-    c = 1.0 + tau
-    hx = np.exp(-x * x / (2.0 * c))
-    if n % 2 == 0:
-        coeffs = fam.coeffs
-        extra = 0.0
-    else:
-        nu_last = _partial_nu_bar(fam.coeffs[n - 1], c)
-        coeffs = []
-        for j in range(n - 1):
-            cj = np.asarray(fam.coeffs[j], dtype=float)
-            nu_j = _partial_nu_bar(fam.coeffs[j], c)
-            if nu_j != 0.0:
-                cj = np.polynomial.polynomial.polysub(
-                    cj, (nu_j / nu_last) * np.asarray(fam.coeffs[n - 1]))
-            coeffs.append(cj)
-        extra = hx * sopoly.eval_poly(fam.coeffs[n - 1], x) / nu_last
-    total = extra
-    for j in range((n - 1 if n % 2 else n) // 2):
-        q_even = hx * sopoly.eval_poly(coeffs[2 * j], x)
-        q_odd = hx * sopoly.eval_poly(coeffs[2 * j + 1], x)
-        phi_even = -_signed_integral_poly(coeffs[2 * j], y, scale=c)
-        phi_odd = -_signed_integral_poly(coeffs[2 * j + 1], y, scale=c)
-        total = total + 2.0 / fam.norms[j] * (q_even * phi_odd - q_odd * phi_even)
-    return total
+    (vectorized in x and y). Like ginibre_srr it carries the weight of x: it is
+    PartialKernel's S transposed."""
+    return PartialKernel(n, tau).s_xy(y, x)
 
 
 def partial_density_real(n, tau, x):
     """Density of real eigenvalues for the partially symmetric ensemble
     (vectorized in x)."""
-    return partial_srr(n, tau, x, x)
+    return PartialKernel(n, tau).s_xy(x, x)
 
 
 def partial_bulk_srr(tau, delta):
@@ -421,17 +408,13 @@ def elliptical_density(tau):
 
 def crossover_srr(alpha, x, y, nodes=400):
     """Weak-asymmetry crossover limit of the scaled real-real S element."""
-    t, w = np.polynomial.legendre.leggauss(nodes)
-    tt = 0.5 * (t + 1.0)
-    ww = 0.5 * w
+    tt, ww = sopoly._gl_nodes(0.0, 1.0, np.polynomial.legendre.leggauss(nodes))
     return float(np.sum(ww * np.exp(-alpha ** 2 * tt) * np.cos(math.pi * (x - y) * tt)))
 
 
 def crossover_scc(alpha, w1, w2, nodes=400):
     """Weak-asymmetry crossover limit of the scaled complex-complex S element."""
-    t, w = np.polynomial.legendre.leggauss(nodes)
-    tt = 0.5 * (t + 1.0)
-    ww = 0.5 * w
+    tt, ww = sopoly._gl_nodes(0.0, 1.0, np.polynomial.legendre.leggauss(nodes))
     v1, v2 = abs(np.imag(w1)), abs(np.imag(w2))
     pref = 1j * math.pi * math.sqrt(sp.erfc(math.pi * v1 / alpha)
                                     * sp.erfc(math.pi * v2 / alpha))
@@ -521,7 +504,9 @@ def spherical_complex_limit_density(r):
 
 
 class SphericalKernel:
-    """Kernel-element source for correlations of real (angle) points."""
+    """Kernel-element source for correlations of real (angle) points. D and I~
+    are taken at (q, p): spherical_drr is the derivative of S in its second
+    angle, and spherical_irr integrates S over it."""
 
     def __init__(self, n):
         self.n = n
@@ -530,10 +515,10 @@ class SphericalKernel:
         return spherical_srr(self.n, p[1], q[1])
 
     def d(self, p, q):
-        return spherical_drr(self.n, p[1], q[1])
+        return spherical_drr(self.n, q[1], p[1])
 
     def itilde(self, p, q):
-        return spherical_irr(self.n, p[1], q[1])
+        return spherical_irr(self.n, q[1], p[1])
 
 
 # ---------------------------------------------------------------------------
@@ -557,21 +542,17 @@ def truncated_d(m, big_l, mu, eta, species=("r", "r")):
     return 2.0 * omega(mu, species[0]) * omega(eta, species[1]) * (eta - mu) * total
 
 
-def _trunc_tau_poly(coeffs, big_l, y):
-    """tau_j(y) = -(1/2) integral of sgn(y - z) omega(z) p_j(z) dz."""
-    total = 0.0
-    lower = 0.0
-    for m, c in enumerate(np.asarray(coeffs)):
-        if c == 0.0:
-            continue
-        lower += c * sopoly._trunc_moment_antiderivative(big_l, m, y)
-        total += c * float(sopoly._trunc_moment_antiderivative(big_l, m, 1.0))
-    return -sopoly._trunc_cw(big_l) * (lower - total / 2.0)
+def _trunc_moment(big_l):
+    """Integral of t^m omega(t) from -1 to y for the real truncated weight omega
+    (vectorized in m and y)."""
+    cw = sopoly._trunc_cw(big_l)
+    return lambda m, y: cw * sopoly._trunc_moment_antiderivative(big_l, m, y)
 
 
 def truncated_srr(m, big_l, x, y):
-    """Real-real kernel element S for the truncated ensemble, m even."""
-    return TruncatedKernel(m, big_l).s_xy(x, y)
+    """Real-real kernel element S for the truncated ensemble. Like ginibre_srr
+    it carries the weight of x: it is TruncatedKernel's S transposed."""
+    return TruncatedKernel(m, big_l).s_xy(y, x)
 
 
 def truncated_density_real(m, big_l, x):
@@ -579,8 +560,8 @@ def truncated_density_real(m, big_l, x):
     (vectorized in x)."""
     fam = sopoly.truncated_family(m, big_l)
     r_last = fam.norms[m // 2 - 1]
-    tau_val = _trunc_tau_poly(fam.coeffs[m - 2], big_l, x)
-    first = -2.0 * trunc_omega_real(big_l, x) / r_last * x ** (m - 1) * tau_val
+    phi = _phi(fam.coeffs[m - 2], _trunc_moment(big_l), x)
+    first = 2.0 * trunc_omega_real(big_l, x) / r_last * x ** (m - 1) * phi
     tail = 1.0 - sp.betainc(m - 1.0, float(big_l), x * x)
     second = sopoly._gamma_ratio(big_l) * tail / (1.0 - x * x)
     return first + second
@@ -628,51 +609,13 @@ def kappa_rr_l1(x, y):
         [np.sign(y - x) * math.asin(sx * sy / d), sx / (sy * d)]]) / math.pi
 
 
-class TruncatedKernel:
-    """Kernel elements for real points of the truncated ensemble, m even.
-
-    The skew-orthogonal family is built once, here. The *_xy methods take
-    values (vectorized); s, d and itilde take (species, value) points.
-    """
+class TruncatedKernel(_PairSumKernel):
+    """Kernel elements of the truncated ensemble at real points, order m:
+    weight omega on (-1, 1), norm factor 2."""
 
     def __init__(self, m, big_l):
-        self.m = m
-        self.big_l = big_l
-        self.family = sopoly.truncated_family(m, big_l)
-
-    def _tau(self, t):
-        return [_trunc_tau_poly(c, self.big_l, t) for c in self.family.coeffs]
-
-    def s_xy(self, x, y):
-        m, big_l = self.m, self.big_l
-        r_last = self.family.norms[m // 2 - 1]
-        tau_val = _trunc_tau_poly(self.family.coeffs[m - 2], big_l, y)
-        first = -2.0 * trunc_omega_real(big_l, x) / r_last * x ** (m - 1) * tau_val
-        pre = sopoly._gamma_ratio(big_l)
-        coeff = 1.0
-        total = 0.0
-        for j in range(m - 1):
-            if j > 0:
-                coeff *= (big_l + j - 1.0) / j
-            total = total + coeff * (x * y) ** j
-        second = pre * (1.0 - x * x) ** (big_l / 2.0 - 1.0) \
-            * (1.0 - y * y) ** (big_l / 2.0) * total
-        return first + second
-
-    def itilde_xy(self, x, y):
-        # the goe_itilde form; this family's norms carry the factor 2 that
-        # also appears in S and D
-        return (-2.0 * _pair_sum(self.family, self._tau(x), self._tau(y))
-                - 0.5 * np.sign(x - y))
-
-    def s(self, p, q):
-        return self.s_xy(p[1], q[1])
-
-    def d(self, p, q):
-        return truncated_d(self.m, self.big_l, p[1], q[1])
-
-    def itilde(self, p, q):
-        return self.itilde_xy(p[1], q[1])
+        super().__init__(sopoly.truncated_family(m, big_l),
+                         lambda t: trunc_omega_real(big_l, t), _trunc_moment(big_l), 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -688,6 +631,10 @@ def npoint_correlation(kernel, points):
     I~ and D vanish on the diagonal. Each S element is computed once, and I~
     and D only above the diagonal: both are antisymmetric. Coincident points
     are rejected; use the density functions instead.
+
+    Every kernel class here gives s, d and itilde in one layout: at real
+    points D(x, y) = dS(x, y)/dx and dI~(x, y)/dx = S(y, x), so S(x, y)
+    carries the weight of y. In the transposed layout rho_3 and up are wrong.
     """
     pts = list(points)
     n = len(pts)

@@ -28,6 +28,13 @@ class PolynomialFamily:
     def __len__(self):
         return len(self.coeffs)
 
+    def matrix(self):
+        """The coefficients as one square array, polynomial j in row j."""
+        out = np.zeros((len(self), len(self)))
+        for j, c in enumerate(self.coeffs):
+            out[j, :len(c)] = c
+        return out
+
 
 def eval_poly(coeffs, x):
     """Evaluate ascending-power coefficients at x (Horner)."""

@@ -148,6 +148,16 @@ def test_exact_tables_are_distributions():
         assert abs(probs.sum() - 1.0) <= 1e-12, (ensemble, n, kwargs)
 
 
+# a sum 2e-12 above 1; a p_{N,k} 2e-12 below 0 in a table that sums to 1
+@pytest.mark.parametrize("table", [[0.25, 0.5, 0.25 + 2e-12],
+                                   [-2e-12, 0.5, 0.5 + 2e-12]])
+def test_prob_table_refuses_a_table_outside_the_bound(monkeypatch, table):
+    monkeypatch.setitem(analytics._TABLES, "goe",
+                        lambda n, tau, big_l: np.array(table))
+    with pytest.raises(ArithmeticError):
+        analytics.prob_table("goe", 2)
+
+
 def test_sweep_all_real_probabilities_match_closed_forms():
     cases = ([(analytics.truncated_prob_gf(m, big_l)[m],
                analytics.truncated_pmm(m, big_l))

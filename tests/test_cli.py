@@ -242,6 +242,14 @@ def test_odd_order_density_exits_with_config_error(name):
     assert "requires even order" in res.stderr
 
 
+def test_table_outside_the_bound_exits_with_numeric_error():
+    # inside the partial cap, tau = -0.8 gives p_{13,11} = -1.6e-12
+    res = run_cli("probs", "--ensemble", "partial", "--tau", "-0.8", "--n", "13")
+    assert res.returncode == 3
+    assert res.stdout == ""
+    assert "1e-12 bound" in res.stderr
+
+
 def test_compare_fails_on_perturbed_exact_values():
     res = run_cli("compare", "--ensemble", "ginibre", "--n", "4",
                   "--reps", "5000", "--seed", "3", "--perturb-exact", "0.05")

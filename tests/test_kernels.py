@@ -62,6 +62,13 @@ def test_goe_partner_kernels_are_antisymmetric():
     assert kernels.goe_d(6, x, y) == pytest.approx(fd, rel=1e-5)
 
 
+def test_goe_s_is_continuous_near_the_diagonal():
+    # D(x, x) = 0, so S(1 + d, 1) - S(1, 1) is of order d^2
+    at = float(kernels.goe_s(8, 1.0, 1.0))
+    for d in (2e-5, 5e-6, 1e-7):
+        assert abs(float(kernels.goe_s(8, 1.0 + d, 1.0)) - at) <= 1e-8, d
+
+
 def test_goe_semicircle_support():
     assert kernels.goe_semicircle(0.0) == pytest.approx(2.0 / math.pi)
     assert kernels.goe_semicircle(1.5) == 0.0
@@ -142,6 +149,25 @@ def test_partial_density_reduces_to_ginibre():
     for x in (-1.0, 0.3, 2.0):
         assert kernels.partial_density_real(6, 0.0, x) == pytest.approx(
             kernels.ginibre_density_real(6, x), rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_partial_correlations_integrate_to_count_moments(n):
+    # the integrals of rho_1 and rho_2 over the line are E[k] and E[k(k-1)]
+    tau = 0.5
+    probs = analytics.partial_prob_gf(n, tau)
+    k = np.arange(n + 1)
+    kern = kernels.PartialKernel(n, tau)
+    rho = lambda *pts: kernels.npoint_correlation(kern, pts)
+    x, wx = _gl(-9.0, 9.0, 40)
+    assert sum(wa * rho(("r", a)) for a, wa in zip(x, wx)) == pytest.approx(
+        k @ probs, abs=1e-8)
+    rr = 0.0
+    for a, wa in zip(x, wx):
+        # rho_2 is symmetric and has a kink at y = x: integrate over y > x
+        y, wy = _gl(a, 9.0, 40)
+        rr += 2.0 * wa * sum(wb * rho(("r", a), ("r", b)) for b, wb in zip(y, wy))
+    assert rr == pytest.approx((k * (k - 1)) @ probs, abs=1e-7)
 
 
 def test_partial_bulk_limits():
@@ -382,3 +408,70 @@ def test_ginibre_two_point_vanishes_for_impossible_pairs():
         assert abs(kernels.npoint_correlation(kern, [("c", w), ("c", z)])) < 1e-12
     rc = kernels.npoint_correlation(kernels.GinibreKernel(2), [("r", -0.6), ("c", w)])
     assert abs(rc) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# one layout for every kernel class
+
+
+KERNEL_CLASSES = {
+    "goe": kernels.GOEKernel,
+    "ginibre": kernels.GinibreKernel,
+    "partial": lambda n: kernels.PartialKernel(n, 0.5),
+    "spherical": kernels.SphericalKernel,
+    "truncated": lambda n: kernels.TruncatedKernel(n, 2),
+}
+# real points (inside the truncated support) and upper-half-plane points
+REALS = (-0.6, 0.1, 0.7, 0.35, -0.2, 0.85)
+COMPLEX = (0.3 + 0.8j, -0.5 + 0.4j, 0.2 + 0.3j)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CLASSES))
+@pytest.mark.parametrize("n", [4, 5])
+def test_no_more_than_n_eigenvalues(name, n):
+    # rho vanishes at N + 1 distinct points, a complex point counting twice
+    kern = KERNEL_CLASSES[name](n)
+    n_complex = range((n + 1) // 2 + 1) if name == "ginibre" else (0,)
+    for c in n_complex:
+        pts = ([("r", x) for x in REALS[:n + 1 - 2 * c]]
+               + [("c", w) for w in COMPLEX[:c]])
+        assert abs(kernels.npoint_correlation(kern, pts)) <= 1e-12, c
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CLASSES))
+@pytest.mark.parametrize("n", [4, 5])
+def test_kernel_layout_derivative_identities(name, n):
+    # D(x, y) = dS(x, y)/dx and dI~(x, y)/dx = S(y, x), by central differences
+    kern = KERNEL_CLASSES[name](n)
+    h = 1e-5
+
+    def el(f, a, b):
+        return float(np.real(f(("r", a), ("r", b))))
+
+    for x, y in ((0.3, -0.45), (-0.7, 0.55)):
+        ds = (el(kern.s, x + h, y) - el(kern.s, x - h, y)) / (2.0 * h)
+        di = (el(kern.itilde, x + h, y) - el(kern.itilde, x - h, y)) / (2.0 * h)
+        assert el(kern.d, x, y) == pytest.approx(ds, rel=1e-6), (x, y)
+        assert di == pytest.approx(el(kern.s, y, x), rel=1e-6), (x, y)
+
+
+def test_odd_order_kernels_integrate_to_count_moments():
+    # GOE: all n eigenvalues are real; truncated M = 5, L = 2: E[k] and
+    # E[k(k-1)] from the exact table
+    x, wx = _gl(-12.0, 12.0, 80)
+    kern = kernels.GOEKernel(5)
+    assert sum(wa * kernels.npoint_correlation(kern, [("r", a)])
+               for a, wa in zip(x, wx)) == pytest.approx(5.0, abs=1e-10)
+    m, big_l = 5, 2
+    probs = analytics.truncated_prob_gf(m, big_l)
+    k = np.arange(m + 1)
+    kern = kernels.TruncatedKernel(m, big_l)
+    rho = lambda *pts: kernels.npoint_correlation(kern, pts)
+    x, wx = _gl(-1.0, 1.0, 20)
+    assert sum(wa * rho(("r", a)) for a, wa in zip(x, wx)) == pytest.approx(
+        k @ probs, abs=1e-10)
+    rr = 0.0
+    for a, wa in zip(x, wx):
+        y, wy = _gl(a, 1.0, 20)
+        rr += 2.0 * wa * sum(wb * rho(("r", a), ("r", b)) for b, wb in zip(y, wy))
+    assert rr == pytest.approx((k * (k - 1)) @ probs, abs=1e-10)

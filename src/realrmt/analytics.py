@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import special as sp
 
-from . import ensembles, pfaffian, sopoly
+from . import ensembles, sopoly
 from .specfun import hyp2f1, log_vol_orthogonal
 
 
@@ -15,39 +15,69 @@ from .specfun import hyp2f1, log_vol_orthogonal
 
 
 def _poly_from_values(fn, deg):
-    """Coefficients of a degree-deg polynomial from its values at the roots of unity."""
-    roots = np.exp(2j * math.pi * np.arange(deg + 1) / (deg + 1))
-    vals = np.array([fn(s) for s in roots])
-    return np.real(np.fft.fft(vals)) / (deg + 1)
+    """Coefficients of a degree-deg polynomial from its values at the roots of unity.
 
-
-def _gf_probs(alpha, base, border):
-    """p_{N,k} from the generating function Z(s) built on the block base + (s-1) alpha.
-
-    The block has shape (ceil(N/2), floor(N/2)). For even N, Z(s) is its
-    determinant; for odd N, it fills the (even row, odd column) entries of a
-    skew N x N core, and Z(s) is the Pfaffian of that core bordered by border.
-    Z is normalised at s = 1 and its coefficients land on k = N, N-2, ...
+    fn takes the array of roots; roots[0] is exactly 1.
     """
-    rows, cols = alpha.shape
-    n = rows + cols
+    roots = np.exp(2j * math.pi * np.arange(deg + 1) / (deg + 1))
+    return np.real(np.fft.fft(fn(roots))) / (deg + 1)
 
-    def signed_log_z(s):
-        block = base + (s - 1.0) * alpha
-        if n % 2 == 0:
-            return np.linalg.slogdet(block)
-        core = np.zeros((n, n), dtype=block.dtype)
-        core[0::2, 1::2] = block
-        core[1::2, 0::2] = -block.T
-        return pfaffian.pfaffian_bordered_signed_log(core, border)
 
-    # the reference goes through the same complex arithmetic as the other
-    # roots of unity, so Z(1) = 1 exactly and sum_k p_{N,k} = 1 to rounding
-    sign_ref, log_ref = signed_log_z(1.0 + 0j)
+def _sign_table(m, r, g, u):
+    """J[a, b] = double integral of sgn(y - x) x^a y^b w(x) w(y), for a, b < m.
 
-    def z(s):
-        sign, log_v = signed_log_z(s)
-        return sign / sign_ref * np.exp(log_v - log_ref)
+    Integrating by parts in x gives J(a, b) = r(a) J(a-2, b) - 2 g(a) u(a+b-1),
+    u(k) being the k-th moment of w^2 up to the factor in g, with J(-1, .) = 0
+    and, by antisymmetry, J(0, b) = -J(b, 0).
+    """
+    uk = np.array([u(k) for k in range(2 * m)])
+    table = np.zeros((m + 1, m))  # table[-1] is J(-1, .) = 0
+    for _ in range(2):
+        # the first sweep gets column 0 right, as it reads only J(0, 0) = 0
+        # from row 0; the second starts from the row 0 that column gives
+        table[0] = -table[:m, 0]
+        for a in range(1, m):
+            table[a] = r(a) * table[a - 2] - 2.0 * g(a) * uk[a - 1:a - 1 + m]
+    return table[:m]
+
+
+def _gauss_sign_table(m, c):
+    """Sign table of w(x) = e^{-x^2/(2c)}: x^a w = -c x^(a-1) w', and w^2 has
+    the Gaussian moments of variance c/2."""
+    return _sign_table(m, lambda a: c * (a - 1), lambda a: c,
+                       lambda k: sopoly._gauss_moment(k, c / 2.0))
+
+
+def _trunc_sign_table(m, big_l):
+    """Sign table of w(x) = c_w (1 - x^2)^(L/2-1): (L+a-1) x^a w is (a-1) x^(a-2) w
+    minus the derivative of x^(a-1) (1 - x^2) w, which vanishes at x = +-1."""
+    cw2 = sopoly._trunc_cw(big_l) ** 2
+    return _sign_table(m, lambda a: (a - 1.0) / (big_l + a - 1.0),
+                       lambda a: cw2 / (big_l + a - 1.0),
+                       lambda k: 0.0 if k % 2 else sp.beta((k + 1) / 2.0, big_l))
+
+
+def _gf_probs(family, sgn, moments):
+    """p_{N,k} from the generating function Z(s) of a skew-orthogonal family.
+
+    sgn is the monomial sign table of the real weight and moments its
+    monomial moments. In the skew basis Z(s) is the determinant of
+    diag(norms) + (s-1) alpha, alpha pairing polynomials 2j and 2l+1. At odd N
+    the last column is the s-free one of the even polynomials' moments: the
+    odd ones have none, so the bordered Pfaffian is this determinant up to
+    sign. Z is normalised at s = 1; its coefficients land on k = N, N-2, ...
+    """
+    c = family.matrix()
+    n = len(family)
+    rows, cols = (n + 1) // 2, n // 2
+    alpha = np.zeros((rows, rows))
+    alpha[:, :cols] = c[0::2] @ sgn @ c[1::2].T
+    base = np.diag(family.norms)
+    base[:, cols:] = (c[0::2] @ moments)[:, None]  # border at odd N
+
+    def z(roots):
+        sign, log_v = np.linalg.slogdet(base + (roots[:, None, None] - 1.0) * alpha)
+        return sign / sign[0] * np.exp(log_v - log_v[0])
 
     probs = np.zeros(n + 1)
     probs[n % 2::2] = _poly_from_values(z, cols)
@@ -64,7 +94,7 @@ def ginibre_alpha(j, l):
 
 
 def ginibre_nu(j):
-    """One-sided integral of the j-th skew polynomial against the Gaussian weight."""
+    """Integral of x^j against the Gaussian weight e^{-x^2/2}."""
     return sopoly._gauss_moment(j)
 
 
@@ -86,10 +116,8 @@ def ginibre_alpha_via_recursion(j, l):
 def ginibre_prob_gf(n):
     """Probabilities p_{N,k} of k real eigenvalues for the real Ginibre ensemble."""
     ensembles.spec("ginibre", n, table=True)
-    rows, cols = (n + 1) // 2, n // 2
-    alpha = np.array([[ginibre_alpha(j, l) for l in range(cols)] for j in range(rows)])
-    border = np.array([ginibre_nu(i) for i in range(n)])
-    return _gf_probs(alpha, np.diag(sopoly._ginibre_norms(rows))[:, :cols], border)
+    return _gf_probs(sopoly.ginibre_family(n), _gauss_sign_table(n, 1.0),
+                     [ginibre_nu(a) for a in range(n)])
 
 
 def ginibre_pnn(n):
@@ -162,33 +190,12 @@ def partial_nu(j):
     return sopoly._gauss_moment(j - 1)
 
 
-def _partial_beta_block(rows, cols, tau):
-    """partial_beta(j, l, tau) for j <= rows and l <= cols, with one I(q) per odd q.
-
-    The (s, t) terms of partial_beta with s + t = q share Gamma(j + l - 1 - q/2)
-    and I(q); their binomial weights sum to the x^q coefficient of
-    (1 + x)^(2j-2) (1 - x)^(2l-1).
-    """
-    j = np.arange(1, rows + 1)[:, None, None, None]
-    l = np.arange(1, cols + 1)[None, :, None, None]
-    s = np.arange(2 * rows - 1)[:, None]
-    q = np.arange(1, 2 * (rows + cols) - 2, 2)
-    terms = sp.comb(2 * j - 2, s) * sp.comb(2 * l - 1, q - s) * (-1.0) ** (q - s)
-    weights = np.sum(terms, axis=2)
-    i_q = np.array([_partial_i(k, tau) for k in q])
-    gammas = sp.gamma(j[..., 0] + l[..., 0] - 1.0 - q / 2.0)
-    return -4.0 * np.sum(weights * gammas * i_q, axis=-1)
-
-
 def partial_prob_gf(n, tau):
     """Probabilities p_{N,k} for the partially symmetric real Ginibre ensemble."""
     ensembles.spec("partial", n, tau=tau, table=True)
-    rows, cols = (n + 1) // 2, n // 2
-    alpha = np.array([[partial_alpha(j, l) for l in range(1, cols + 1)]
-                      for j in range(1, rows + 1)])
-    beta = _partial_beta_block(rows, cols, tau)
-    border = np.array([partial_nu(r) for r in range(1, n + 1)])
-    return _gf_probs(alpha, alpha + beta, border)
+    c = 1.0 + tau
+    return _gf_probs(sopoly.partial_family(n, tau), _gauss_sign_table(n, c),
+                     [sopoly._gauss_moment(a, c) for a in range(n)])
 
 
 def partial_pnn(n, tau):
@@ -263,36 +270,11 @@ def truncated_theta(coeffs, big_l):
     return cw * total
 
 
-def _trunc_alpha_matrix(fam, big_l, n_nodes=240):
-    """Alpha block of the truncated family, every entry from one quadrature rule.
-
-    Entry (j, l) is the sign-weighted double integral of polynomials 2j and
-    2l+1 against the real weight.
-    """
-    cw = sopoly._trunc_cw(big_l)
-    rule = np.polynomial.legendre.leggauss(n_nodes)
-    # substitute y = sin(u) on each half of (-pi/2, pi/2) so the weight is smooth
-    u, wu = np.concatenate([sopoly._gl_nodes(lo, hi, rule) for lo, hi in
-                            ((-math.pi / 2.0, 0.0), (0.0, math.pi / 2.0))], axis=1)
-    y = np.sin(u)
-    wts = wu * cw * np.cos(u) ** (big_l - 1)
-    m = len(fam)
-    coeffs = fam.matrix()
-    degs = np.arange(m)
-    moments = sopoly._trunc_moment_antiderivative(big_l, degs[:, None], y)
-    totals = sopoly._trunc_moment_antiderivative(big_l, degs, 1.0)
-    inner = coeffs[0::2] @ (2.0 * cw * moments - cw * totals[:, None])
-    outer = coeffs[1::2] @ np.vander(y, m, increasing=True).T
-    return (inner * wts) @ outer.T
-
-
 def truncated_prob_gf(m, big_l):
     """Probabilities p_{M,k} of k real eigenvalues for the truncated ensemble."""
     ensembles.spec("truncated", m, big_l=big_l, table=True)
-    fam = sopoly.truncated_family(m, big_l)
-    border = np.array([truncated_theta(c, big_l) for c in fam.coeffs])
-    return _gf_probs(_trunc_alpha_matrix(fam, big_l),
-                     np.diag(fam.norms)[:, :m // 2], border)
+    return _gf_probs(sopoly.truncated_family(m, big_l), _trunc_sign_table(m, big_l),
+                     [truncated_theta(e, big_l) for e in np.eye(m)])
 
 
 def truncated_pmm(m, big_l):

@@ -184,11 +184,11 @@ ENSEMBLES = {
     "ginibre": Ensemble(
         sample=lambda n, rng, tau, big_l, size: sample_ginibre(n, rng, size=size),
         density=lambda n, tau, big_l, x: kernels.ginibre_density_real(n, x),
-        max_table=22),
+        max_table=24),
     "partial": Ensemble(
         sample=lambda n, rng, tau, big_l, size: sample_partial(n, tau, rng, size=size),
         density=lambda n, tau, big_l, x: kernels.partial_density_real(n, tau, x),
-        param="tau", param_range=(-1.0, 1.0), max_table=16),
+        param="tau", param_range=(-1.0, 1.0), max_table=19),
     "spherical": Ensemble(
         sample=lambda n, rng, tau, big_l, size: sample_spherical(n, rng, size=size),
         density=lambda n, tau, big_l, x: kernels.spherical_density_real(n),

@@ -439,7 +439,7 @@ def spherical_drr(n, t1, t2):
 
 def spherical_irr(n, t1, t2):
     """Circle-circle kernel element I~: the integral of S(t1, t) over t from t1
-    to t2, plus sgn(t1 - t2) (vectorized in t1 and t2).
+    to t2, plus sgn(t1 - t2)/2 (vectorized in t1 and t2).
 
     With u = (t2 - t1)/2 and m = N - 1 the integral is 2 S(t, t) times
     int_0^u cos^m v dv = 2^-m sum_k C(m, k) sin((m - 2k) u)/(m - 2k), where
@@ -451,7 +451,7 @@ def spherical_irr(n, t1, t2):
     for k in range(m + 1):
         j = m - 2 * k
         total = total + math.comb(m, k) * (np.sin(j * u) / j if j else u)
-    return 2.0 * sopoly._sph_pre(n) * total / 2.0 ** m + np.sign(t1 - t2)
+    return 2.0 * sopoly._sph_pre(n) * total / 2.0 ** m + 0.5 * np.sign(t1 - t2)
 
 
 def spherical_density_real(n):

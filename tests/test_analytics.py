@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from realrmt import analytics, sopoly
+from realrmt import analytics, pfaffian, sopoly
 from realrmt.ensembles import ENSEMBLES
 
 
@@ -43,7 +43,7 @@ def test_prob_table_argument_checks():
     with pytest.raises(ValueError):
         analytics.truncated_prob_gf(13, 1)
     with pytest.raises(ValueError):
-        analytics.partial_prob_gf(17, 0.5)
+        analytics.partial_prob_gf(ENSEMBLES["partial"].max_table + 1, 0.5)
 
 
 def test_ginibre_alpha_recursion_cross_check():
@@ -123,13 +123,16 @@ SWEEP_TRUNCATED = {1: range(2, 10), 2: range(2, 10), 3: range(2, 10),
 SWEEP_PARTIAL = {0.5: range(8, 15), 0.75: (14, 16), 0.25: (12,), -0.5: (8,)}
 SWEEP_GINIBRE = (7, 9, 11)
 
+# tau near both ends of its range, where the partial block is worst conditioned
+PARTIAL_EDGE_TAUS = (-0.99999, -0.999, -0.8, -0.6, 0.99, 0.999, 0.99999)
+
 # every order up to each stated cap
 TABLE_CASES = (
     [("truncated", m, {"big_l": big_l})
      for big_l in (1, 2, 3, 4, 6, 8)
      for m in range(1, ENSEMBLES["truncated"].max_table + 1)]
     + [("partial", n, {"tau": tau})
-       for tau in (0.5, -0.5, 0.25, 0.75)
+       for tau in (0.5, -0.5, 0.25, 0.75) + PARTIAL_EDGE_TAUS
        for n in range(1, ENSEMBLES["partial"].max_table + 1)]
     + [("ginibre", n, {}) for n in range(1, ENSEMBLES["ginibre"].max_table + 1)]
     + [("spherical", n, {}) for n in range(1, 31)]
@@ -177,13 +180,43 @@ def test_coefficients_read_off_at_roots_of_unity():
     assert np.max(np.abs(got - coeffs)) < 1e-15
 
 
-def test_partial_beta_block_matches_entrywise_formula():
-    for rows, cols, tau in ((3, 2, 0.5), (4, 4, -0.25), (8, 8, 0.75)):
-        block = analytics._partial_beta_block(rows, cols, tau)
-        for j in range(1, rows + 1):
-            for l in range(1, cols + 1):
-                assert block[j - 1, l - 1] == pytest.approx(
-                    analytics.partial_beta(j, l, tau), rel=1e-12, abs=1e-12)
+def _partial_monomial_table(n, tau):
+    """p_{N,k} from the monomial-basis alpha and beta entries: Z(s) is the
+    Pfaffian of the chequer matrix of s alpha + beta, bordered at odd N."""
+    rows, cols = (n + 1) // 2, n // 2
+    alpha = np.array([[analytics.partial_alpha(j, l) for l in range(1, cols + 1)]
+                      for j in range(1, rows + 1)])
+    beta = np.array([[analytics.partial_beta(j, l, tau) for l in range(1, cols + 1)]
+                     for j in range(1, rows + 1)])
+    border = np.array([analytics.partial_nu(r) for r in range(1, n + 1)])
+
+    def z(s):
+        core = np.zeros((n, n), dtype=complex)
+        core[0::2, 1::2] = s * alpha + beta
+        core[1::2, 0::2] = -core[0::2, 1::2].T
+        return pfaffian.pfaffian_bordered(core, border) if n % 2 else pfaffian.pfaffian(core)
+
+    roots = np.exp(2j * math.pi * np.arange(cols + 1) / (cols + 1))
+    coeffs = np.fft.fft([z(s) for s in roots]).real / (cols + 1) / z(1.0).real
+    probs = np.zeros(n + 1)
+    probs[n % 2::2] = coeffs
+    return probs
+
+
+@pytest.mark.parametrize("tau", [0.5, -0.5, 0.25])
+def test_partial_tables_match_the_monomial_path(tau):
+    for n in range(1, 11):
+        want = _partial_monomial_table(n, tau)
+        assert np.max(np.abs(analytics.partial_prob_gf(n, tau) - want)) <= 1e-12, n
+
+
+def test_ginibre_sign_table_alpha_matches_closed_form():
+    fam = sopoly.ginibre_family(12)
+    c = fam.matrix()
+    alpha = c[0::2] @ analytics._gauss_sign_table(12, 1.0) @ c[1::2].T
+    for j in range(6):
+        for l in range(6):
+            assert alpha[j, l] == pytest.approx(analytics.ginibre_alpha(j, l), rel=1e-13)
 
 
 def _trunc_alpha_reference(fam, big_l):
@@ -210,9 +243,19 @@ def _trunc_alpha_reference(fam, big_l):
     return out
 
 
+def _check_trunc_alpha_block(m, big_l):
+    fam = sopoly.truncated_family(m, big_l)
+    c = fam.matrix()
+    got = c[0::2] @ analytics._trunc_sign_table(m, big_l) @ c[1::2].T
+    assert got.shape == ((m + 1) // 2, m // 2)
+    assert np.max(np.abs(got - _trunc_alpha_reference(fam, big_l))) < 1e-10
+
+
 @pytest.mark.parametrize("big_l", [2, 3])
 def test_truncated_alpha_block_against_nested_quadrature(big_l):
-    fam = sopoly.truncated_family(4, big_l)
-    got = analytics._trunc_alpha_matrix(fam, big_l)
-    assert got.shape == (2, 2)
-    assert np.max(np.abs(got - _trunc_alpha_reference(fam, big_l))) < 1e-10
+    _check_trunc_alpha_block(4, big_l)
+
+
+@pytest.mark.parametrize("big_l", [1, 5])
+def test_truncated_alpha_block_at_odd_order_against_nested_quadrature(big_l):
+    _check_trunc_alpha_block(5, big_l)

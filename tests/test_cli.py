@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from realrmt import analytics, ensembles, kernels
+from realrmt import analytics, cli, ensembles, kernels
 from realrmt.ensembles import ENSEMBLES
 
 BASE = [sys.executable, "-m", "realrmt.cli"]
@@ -242,12 +242,19 @@ def test_odd_order_density_exits_with_config_error(name):
     assert "requires even order" in res.stderr
 
 
-def test_table_outside_the_bound_exits_with_numeric_error():
-    # inside the partial cap, tau = -0.8 gives p_{13,11} = -1.6e-12
-    res = run_cli("probs", "--ensemble", "partial", "--tau", "-0.8", "--n", "13")
-    assert res.returncode == 3
-    assert res.stdout == ""
-    assert "1e-12 bound" in res.stderr
+def test_table_outside_the_bound_exits_with_numeric_error(monkeypatch, capsys):
+    # a partial table inside the cap, corrupted so that p_{5,5} = -2e-12
+    bad = analytics.partial_prob_gf(5, 0.5)
+    bad[3], bad[5] = bad[3] + bad[5] + 2e-12, -2e-12
+    monkeypatch.setitem(analytics._TABLES, "partial", lambda n, tau, big_l: bad)
+    monkeypatch.setattr(sys, "argv", ["realrmt", "probs", "--ensemble", "partial",
+                                      "--tau", "0.5", "--n", "5"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 3
+    res = capsys.readouterr()
+    assert res.out == ""
+    assert "1e-12 bound" in res.err
 
 
 def test_compare_fails_on_perturbed_exact_values():

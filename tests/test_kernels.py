@@ -222,7 +222,7 @@ def test_spherical_irr_closed_form_matches_quadrature(n):
         val, _ = integrate.quad(lambda t: kernels.spherical_srr(n, t1, t), t1, t2,
                                 epsabs=1e-13, epsrel=1e-13)
         assert kernels.spherical_irr(n, t1, t2) == pytest.approx(
-            val + np.sign(t1 - t2), rel=1e-10, abs=1e-10)
+            val + 0.5 * np.sign(t1 - t2), rel=1e-10, abs=1e-10)
 
 
 def test_spherical_complex_density_matches_scc_diagonal():
@@ -398,6 +398,24 @@ def test_ginibre_correlations_integrate_to_count_moments(n):
     }
     for key in want:
         assert got[key] == pytest.approx(want[key], rel=0.02), key
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_spherical_correlations_integrate_to_count_moments(n):
+    # over the circle, the integrals of rho_1 and rho_2 are E[k] and E[k(k-1)]
+    probs = analytics.spherical_prob_gf(n)
+    k = np.arange(n + 1)
+    kern = kernels.SphericalKernel(n)
+    rho = lambda *pts: kernels.npoint_correlation(kern, pts)
+    x, wx = _gl(0.0, 2.0 * math.pi, 16)
+    rr = 0.0
+    for a, wa in zip(x, wx):
+        # rho_2 is symmetric and has a kink at t2 = t1: integrate over t2 > t1
+        y, wy = _gl(a, 2.0 * math.pi, 16)
+        rr += 2.0 * wa * sum(wb * rho(("r", a), ("r", b)) for b, wb in zip(y, wy))
+    assert sum(wa * rho(("r", a)) for a, wa in zip(x, wx)) == pytest.approx(
+        k @ probs, rel=1e-10)
+    assert rr == pytest.approx((k * (k - 1)) @ probs, rel=1e-8)
 
 
 def test_ginibre_two_point_vanishes_for_impossible_pairs():

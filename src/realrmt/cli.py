@@ -1,7 +1,6 @@
 """Command line interface: exact tables, sampling, densities and comparison."""
 
 import json
-import math
 import sys
 
 import click
@@ -17,35 +16,35 @@ EXIT_COMPARE = 2
 EXIT_NUMERIC = 3
 
 
-def _fmt(x):
-    return "%.15g" % (x,)
+def _emit(out, fmt, config, columns, verdict=None):
+    """Write columns (name -> values, in order) to the path out ("-": stdout).
 
-
-def _write_csv(out, header, rows):
-    out.write(SCHEMA + "\n")
-    out.write(",".join(header) + "\n")
-    for row in rows:
-        out.write(",".join(_fmt(row[h]) if isinstance(row[h], float) else str(row[h])
-                           for h in header) + "\n")
-
-
-def _emit(out, fmt, config, header, rows, verdict=None):
-    """Write row dicts to the path out ("-": stdout) as JSON, or as CSV columns header."""
-    stream = sys.stdout if out in (None, "-") else open(out, "w")
+    CSV has one line per row: float columns as %.15g, the others as %s.
+    JSON has one object per row under "rows".
+    """
+    arrays = [np.asarray(v) for v in columns.values()]
+    values = [a.tolist() for a in arrays]
+    if fmt == "json":
+        doc = {"config": config,
+               "rows": [dict(zip(columns, row)) for row in zip(*values)]}
+        if verdict is not None:
+            doc["verdict"] = verdict
+        # dumps, unlike dump, runs the C encoder
+        text = json.dumps(doc, sort_keys=True) + "\n"
+    else:
+        line = ",".join("%.15g" if a.dtype.kind == "f" else "%s" for a in arrays) + "\n"
+        text = "%s\n%s\n%s" % (SCHEMA, ",".join(columns),
+                                 "".join(line % row for row in zip(*values)))
+        if verdict is not None:
+            text += "#verdict=%s\n" % verdict
+    if out in (None, "-"):
+        sys.stdout.write(text)
+        return
     try:
-        if fmt == "json":
-            doc = {"config": config, "rows": rows}
-            if verdict is not None:
-                doc["verdict"] = verdict
-            # dumps, unlike dump, runs the C encoder
-            stream.write(json.dumps(doc, sort_keys=True) + "\n")
-        else:
-            _write_csv(stream, header, rows)
-            if verdict is not None:
-                stream.write("#verdict=%s\n" % verdict)
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
+        with open(out, "w") as stream:
+            stream.write(text)
+    except OSError as exc:
+        raise click.FileError(out, exc.strerror) from exc
 
 
 def _parse_grid(grid):
@@ -59,26 +58,22 @@ def _parse_grid(grid):
     return lo, hi, bins
 
 
-def _prob_rows(ensemble, n, tau, big_l, reps, seed, workers):
+def _prob_columns(ensemble, n, tau, big_l, reps, seed, workers):
     probs = analytics.prob_table(ensemble, n, tau=tau, big_l=big_l)
-    ks = [k for k in range(n + 1) if probs[k] != 0.0 or (n - k) % 2 == 0]
-    rows = []
-    hist = None
+    ks = np.array([k for k in range(n + 1) if probs[k] != 0.0 or (n - k) % 2 == 0])
+    columns = {"k": ks, "p_exact": probs[ks]}
     if reps:
         hist = ensembles.simulate_real_counts(ensemble, n, reps, seed, tau=tau,
                                               big_l=big_l, workers=workers)
-    for k in ks:
-        row = {"k": k, "p_exact": float(probs[k])}
-        if reps:
-            p_hat = hist[k] / reps
-            # the exact p keeps the error finite for an outcome with no draws
-            var = max(p_hat * (1.0 - p_hat), probs[k] * (1.0 - probs[k]), 1e-300)
-            stderr = math.sqrt(var / reps)
-            row["p_hat"] = p_hat
-            row["stderr"] = stderr
-            row["z"] = (p_hat - probs[k]) / stderr if stderr > 0 else 0.0
-        rows.append(row)
-    return rows
+        p_exact = columns["p_exact"]
+        p_hat = hist[ks] / reps
+        # the exact p, and the floor, keep the error positive for an outcome
+        # with no draws
+        var = np.maximum(np.maximum(p_hat * (1.0 - p_hat), p_exact * (1.0 - p_exact)),
+                         1e-300)
+        stderr = np.sqrt(var / reps)
+        columns.update(p_hat=p_hat, stderr=stderr, z=(p_hat - p_exact) / stderr)
+    return columns
 
 
 common_options = [
@@ -116,38 +111,39 @@ def cli():
 @click.option("--reps", type=click.IntRange(min=0), default=0)
 def probs(ensemble, n, big_l, tau, seed, out, fmt, workers, reps):
     """Exact distribution of the number of real eigenvalues, optionally with MC."""
-    rows = _prob_rows(ensemble, n, tau, big_l, reps, seed, workers)
+    columns = _prob_columns(ensemble, n, tau, big_l, reps, seed, workers)
     config = {"command": "probs", "ensemble": ensemble, "n": n, "l": big_l,
               "tau": tau, "reps": reps, "seed": seed}
-    header = ["k", "p_exact"] + (["p_hat", "stderr", "z"] if reps else [])
-    _emit(out, fmt, config, header, rows)
+    _emit(out, fmt, config, columns)
 
 
 @cli.command()
 @_add_options(common_options)
 @click.option("--reps", type=click.IntRange(min=0), default=1)
 def sample(ensemble, n, big_l, tau, seed, out, fmt, workers, reps):
-    """Draw matrices and emit their classified eigenvalues."""
-    def stack_rows(first, mats):
-        eigs = np.linalg.eigvals(mats)
-        real, upper = ensembles.classify_spectra(eigs)
-        part = []
-        for i, row in enumerate(eigs):
-            draw = first + i
-            for lam in np.sort(row.real[real[i]]):
-                part.append({"draw": draw, "species": "r", "re": float(lam),
-                             "im": 0.0})
-            for w in sorted(row[upper[i]], key=lambda v: (v.real, v.imag)):
-                part.append({"draw": draw, "species": "c", "re": float(w.real),
-                             "im": float(w.imag)})
-        return part
+    """Draw matrices and emit their classified eigenvalues.
 
-    rows = [row for part in ensembles._run_stacks(ensemble, n, reps, seed, stack_rows,
-                                                  tau=tau, big_l=big_l, workers=workers)
-            for row in part]
+    Rows run draw by draw: the reals ascending, then the upper-half-plane
+    eigenvalues by (re, im).
+    """
+    def stack_columns(first, mats):
+        eigs, real, upper = ensembles.stack_spectra(mats)
+        keep = real | upper
+        draw = np.broadcast_to(np.arange(first, first + len(mats))[:, None],
+                               keep.shape)[keep]
+        pair = upper[keep]
+        re = eigs.real[keep]
+        im = np.where(pair, eigs.imag[keep], 0.0)
+        order = np.lexsort((im, re, pair, draw))
+        return draw[order], pair[order], re[order], im[order]
+
+    parts = ensembles._run_stacks(ensemble, n, reps, seed, stack_columns, tau=tau,
+                                  big_l=big_l, workers=workers)
+    draw, pair, re, im = [np.concatenate(c) for c in zip(*parts)] or [np.zeros(0)] * 4
     config = {"command": "sample", "ensemble": ensemble, "n": n, "l": big_l,
               "tau": tau, "reps": reps, "seed": seed}
-    _emit(out, fmt, config, ["draw", "species", "re", "im"], rows)
+    _emit(out, fmt, config, {"draw": draw, "species": np.where(pair, "c", "r"),
+                             "re": re, "im": im})
 
 
 @cli.command()
@@ -163,25 +159,18 @@ def density(ensemble, n, big_l, tau, seed, out, fmt, workers, grid, reps):
     width = (hi - lo) / bins
     # one call on the whole grid; the spherical density is a constant
     rho = np.broadcast_to(ens.density(n, tau, big_l, centers), centers.shape)
-    rows = []
-    emp = stderr = None
+    columns = {"x": centers, "rho": rho}
     if reps:
         vals = ensembles.simulate_real_eigenvalues(ensemble, n, reps, seed, tau=tau,
                                                    big_l=big_l, workers=workers)
         if ens.angles:
             vals = ensembles.boundary_angle(vals)
         hist, _ = np.histogram(vals, bins=edges)
-        emp = hist / (reps * width)
-        stderr = np.sqrt(np.maximum(hist, 1.0)) / (reps * width)
-    for i, x in enumerate(centers):
-        row = {"x": float(x), "rho": float(rho[i])}
-        if reps:
-            row["emp"] = float(emp[i])
-            row["stderr"] = float(stderr[i])
-        rows.append(row)
+        columns.update(emp=hist / (reps * width),
+                       stderr=np.sqrt(np.maximum(hist, 1.0)) / (reps * width))
     config = {"command": "density", "ensemble": ensemble, "n": n, "l": big_l,
               "tau": tau, "reps": reps, "seed": seed, "grid": grid}
-    _emit(out, fmt, config, ["x", "rho"] + (["emp", "stderr"] if reps else []), rows)
+    _emit(out, fmt, config, columns)
 
 
 @cli.command()
@@ -193,18 +182,13 @@ def density(ensemble, n, big_l, tau, seed, out, fmt, workers, grid, reps):
 def compare(ensemble, n, big_l, tau, seed, out, fmt, workers, reps, z_max,
             perturb_exact):
     """Compare exact probabilities against a Monte Carlo run; exit 2 on mismatch."""
-    rows = _prob_rows(ensemble, n, tau, big_l, reps, seed, workers)
-    worst = 0.0
-    for row in rows:
-        row["p_exact"] = row["p_exact"] + perturb_exact
-        if row["stderr"] > 0:
-            row["z"] = (row["p_hat"] - row["p_exact"]) / row["stderr"]
-        worst = max(worst, abs(row["z"]))
-    verdict = "pass" if worst <= z_max else "fail"
+    columns = _prob_columns(ensemble, n, tau, big_l, reps, seed, workers)
+    columns["p_exact"] = columns["p_exact"] + perturb_exact
+    columns["z"] = (columns["p_hat"] - columns["p_exact"]) / columns["stderr"]
+    verdict = "pass" if np.max(np.abs(columns["z"])) <= z_max else "fail"
     config = {"command": "compare", "ensemble": ensemble, "n": n, "l": big_l,
               "tau": tau, "reps": reps, "seed": seed, "z_max": z_max}
-    _emit(out, fmt, config, ["k", "p_exact", "p_hat", "stderr", "z"], rows,
-          verdict=verdict)
+    _emit(out, fmt, config, columns, verdict=verdict)
     if verdict == "fail":
         sys.exit(EXIT_COMPARE)
 

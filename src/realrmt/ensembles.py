@@ -126,8 +126,32 @@ def classify_spectrum(eigs, rel_tol=1e-9):
     return eigs.real[real[0]], eigs[upper[0]]
 
 
+def _symmetric(mats):
+    """Whether every matrix of the stack equals its transpose exactly."""
+    return np.array_equal(mats, mats.swapaxes(-1, -2))
+
+
+def stack_spectra(mats, rel_tol=1e-9):
+    """Eigenvalues of a stack of real matrices, with their (real, upper) masks.
+
+    Rows of eigs and of the masks are as in classify_spectra. An exactly
+    symmetric stack has only real eigenvalues: it goes to eigvalsh, and its
+    rows come in ascending order.
+    """
+    if _symmetric(mats):
+        eigs = np.linalg.eigvalsh(mats)
+        return eigs, np.ones(eigs.shape, dtype=bool), np.zeros(eigs.shape, dtype=bool)
+    eigs = np.linalg.eigvals(mats)
+    return (eigs,) + classify_spectra(eigs, rel_tol)
+
+
 def count_real_eigenvalues(mats, rel_tol=1e-9):
-    """Number of real eigenvalues for each matrix in a stacked array."""
+    """Number of real eigenvalues for each matrix in a stacked array.
+
+    An exactly symmetric stack needs no eigensolve: each of its n eigenvalues is real.
+    """
+    if _symmetric(mats):
+        return np.full(mats.shape[:-2], mats.shape[-1])
     return np.sum(classify_spectra(np.linalg.eigvals(mats), rel_tol)[0], axis=-1)
 
 
@@ -171,7 +195,6 @@ class Ensemble:
     param_range: tuple = ()  # the open interval its value must lie in
     max_table: float = math.inf
     even_density: bool = False  # the real density is given at even order only
-    all_real: bool = False  # symmetric: every eigenvalue is real
     angles: bool = False  # real eigenvalues are binned as boundary angles
 
 
@@ -180,7 +203,7 @@ ENSEMBLES = {
     "goe": Ensemble(
         sample=lambda n, rng, tau, big_l, size: sample_goe(n, rng, size=size),
         density=lambda n, tau, big_l, x: kernels.goe_density(n, x),
-        even_density=True, all_real=True),
+        even_density=True),
     "ginibre": Ensemble(
         sample=lambda n, rng, tau, big_l, size: sample_ginibre(n, rng, size=size),
         density=lambda n, tau, big_l, x: kernels.ginibre_density_real(n, x),
@@ -280,10 +303,8 @@ def simulate_real_counts(ensemble, n, reps, seed, tau=None, big_l=None, workers=
 def simulate_real_eigenvalues(ensemble, n, reps, seed, tau=None, big_l=None, workers=1):
     """All real eigenvalues pooled over reps draws, in draw order."""
     def reals(first, mats):
-        if ENSEMBLES[ensemble].all_real:
-            return np.linalg.eigvalsh(mats).ravel()
-        eigs = np.linalg.eigvals(mats)
-        return eigs.real[classify_spectra(eigs)[0]]
+        eigs, real, _ = stack_spectra(mats)
+        return eigs.real[real]
 
     parts = _run_stacks(ensemble, n, reps, seed, reals, tau=tau, big_l=big_l,
                         workers=workers)

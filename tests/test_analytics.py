@@ -228,14 +228,20 @@ def _trunc_alpha_reference(fam, big_l):
     out = np.zeros((len(evens), len(odds)))
     for j, fc in enumerate(evens):
         for l, gc in enumerate(odds):
+            g = lambda y, gc=gc: sopoly.eval_poly(gc, y)
+            total = integrate.quad(g, -1.0, 1.0, weight="alg", wvar=(a, a), **tol)[0]
+
             def sgn_integral(x):
-                # integral of sgn(y - x) w(y) g(y) over (-1, 1), w(y) = cw (1 - y^2)^a
-                g = lambda y: sopoly.eval_poly(gc, y)
+                # integral of sgn(y - x) w(y) g(y) over (-1, 1), w(y) = cw (1 - y^2)^a,
+                # from the one-sided integral over the half away from x's end:
+                # its integrand then keeps the far end's factor (1 -+ y)^a bounded
+                if x <= 0.0:
+                    below = integrate.quad(lambda y: (1.0 - y) ** a * g(y), -1.0, x,
+                                           weight="alg", wvar=(a, 0.0), **tol)[0]
+                    return cw * (total - 2.0 * below)
                 above = integrate.quad(lambda y: (1.0 + y) ** a * g(y), x, 1.0,
                                        weight="alg", wvar=(0.0, a), **tol)[0]
-                below = integrate.quad(lambda y: (1.0 - y) ** a * g(y), -1.0, x,
-                                       weight="alg", wvar=(a, 0.0), **tol)[0]
-                return cw * (above - below)
+                return cw * (2.0 * above - total)
 
             out[j, l] = integrate.quad(
                 lambda x: cw * sopoly.eval_poly(fc, x) * sgn_integral(x), -1.0, 1.0,

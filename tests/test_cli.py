@@ -87,39 +87,74 @@ def test_sample_is_deterministic():
         assert total == 3
 
 
-def _sample_reference_csv(ensemble, n, reps, seed, tau=None, big_l=None):
-    """The sample command's CSV, from one sample_matrix call per draw."""
-    lines = ["#schema=real-rmt/v1", "draw,species,re,im"]
+def _sample_reference_rows(ensemble, n, reps, seed, tau=None, big_l=None):
+    """The sample command's rows, from one sample_matrix call per draw."""
+    rows = []
     for draw in range(reps):
         if draw % ensembles.CHUNK == 0:
             rng = ensembles.rng_for(seed, draw // ensembles.CHUNK)
         mat = ensembles.sample_matrix(ensemble, n, rng, tau=tau, big_l=big_l)
         reals, upper = ensembles.classify_spectrum(np.linalg.eigvals(mat))
-        lines += ["%d,r,%.15g,0" % (draw, lam) for lam in np.sort(reals)]
-        lines += ["%d,c,%.15g,%.15g" % (draw, w.real, w.imag)
-                  for w in sorted(upper, key=lambda v: (v.real, v.imag))]
-    return "\n".join(lines)
+        rows += [{"draw": draw, "species": "r", "re": float(lam), "im": 0.0}
+                 for lam in np.sort(reals)]
+        rows += [{"draw": draw, "species": "c", "re": float(w.real), "im": float(w.imag)}
+                 for w in sorted(upper, key=lambda v: (v.real, v.imag))]
+    return rows
 
 
-@pytest.mark.parametrize("ensemble,n,tau,big_l", [
-    ("partial", 4, 0.5, None),
-    ("truncated", 3, None, 2),
-])
-def test_sample_prints_the_per_draw_reference(ensemble, n, tau, big_l):
-    # 1100 draws: two chunks, and stacks that end mid-chunk
-    args = ["sample", "--ensemble", ensemble, "--n", str(n), "--reps", "1100",
-            "--seed", "13"]
+def _sample_args(ensemble, n, reps, seed, tau, big_l):
+    args = ["sample", "--ensemble", ensemble, "--n", str(n), "--reps", str(reps),
+            "--seed", str(seed)]
     args += ["--tau", repr(tau)] if tau is not None else []
     args += ["--l", str(big_l)] if big_l is not None else []
-    res = run_cli(*args)
+    return args
+
+
+SAMPLE_CELLS = [("partial", 4, 0.5, None), ("truncated", 3, None, 2),
+                ("ginibre", 5, None, None), ("spherical", 4, None, None)]
+
+
+@pytest.mark.parametrize("ensemble,n,tau,big_l", SAMPLE_CELLS)
+def test_sample_prints_the_per_draw_reference(ensemble, n, tau, big_l):
+    # 1100 draws: two chunks, and stacks that end mid-chunk
+    res = run_cli(*_sample_args(ensemble, n, 1100, 13, tau, big_l))
     assert res.returncode == 0
     got = res.stdout.splitlines()
-    want = _sample_reference_csv(ensemble, n, 1100, 13, tau, big_l).splitlines()
+    want = ["#schema=real-rmt/v1", "draw,species,re,im"] + [
+        "%d,%s,%.15g,%.15g" % (r["draw"], r["species"], r["re"], r["im"])
+        for r in _sample_reference_rows(ensemble, n, 1100, 13, tau, big_l)]
     # the first differing line, rather than a diff of some 4000 lines
     diff = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]),
                 None)
     assert diff is None and len(got) == len(want), (diff, len(got), len(want))
     assert res.stdout.endswith("\n")
+
+
+@pytest.mark.parametrize("ensemble,n,tau,big_l", SAMPLE_CELLS)
+def test_sample_json_prints_the_per_draw_reference(ensemble, n, tau, big_l):
+    res = run_cli(*_sample_args(ensemble, n, 300, 17, tau, big_l), "--format", "json")
+    assert res.returncode == 0
+    config = {"command": "sample", "ensemble": ensemble, "n": n, "l": big_l,
+              "tau": tau, "reps": 300, "seed": 17}
+    doc = {"config": config,
+           "rows": _sample_reference_rows(ensemble, n, 300, 17, tau, big_l)}
+    assert res.stdout == json.dumps(doc, sort_keys=True) + "\n"
+
+
+def test_goe_sample_matches_the_general_eigensolver():
+    # the symmetric eigensolver may differ from eigvals in the last bits
+    res = run_cli(*_sample_args("goe", 6, 1100, 13, None, None))
+    assert res.returncode == 0
+    _, rows = _parse_csv(res.stdout)
+    want = _sample_reference_rows("goe", 6, 1100, 13)
+    assert len(rows) == len(want)
+    assert [(int(r["draw"]), r["species"]) for r in rows] == [
+        (r["draw"], r["species"]) for r in want]
+    for draw in range(1100):
+        got = [(float(r["re"]), float(r["im"])) for r in rows[6 * draw: 6 * draw + 6]]
+        ref = [(r["re"], r["im"]) for r in want[6 * draw: 6 * draw + 6]]
+        scale = max(abs(re) for re, _ in ref)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * scale)
 
 
 def test_density_grid_values():
@@ -262,3 +297,12 @@ def test_compare_fails_on_perturbed_exact_values():
                   "--reps", "5000", "--seed", "3", "--perturb-exact", "0.05")
     assert res.returncode == 2
     assert "#verdict=fail" in res.stdout
+
+
+def test_unwritable_out_path_exits_with_config_error(tmp_path):
+    target = tmp_path / "missing" / "x.csv"
+    res = run_cli("probs", "--ensemble", "ginibre", "--n", "4", "--out", str(target))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr
+    assert res.stderr.startswith("Error: ") and len(res.stderr.splitlines()) == 1

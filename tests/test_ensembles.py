@@ -108,6 +108,38 @@ def test_simulate_eigenvalues_pools_reals():
     assert len(vals) == 150  # symmetric matrices: all eigenvalues real
 
 
+def _no_eigvals(mats):
+    raise AssertionError("general eigensolver called")
+
+
+def test_symmetric_stack_counts_without_an_eigensolve(monkeypatch):
+    mats = ensembles.sample_goe(5, ensembles.rng_for(3, 0), size=40)
+    perturbed = mats.copy()
+    perturbed[7, 0, 1] += 1e-3
+    monkeypatch.setattr(np.linalg, "eigvals", _no_eigvals)
+    np.testing.assert_array_equal(ensembles.count_real_eigenvalues(mats), [5] * 40)
+    with pytest.raises(AssertionError, match="general eigensolver"):
+        ensembles.count_real_eigenvalues(perturbed)
+
+
+def test_symmetric_shortcut_keeps_seeded_goe_counts(monkeypatch):
+    fast = ensembles.simulate_real_counts("goe", 6, 1300, 5)
+    np.testing.assert_array_equal(fast, [0] * 6 + [1300])
+    # the same draws through the general eigensolver and the classification
+    monkeypatch.setattr(ensembles, "_symmetric", lambda mats: False)
+    np.testing.assert_array_equal(ensembles.simulate_real_counts("goe", 6, 1300, 5), fast)
+
+
+def test_stack_spectra_of_a_symmetric_stack_are_real_and_ascending():
+    mats = ensembles.sample_goe(4, ensembles.rng_for(2, 0), size=30)
+    eigs, real, upper = ensembles.stack_spectra(mats)
+    assert real.all() and not upper.any()
+    np.testing.assert_array_equal(eigs, np.sort(eigs, axis=1))
+    general = np.sort(np.linalg.eigvals(mats).real, axis=1)
+    np.testing.assert_allclose(eigs, general, rtol=0,
+                               atol=1e-12 * np.max(np.abs(general)))
+
+
 def test_sample_matrix_dispatch():
     rng = ensembles.rng_for(0, 0)
     assert ensembles.sample_matrix("goe", 3, rng).shape == (3, 3)

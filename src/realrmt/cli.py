@@ -2,6 +2,7 @@
 
 import json
 import sys
+from itertools import chain
 
 import click
 import numpy as np
@@ -16,25 +17,41 @@ EXIT_COMPARE = 2
 EXIT_NUMERIC = 3
 
 
+def _json_column(a):
+    """(%-spec, values) that print column a as json.dumps does."""
+    values = a.tolist()
+    if a.dtype.kind in "iu" or (a.dtype.kind == "f" and np.isfinite(a).all()):
+        return "%r", values
+    # strings, bools and non-finite floats: encode each distinct value once
+    text = {v: json.dumps(v) for v in dict.fromkeys(values)}
+    return "%s", list(map(text.__getitem__, values))
+
+
 def _emit(out, fmt, config, columns, verdict=None):
     """Write columns (name -> values, in order) to the path out ("-": stdout).
 
-    CSV has one line per row: float columns as %.15g, the others as %s.
-    JSON has one object per row under "rows".
+    Every row goes through one %-format built once per call. CSV prints float
+    columns as %.15g and the others as %s. JSON prints one object per row
+    under "rows", with the bytes of json.dumps(..., sort_keys=True).
     """
-    arrays = [np.asarray(v) for v in columns.values()]
-    values = [a.tolist() for a in arrays]
     if fmt == "json":
-        doc = {"config": config,
-               "rows": [dict(zip(columns, row)) for row in zip(*values)]}
-        if verdict is not None:
-            doc["verdict"] = verdict
-        # dumps, unlike dump, runs the C encoder
-        text = json.dumps(doc, sort_keys=True) + "\n"
+        names = sorted(columns)
+        specs, values = zip(*(_json_column(np.asarray(columns[k])) for k in names))
+        row = "{%s}" % ", ".join("%s: %s" % (json.dumps(k).replace("%", "%%"), spec)
+                                 for k, spec in zip(names, specs))
+        sep = ", "
     else:
-        line = ",".join("%.15g" if a.dtype.kind == "f" else "%s" for a in arrays) + "\n"
-        text = "%s\n%s\n%s" % (SCHEMA, ",".join(columns),
-                                 "".join(line % row for row in zip(*values)))
+        arrays = [np.asarray(v) for v in columns.values()]
+        row = ",".join("%.15g" if a.dtype.kind == "f" else "%s" for a in arrays) + "\n"
+        values = [a.tolist() for a in arrays]
+        sep = ""
+    body = sep.join([row] * len(values[0])) % tuple(chain.from_iterable(zip(*values)))
+    if fmt == "json":
+        text = '{"config": %s, "rows": [%s]%s}\n' % (
+            json.dumps(config, sort_keys=True), body,
+            "" if verdict is None else ', "verdict": %s' % json.dumps(verdict))
+    else:
+        text = "%s\n%s\n%s" % (SCHEMA, ",".join(columns), body)
         if verdict is not None:
             text += "#verdict=%s\n" % verdict
     if out in (None, "-"):
@@ -58,7 +75,8 @@ def _parse_grid(grid):
     return lo, hi, bins
 
 
-def _prob_columns(ensemble, n, tau, big_l, reps, seed, workers):
+def _prob_rows(ensemble, n, tau, big_l, reps, seed, workers):
+    """Columns k, p_exact and, with reps, p_hat, stderr and z."""
     probs = analytics.prob_table(ensemble, n, tau=tau, big_l=big_l)
     ks = np.array([k for k in range(n + 1) if probs[k] != 0.0 or (n - k) % 2 == 0])
     columns = {"k": ks, "p_exact": probs[ks]}
@@ -111,7 +129,7 @@ def cli():
 @click.option("--reps", type=click.IntRange(min=0), default=0)
 def probs(ensemble, n, big_l, tau, seed, out, fmt, workers, reps):
     """Exact distribution of the number of real eigenvalues, optionally with MC."""
-    columns = _prob_columns(ensemble, n, tau, big_l, reps, seed, workers)
+    columns = _prob_rows(ensemble, n, tau, big_l, reps, seed, workers)
     config = {"command": "probs", "ensemble": ensemble, "n": n, "l": big_l,
               "tau": tau, "reps": reps, "seed": seed}
     _emit(out, fmt, config, columns)
@@ -182,7 +200,7 @@ def density(ensemble, n, big_l, tau, seed, out, fmt, workers, grid, reps):
 def compare(ensemble, n, big_l, tau, seed, out, fmt, workers, reps, z_max,
             perturb_exact):
     """Compare exact probabilities against a Monte Carlo run; exit 2 on mismatch."""
-    columns = _prob_columns(ensemble, n, tau, big_l, reps, seed, workers)
+    columns = _prob_rows(ensemble, n, tau, big_l, reps, seed, workers)
     columns["p_exact"] = columns["p_exact"] + perturb_exact
     columns["z"] = (columns["p_hat"] - columns["p_exact"]) / columns["stderr"]
     verdict = "pass" if np.max(np.abs(columns["z"])) <= z_max else "fail"

@@ -131,7 +131,7 @@ def _symmetric(mats):
     return np.array_equal(mats, mats.swapaxes(-1, -2))
 
 
-def stack_spectra(mats, rel_tol=1e-9):
+def stack_spectra(mats):
     """Eigenvalues of a stack of real matrices, with their (real, upper) masks.
 
     Rows of eigs and of the masks are as in classify_spectra. An exactly
@@ -142,7 +142,7 @@ def stack_spectra(mats, rel_tol=1e-9):
         eigs = np.linalg.eigvalsh(mats)
         return eigs, np.ones(eigs.shape, dtype=bool), np.zeros(eigs.shape, dtype=bool)
     eigs = np.linalg.eigvals(mats)
-    return (eigs,) + classify_spectra(eigs, rel_tol)
+    return (eigs,) + classify_spectra(eigs)
 
 
 def count_real_eigenvalues(mats, rel_tol=1e-9):

@@ -141,6 +141,26 @@ def test_sample_json_prints_the_per_draw_reference(ensemble, n, tau, big_l):
     assert res.stdout == json.dumps(doc, sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("verdict", [None, "fail"])
+def test_emit_json_is_the_json_dumps_document(capsys, verdict):
+    columns = {"z": np.array([1.5, -0.0, np.nan, np.inf, -np.inf, 1e-300]),
+               "k": np.arange(6),
+               "name": np.array(["r", 'q"uote', "back\\slash", "é", "50%", ""]),
+               "ok": np.array([True, False] * 3),
+               "x": np.array([0.1, 2.0, -3e20, 7.0, 1 / 3, 5e-324])}
+    config = {"command": "test", "n": 6, "tau": None, "grid": "0:1:2"}
+    cli._emit("-", "json", config, columns, verdict)
+    doc = {"config": config,
+           "rows": [dict(zip(columns, row))
+                    for row in zip(*(v.tolist() for v in columns.values()))]}
+    if verdict is not None:
+        doc["verdict"] = verdict
+    assert capsys.readouterr().out == json.dumps(doc, sort_keys=True) + "\n"
+    cli._emit("-", "json", config, {"k": np.zeros(0, dtype=int), "x": np.zeros(0)})
+    assert capsys.readouterr().out == json.dumps({"config": config, "rows": []},
+                                                 sort_keys=True) + "\n"
+
+
 def test_goe_sample_matches_the_general_eigensolver():
     # the symmetric eigensolver may differ from eigvals in the last bits
     res = run_cli(*_sample_args("goe", 6, 1100, 13, None, None))

@@ -4,10 +4,9 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy import special as sp
 
 from . import ensembles, sopoly
-from .specfun import hyp2f1, log_vol_orthogonal
+from .specfun import half_beta, hyp2f1, log_vol_orthogonal
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +53,7 @@ def _trunc_sign_table(m, big_l):
     cw2 = sopoly._trunc_cw(big_l) ** 2
     return _sign_table(m, lambda a: (a - 1.0) / (big_l + a - 1.0),
                        lambda a: cw2 / (big_l + a - 1.0),
-                       lambda k: 0.0 if k % 2 else sp.beta((k + 1) / 2.0, big_l))
+                       lambda k: 0.0 if k % 2 else half_beta(k + 1, 2 * big_l))
 
 
 def _gf_probs(family, sgn, moments):
@@ -178,8 +177,8 @@ def partial_beta(j, l, tau):
         for t in range(2 * l):
             if (s + t) % 2 == 0:
                 continue
-            total += ((-1.0) ** t * sp.comb(2 * j - 2, s, exact=True)
-                      * sp.comb(2 * l - 1, t, exact=True)
+            total += ((-1.0) ** t * math.comb(2 * j - 2, s)
+                      * math.comb(2 * l - 1, t)
                       * math.gamma(j + l - 1.0 - (s + t) / 2.0)
                       * _partial_i(s + t, tau))
     return -4.0 * total
@@ -266,7 +265,7 @@ def truncated_theta(coeffs, big_l):
     total = 0.0
     for m, c in enumerate(np.asarray(coeffs)):
         if c != 0.0 and m % 2 == 0:
-            total += c * sp.beta((m + 1) / 2.0, big_l / 2.0)
+            total += c * half_beta(m + 1, big_l)
     return cw * total
 
 

@@ -1,14 +1,14 @@
 """Correlation kernels, eigenvalue densities and their scaling limits."""
 
+import functools
 import math
 
 import numpy as np
 from numpy.polynomial import polynomial as P
-from scipy import special as sp
 
 from . import pfaffian, sopoly
 from .sopoly import trunc_omega_real, trunc_omega_sq_complex
-from .specfun import upper_gamma_regularized
+from .specfun import sp, upper_beta_regularized, upper_gamma_regularized
 
 C2PI = 1.0 / sopoly.SQRT2PI
 
@@ -26,29 +26,20 @@ def _hermite_vals(n, x):
     return out[: n + 1]
 
 
-def _gauss_lower_moment(m, x):
-    """Integral of t^m e^{-t^2/2} from -infinity to x (vectorized in m and x)."""
-    m = np.asarray(m)
-    a = (m + 1) / 2.0
-    half = 2.0 ** (a - 1.0) * sp.gamma(a)
-    inc = sp.gammainc(a, np.square(x) / 2.0)
-    return np.where(m % 2 == 0, half + np.sign(x) * half * inc, -half * (1.0 - inc))
-
-
-def _phi(coeffs, moment, y):
+def _phi(coeffs, moments, y):
     """(1/2) integral of sgn(y - t) w(t) p(t) dt for each polynomial p.
 
     coeffs holds ascending-power coefficients, one polynomial per row (or one
-    1-d polynomial); moment(m, y) is the integral of t^m w(t) up to y,
-    vectorized in m and y, and moment(m, inf) the integral over the support.
-    The result has shape coeffs.shape[:-1] + y.shape.
+    1-d polynomial); moments(count, y) gives the integrals of t^m w(t) up to
+    y for m < count, one row per m (at a float y, it may take a faster scalar
+    path), and moments(count, inf) those over the support. The result has
+    shape coeffs.shape[:-1] + y.shape.
     """
     y = np.asarray(y, dtype=float)
-    shape = np.shape(coeffs)[:-1] + y.shape
-    coeffs = np.reshape(coeffs, (-1, np.shape(coeffs)[-1]))
-    degs = np.flatnonzero(np.any(coeffs, axis=0))
-    table = moment(degs[:, None], np.append(y, np.inf))
-    return (coeffs[:, degs] @ (table[:, :-1] - 0.5 * table[:, -1:])).reshape(shape)
+    count = np.shape(coeffs)[-1]
+    table = (np.reshape(moments(count, y.ravel() if y.ndim else float(y)), (count, -1))
+             - 0.5 * np.reshape(moments(count, math.inf), (count, 1)))
+    return (np.reshape(coeffs, (-1, count)) @ table).reshape(np.shape(coeffs)[:-1] + y.shape)
 
 
 class _PairSumKernel:
@@ -67,21 +58,22 @@ class _PairSumKernel:
     unpaired: every other p_j loses (nu_j / nu_{n-1}) p_{n-1}, nu_j being the
     integral of q_j, S gains q_{n-1}(y) / nu_{n-1} and I~ gains
     (Phi_{n-1}(x) - Phi_{n-1}(y)) / nu_{n-1} (Sinclair, J. Stat. Phys. 136,
-    2009). The family is built once, by the caller. The *_xy methods take
-    values (vectorized); s, d and itilde take (species, value) points.
+    2009). The family is built once, by the caller. moments is as for _phi.
+    The *_xy methods take values (vectorized); s, d and itilde take
+    (species, value) points.
     """
 
-    def __init__(self, family, weight, moment, factor):
+    def __init__(self, family, weight, moments, factor):
         n = self.n = len(family)
         coeffs = family.matrix()
         self._unpaired = 0.0  # 1 / nu_{n-1} at odd n
         if n % 2:
-            nu = coeffs @ moment(np.arange(n), np.inf)
+            nu = coeffs @ moments(n, np.inf)
             coeffs[:-1] -= np.outer(nu[:-1] / nu[-1], coeffs[-1])
             self._unpaired = 1.0 / nu[-1]
         self._coeffs = coeffs
         self._weight = weight
-        self._moment = moment
+        self._moments = moments
         self._scale = factor / family.norms[: n // 2]
 
     def _q(self, t):
@@ -95,15 +87,15 @@ class _PairSumKernel:
 
     def s_xy(self, x, y):
         q_y = self._q(y)
-        return (self._pairs(_phi(self._coeffs, self._moment, x), q_y)
+        return (self._pairs(_phi(self._coeffs, self._moments, x), q_y)
                 + self._unpaired * q_y[-1])
 
     def d_xy(self, x, y):
         return self._pairs(self._q(x), self._q(y))
 
     def itilde_xy(self, x, y):
-        phi_x = _phi(self._coeffs, self._moment, x)
-        phi_y = _phi(self._coeffs, self._moment, y)
+        phi_x = _phi(self._coeffs, self._moments, x)
+        phi_y = _phi(self._coeffs, self._moments, y)
         return (-self._pairs(phi_x, phi_y) - 0.5 * np.sign(x - y)
                 + self._unpaired * (phi_x[-1] - phi_y[-1]))
 
@@ -123,7 +115,7 @@ class _PairSumKernel:
 
 def goe_phi(k, x):
     """One-sided Gaussian integral of the k-th skew polynomial."""
-    return _phi(sopoly.goe_family(k + 1).coeffs[k], _gauss_lower_moment, x)
+    return _phi(sopoly.goe_family(k + 1).coeffs[k], sopoly._gauss_lower_moments, x)
 
 
 def goe_s(n, x, y):
@@ -167,7 +159,7 @@ class GOEKernel(_PairSumKernel):
 
     def __init__(self, n):
         super().__init__(sopoly.goe_family(n), lambda t: np.exp(-t * t / 2.0),
-                         _gauss_lower_moment, 1.0)
+                         sopoly._gauss_lower_moments, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -177,20 +169,19 @@ class GOEKernel(_PairSumKernel):
 def _gin_tail(n, w, y):
     """Finite-size summand of S at points w (any species) and y (real).
 
-    It is sgn(y)^(n-1) P((n-1)/2, y^2/2) w^(n-1) e^(-w^2/2) times
-    2^((n-3)/2) Gamma((n-1)/2) / Gamma(n-1). At n = 1 that product tends to
-    1, leaving e^(-w^2/2).
+    It is sgn(y)^(n-1) w^(n-1) e^(-w^2/2) / Gamma(n-1) times the integral of
+    t^(n-2) e^(-t^2/2) over [0, |y|]. At n = 1 the product tends to 1,
+    leaving e^(-w^2/2).
     """
     if n == 1:
         return np.exp(-w * w / 2.0)
-    lead = ((n - 3.0) / 2.0 * math.log(2.0) + math.lgamma((n - 1.0) / 2.0)
-            - math.lgamma(n - 1.0))
-    inc = sp.gammainc((n - 1.0) / 2.0, y * y / 2.0)
-    return inc * (np.copysign(1.0, y) * w) ** (n - 1) * np.exp(lead - w * w / 2.0)
+    part = sopoly._gauss_moment_chain(n - 2, abs(y), from_zero=True)[-1]
+    return (part * (np.copysign(1.0, y) * w) ** (n - 1)
+            * np.exp(-w * w / 2.0 - math.lgamma(n - 1.0)))
 
 
 def _rt_erfc(w):
-    return math.sqrt(sp.erfc(math.sqrt(2.0) * abs(w.imag)))
+    return math.sqrt(math.erfc(math.sqrt(2.0) * abs(w.imag)))
 
 
 def ginibre_srr(n, x, y):
@@ -241,22 +232,23 @@ def ginibre_dcc(n, w, z):
 
 def ginibre_irr(n, x, y):
     """Real-real kernel element I~."""
-    def phi(m, b):
-        # (1/2) integral of sgn(b - t) t^m e^{-t^2/2} dt, m even
-        return (math.copysign(0.5, b) * sopoly._gauss_moment(m)
-                * sp.gammainc((m + 1) / 2.0, b * b / 2.0))
-
+    # at even m, phi_m(b) = (1/2) integral of sgn(b - t) t^m e^{-t^2/2} dt is
+    # M_m(b) - nu_m / 2 for the lower Gaussian moments M and nu_m = M_m(inf)
+    top = 2 * ((n - 1) // 2)
+    nu = sopoly._gauss_moment_chain(top, math.inf)
+    phi_x, phi_y = ([mb - v / 2.0 for mb, v in zip(sopoly._gauss_moment_chain(top, b), nu)]
+                    for b in (x, y))
     # at odd n each even monomial is skew-orthogonalised against the unpaired
     # x^(n-1), which adds (phi_{n-1}(x) - phi_{n-1}(y)) / nu_{n-1} to I~
     s_x = s_y = 0.0
     if n % 2:
-        s_x, s_y = (phi(n - 1, b) / sopoly._gauss_moment(n - 1) for b in (x, y))
+        s_x, s_y = phi_x[-1] / nu[-1], phi_y[-1] / nu[-1]
     w_x, w_y = math.exp(-x * x / 2.0), math.exp(-y * y / 2.0)
     total = 0.0
-    for m in range(0, n - 1, 2):
-        nu = sopoly._gauss_moment(m) if n % 2 else 0.0
-        total += (w_y * y ** m * (phi(m, x) - nu * s_x)
-                  - w_x * x ** m * (phi(m, y) - nu * s_y)) / math.gamma(m + 1)
+    for k, m in enumerate(range(0, n - 1, 2)):
+        nu_m = nu[k] if n % 2 else 0.0
+        total += (w_y * y ** m * (phi_x[k] - nu_m * s_x)
+                  - w_x * x ** m * (phi_y[k] - nu_m * s_y)) / math.gamma(m + 1)
     return C2PI * total + s_x - s_y - 0.5 * np.sign(x - y)
 
 
@@ -279,7 +271,7 @@ def ginibre_icc(n, w, z):
 def ginibre_density_real(n, x):
     """Density of real eigenvalues for the real Ginibre ensemble (vectorized in x)."""
     x = np.asarray(x, dtype=float)
-    q = sp.gammaincc(n - 1, x * x) if n > 1 else 0.0  # Q(0, .) = 0
+    q = upper_gamma_regularized(n - 1, x * x) if n > 1 else 0.0  # Q(0, .) = 0
     return C2PI * (q + _gin_tail(n, x, x))
 
 
@@ -296,7 +288,7 @@ def ginibre_bulk_block_rr(x, y):
     s = C2PI * math.exp(-d * d / 2.0)
     return np.array([
         [s, d * s],
-        [0.5 * np.sign(d) * sp.erfc(abs(d) / math.sqrt(2.0)), s]])
+        [0.5 * np.sign(d) * math.erfc(abs(d) / math.sqrt(2.0)), s]])
 
 
 def ginibre_bulk_scc(w1, w2):
@@ -309,9 +301,9 @@ def ginibre_bulk_scc(w1, w2):
 def ginibre_edge_srr(u, x, y):
     """Edge-scaled real-real S element at the spectrum edge u = +/- 1."""
     return C2PI * (math.exp(-(x - y) ** 2 / 2.0) / 2.0
-                   * sp.erfc(u * (x + y) / math.sqrt(2.0))
+                   * math.erfc(u * (x + y) / math.sqrt(2.0))
                    + math.exp(-x * x) / (2.0 * math.sqrt(2.0))
-                   * (1.0 + sp.erf(u * y)))
+                   * (1.0 + math.erf(u * y)))
 
 
 def circular_law_density():
@@ -365,10 +357,9 @@ class PartialKernel(_PairSumKernel):
 
     def __init__(self, n, tau):
         c = 1.0 + tau
-        rt = math.sqrt(c)
         super().__init__(sopoly.partial_family(n, tau),
                          lambda t: np.exp(-t * t / (2.0 * c)),
-                         lambda m, y: rt ** (m + 1) * _gauss_lower_moment(m, y / rt), 2.0)
+                         lambda count, y: sopoly._gauss_lower_moments(count, y, c), 2.0)
 
 
 def partial_srr(n, tau, x, y):
@@ -416,8 +407,8 @@ def crossover_scc(alpha, w1, w2, nodes=400):
     """Weak-asymmetry crossover limit of the scaled complex-complex S element."""
     tt, ww = sopoly._gl_nodes(0.0, 1.0, np.polynomial.legendre.leggauss(nodes))
     v1, v2 = abs(np.imag(w1)), abs(np.imag(w2))
-    pref = 1j * math.pi * math.sqrt(sp.erfc(math.pi * v1 / alpha)
-                                    * sp.erfc(math.pi * v2 / alpha))
+    pref = 1j * math.pi * math.sqrt(math.erfc(math.pi * v1 / alpha)
+                                    * math.erfc(math.pi * v2 / alpha))
     arg = math.pi * (np.conj(w1) - w2)
     return pref * np.sum(ww * tt * np.exp(-alpha ** 2 * tt ** 2) * np.sin(arg * tt))
 
@@ -542,13 +533,6 @@ def truncated_d(m, big_l, mu, eta, species=("r", "r")):
     return 2.0 * omega(mu, species[0]) * omega(eta, species[1]) * (eta - mu) * total
 
 
-def _trunc_moment(big_l):
-    """Integral of t^m omega(t) from -1 to y for the real truncated weight omega
-    (vectorized in m and y)."""
-    cw = sopoly._trunc_cw(big_l)
-    return lambda m, y: cw * sopoly._trunc_moment_antiderivative(big_l, m, y)
-
-
 def truncated_srr(m, big_l, x, y):
     """Real-real kernel element S for the truncated ensemble. Like ginibre_srr
     it carries the weight of x: it is TruncatedKernel's S transposed."""
@@ -560,9 +544,9 @@ def truncated_density_real(m, big_l, x):
     (vectorized in x)."""
     fam = sopoly.truncated_family(m, big_l)
     r_last = fam.norms[m // 2 - 1]
-    phi = _phi(fam.coeffs[m - 2], _trunc_moment(big_l), x)
+    phi = _phi(fam.coeffs[m - 2], functools.partial(sopoly._trunc_moments, big_l), x)
     first = 2.0 * trunc_omega_real(big_l, x) / r_last * x ** (m - 1) * phi
-    tail = 1.0 - sp.betainc(m - 1.0, float(big_l), x * x)
+    tail = upper_beta_regularized(m - 1, big_l, x * x)
     second = sopoly._gamma_ratio(big_l) * tail / (1.0 - x * x)
     return first + second
 
@@ -570,7 +554,7 @@ def truncated_density_real(m, big_l, x):
 def truncated_density_complex(m, big_l, z):
     """Density of complex eigenvalues for the truncated ensemble."""
     r2 = abs(z) ** 2
-    tail_beta = 1.0 - sp.betainc(m - 1.0, big_l + 1.0, r2)
+    tail_beta = upper_beta_regularized(m - 1, big_l + 1, r2)
     return (4.0 * abs(z.imag) * trunc_omega_sq_complex(big_l, z)
             * (1.0 - r2) ** (-(big_l + 1.0)) * tail_beta)
 
@@ -615,7 +599,8 @@ class TruncatedKernel(_PairSumKernel):
 
     def __init__(self, m, big_l):
         super().__init__(sopoly.truncated_family(m, big_l),
-                         lambda t: trunc_omega_real(big_l, t), _trunc_moment(big_l), 2.0)
+                         lambda t: trunc_omega_real(big_l, t),
+                         functools.partial(sopoly._trunc_moments, big_l), 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,8 @@ import math
 
 import numpy as np
 from numpy.polynomial import polynomial as P
-from scipy import special as sp
 
-from .specfun import double_factorial
+from .specfun import double_factorial, sp
 
 SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -145,6 +144,54 @@ def _gauss_moment(m, c=1.0):
     return double_factorial(m - 1) * math.sqrt(2.0 * math.pi * c) * c ** (m // 2)
 
 
+def _gauss_moment_chain(m, x, c=1.0, from_zero=False):
+    """[M_{m mod 2}(x), M_{m mod 2 + 2}(x), ..., M_m(x)], M_j(x) the integral of
+    t^j e^{-t^2/(2c)} from -infinity (from 0 if from_zero) to x: floats at a
+    float x, arrays at a numpy array x.
+
+    By parts, M_j = c ((j-1) M_{j-2} - x^(j-1) e^{-x^2/(2c)}), from
+    M_0 = sqrt(pi c/2) erfc(-x/sqrt(2c)) or M_1 = -c e^{-x^2/(2c)}; from 0,
+    M_0 = sqrt(pi c/2) erf(x/sqrt(2c)) and M_1 = c (1 - e^{-x^2/(2c)}). From
+    -infinity, at x < 0 both terms have the sign of M_j; at x > 0 they do at
+    odd j, and at even j the result is at least half the first term. At
+    x = +-inf the power term is 0.
+    """
+    odd = m % 2
+    start, sign = (math.erf, 1.0) if from_zero else (math.erfc, -1.0)
+    if isinstance(x, np.ndarray):
+        w = np.exp(-x * x / (2.0 * c))
+        if not odd:
+            z = (x / (sign * math.sqrt(2.0 * c))).ravel().tolist()
+            first = np.fromiter(map(start, z), float, x.size).reshape(x.shape)
+        x = np.where(np.isfinite(x), x, 0.0)
+    else:
+        w = math.exp(-x * x / (2.0 * c))
+        if not odd:
+            first = start(x / (sign * math.sqrt(2.0 * c)))
+        x = x if math.isfinite(x) else 0.0
+    # power is c x^(j-1) e^{-x^2/(2c)} for the next order j
+    x2 = x * x
+    if odd:
+        out, power = [c * (1.0 - w) if from_zero else -c * w], c * x2 * w
+    else:
+        out, power = [math.sqrt(math.pi * c / 2.0) * first], c * x * w
+    for j in range(2 + odd, m + 1, 2):
+        out.append(c * (j - 1) * out[-1] - power)
+        power = power * x2
+    return out
+
+
+def _gauss_lower_moments(count, x, c=1.0):
+    """M_0(x), ..., M_{count-1}(x) of _gauss_moment_chain, its two chains
+    interleaved: a list at a float x, one array (moment m in row m) at an
+    array x."""
+    out = [None] * count
+    out[0::2] = _gauss_moment_chain(2 * ((count - 1) // 2), x, c)
+    if count > 1:
+        out[1::2] = _gauss_moment_chain(2 * (count // 2) - 1, x, c)
+    return np.array(out) if isinstance(x, np.ndarray) else out
+
+
 def _ginibre_norms(count):
     """Pair norms 2 sqrt(2 pi) (2k)! of the real Ginibre family, k < count."""
     return [2.0 * SQRT2PI * math.gamma(2 * k + 1) for k in range(count)]
@@ -210,13 +257,30 @@ def trunc_omega_sq_complex(big_l, z):
     return big_l * (big_l - 1.0) / (2.0 * math.pi) * q ** (big_l - 2.0) * tail
 
 
-def _trunc_moment_antiderivative(big_l, m, y):
-    """Integral of x^m (1 - x^2)^(L/2 - 1) from -1 to y (vectorized in y)."""
-    bm = 0.5 * sp.beta((m + 1) / 2.0, big_l / 2.0)
-    inc = sp.betainc((m + 1) / 2.0, big_l / 2.0, np.minimum(y * y, 1.0))
-    pos = (-1.0) ** m + inc
-    neg = (-1.0) ** m * (1.0 - inc)
-    return bm * np.where(y >= 0, pos, neg)
+def _trunc_moments(big_l, count, y):
+    """c_w F_0(y), ..., c_w F_{count-1}(y) as one array (moment m in row m):
+    F_m(y) is the integral of x^m (1 - x^2)^(b-1) from -1 to y, b = L/2, with
+    y clipped to [-1, 1], so these are the moments of the real weight.
+
+    By parts, (m - 1 + 2b) F_m = (m - 1) F_{m-2} - y^(m-1) (1 - y^2)^b, with
+    the signs of the Gaussian case, from F_1 = -(1 - y^2)^b / (2b) and
+    F_0 = G_b: G_{a+1} = (2a G_a + y (1 - y^2)^a) / (2a + 1), from
+    G_1 = 1 + y (L even) or G_{1/2} = arccos(-y) (L odd).
+    """
+    y = np.clip(y, -1.0, 1.0)
+    u = (1.0 - y) * (1.0 + y)
+    a = 0.5 if big_l % 2 else 1.0
+    g = np.arccos(-y) if big_l % 2 else 1.0 + y
+    power = np.sqrt(u) if big_l % 2 else u  # (1 - y^2)^a
+    while a < big_l / 2.0:
+        g = (2.0 * a * g + y * power) / (2.0 * a + 1.0)
+        power = power * u
+        a += 1.0
+    out = [g, -power / big_l]
+    for m in range(2, count):
+        power = power * y  # y^(m-1) (1 - y^2)^b
+        out.append(((m - 1) * out[m - 2] - power) / (m - 1.0 + big_l))
+    return _trunc_cw(big_l) * np.array(out[:count])
 
 
 # ---------------------------------------------------------------------------

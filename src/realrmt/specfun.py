@@ -1,9 +1,32 @@
-"""Special functions used throughout the package."""
+"""Special functions used throughout the package.
 
+The functions that every command runs use integer or half-integer parameters
+and are computed here from finite sums and recurrences in plain floats.
+scipy.special is imported on first use, by the few functions that still
+need it (``sp`` below).
+"""
+
+import importlib
 import math
 
 import numpy as np
-from scipy import special as sp
+
+
+class _LazyModule:
+    """A module imported on its first attribute access.
+
+    Only a missing attribute is looked up in the module, so inspecting the
+    handle (its ``__class__``, say) imports nothing.
+    """
+
+    def __init__(self, name):
+        self._name = name
+
+    def __getattr__(self, attr):
+        return getattr(importlib.import_module(self._name), attr)
+
+
+sp = _LazyModule("scipy.special")
 
 
 def gamma_fn(x):
@@ -23,21 +46,17 @@ def log_gamma(x):
 def upper_gamma_regularized(n, x):
     """Regularized upper incomplete gamma Q(n, x) for integer n >= 1.
 
-    For real x >= 0 this is scipy's gammaincc. For negative or complex x it
-    is the finite sum Q(n, x) = e^(-x) * sum_{j<n} x^j / j!, the analytic
-    continuation, by direct recurrence.
+    It is the finite sum Q(n, x) = e^(-x) * sum_{j<n} x^j / j! for real,
+    negative (the analytic continuation), complex or array x. At x >= 0 every
+    term is positive.
     """
     if n < 1 or int(n) != n:
         raise ValueError("upper_gamma_regularized requires integer n >= 1")
-    n = int(n)
-    if isinstance(x, complex) or x < 0:
-        term = 1.0 + 0j if isinstance(x, complex) else 1.0
-        total = term
-        for j in range(1, n):
-            term = term * x / j
-            total += term
-        return np.exp(-x) * total
-    return float(sp.gammaincc(n, x))
+    term = total = 1.0
+    for j in range(1, int(n)):
+        term = term * x / j
+        total = total + term
+    return np.exp(-x) * total
 
 
 def lower_gamma_regularized(n, x):
@@ -70,17 +89,39 @@ def reg_incomplete_beta(s, a, b):
     return sp.betainc(a, b, s)
 
 
+def upper_beta_regularized(a, b, s):
+    """1 - I_s(a, b) for integers a, b >= 1 (vectorized in s in [0, 1]).
+
+    It is the probability of fewer than a successes in a + b - 1 trials,
+    sum_{j<a} C(a+b-1, j) s^j (1-s)^(a+b-1-j), summed with positive terms as
+    (1-s)^b times sum_{j<a} C(a+b-1, j) s^j (1-s)^(a-1-j) by Horner's rule.
+    """
+    u = 1.0 - s
+    acc = 1.0
+    power = 1.0
+    for j in range(1, a):
+        power = power * s
+        acc = acc * u + math.comb(a + b - 1, j) * power
+    return acc * u ** b
+
+
+def half_beta(p, q):
+    """Euler beta B(p/2, q/2) for integers p, q >= 1, to within a few roundings.
+
+    From Gamma(j/2) = (j-2)!! 2^(1 - j/2) (sqrt(pi/2) at odd j), it is
+    2 (p-2)!! (q-2)!! / (p+q-2)!! times pi/2 when p and q are both odd: an
+    exact ratio of integers, which no argument size overflows.
+    """
+    ratio = (2 * double_factorial(p - 2) * double_factorial(q - 2)
+             / double_factorial(p + q - 2))
+    return ratio * (math.pi / 2.0 if p % 2 and q % 2 else 1.0)
+
+
 def double_factorial(n):
     """Double factorial with the conventions (-1)!! = 0!! = 1."""
     if n < -1:
         raise ValueError("double_factorial undefined for n < -1")
-    if n <= 0:
-        return 1
-    result = 1
-    while n > 1:
-        result *= n
-        n -= 2
-    return result
+    return math.prod(range(n, 0, -2))
 
 
 def hyp2f1(a, b, c, x, tol=1e-13, max_terms=10000):

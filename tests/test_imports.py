@@ -1,9 +1,14 @@
-"""Layout checks on the package source."""
+"""Layout checks on the package source, and what its commands import."""
 
 import ast
 import pathlib
+import subprocess
+import sys
+
+import pytest
 
 import realrmt
+from realrmt import kernels
 
 PACKAGE = pathlib.Path(realrmt.__file__).parent
 
@@ -26,3 +31,44 @@ def test_no_module_imports_the_package_inside_a_function():
              for path in sorted(PACKAGE.glob("*.py"))
              for line in _function_level_package_imports(ast.parse(path.read_text()))]
     assert found == []
+
+
+# Every command on every ensemble, and n-point correlations of the GOE, the
+# real Ginibre (real and complex points) and the spherical kernels, in one
+# process: none of it may import scipy.special. A library function that still
+# needs it imports it on first call.
+_NO_SCIPY_SCRIPT = r"""
+import contextlib, io, sys
+import realrmt.cli
+from realrmt import kernels
+
+CONFIGS = {"goe": ["--n", "4"], "ginibre": ["--n", "5"],
+           "partial": ["--n", "5", "--tau", "0.5"], "spherical": ["--n", "5"],
+           "truncated": ["--n", "4", "--l", "3"]}
+GRIDS = {"spherical": "0:6.283185307179586:20", "truncated": "-1:1:20"}
+for name, args in CONFIGS.items():
+    base = ["--ensemble", name] + args
+    for cmd in (["probs"], ["compare", "--reps", "256"], ["sample", "--reps", "10"],
+                ["density", "--reps", "200", "--grid", GRIDS.get(name, "-4:4:20")]):
+        sys.argv = ["realrmt"] + cmd + base
+        with contextlib.redirect_stdout(io.StringIO()):
+            try:
+                realrmt.cli.main()
+            except SystemExit as exc:
+                assert exc.code in (0, None), (sys.argv, exc.code)
+kernels.npoint_correlation(kernels.GOEKernel(6), [("r", 0.3), ("r", -1.1)])
+gin = kernels.GinibreKernel(5)
+kernels.npoint_correlation(gin, [("r", 0.3), ("r", -1.1), ("c", 0.4 + 0.9j)])
+kernels.npoint_correlation(gin, [("c", -0.2 + 0.5j), ("c", 1.0 + 1.2j)])
+kernels.npoint_correlation(kernels.SphericalKernel(5), [("r", 0.3), ("r", 2.0)])
+assert "scipy.special._ufuncs" not in sys.modules
+print(kernels.spherical_density_complex(5, 0.3 + 0.2j))
+"""
+
+
+def test_commands_and_npoint_calls_do_not_import_scipy_special():
+    res = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert float(res.stdout) == pytest.approx(
+        kernels.spherical_density_complex(5, 0.3 + 0.2j), rel=1e-15)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy import special as sp
 
 from realrmt import analytics, kernels, sopoly
 from realrmt.ensembles import ENSEMBLES
@@ -91,6 +92,21 @@ def test_ginibre_density_is_srr_diagonal():
     for x in (-2.0, 0.5):
         assert kernels.ginibre_density_real(8, x) == pytest.approx(
             kernels.ginibre_srr(8, x, x), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 17, 24])
+def test_ginibre_real_density_matches_the_incomplete_gamma_form(n):
+    # Edelman, Kostlan & Shub: Q(n-1, x^2) plus |x|^(n-1) e^(-x^2/2) P((n-1)/2, x^2/2)
+    # times 2^((n-3)/2) Gamma((n-1)/2) / Gamma(n-1)
+    x = np.linspace(-11.0, 11.0, 301)
+    lead = math.exp((n - 3) / 2.0 * math.log(2.0) + math.lgamma((n - 1) / 2.0)
+                    - math.lgamma(n - 1.0))
+    want = C2PI * (sp.gammaincc(n - 1, x * x) + lead * np.abs(x) ** (n - 1)
+                   * np.exp(-x * x / 2.0) * sp.gammainc((n - 1) / 2.0, x * x / 2.0))
+    got = kernels.ginibre_density_real(n, x)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15 * want.max())
+    assert [kernels.ginibre_density_real(n, v) for v in x[::30]] == pytest.approx(
+        got[::30], rel=1e-14)
 
 
 def test_ginibre_order_one_density_is_standard_normal():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
+from scipy import special as sp
 
 from realrmt import sopoly
 
@@ -77,3 +79,47 @@ def test_inner_product_rejects_unknown_family():
     fam = sopoly.PolynomialFamily("nope", [[1.0]], [1.0])
     with pytest.raises(ValueError):
         sopoly.inner_product_numeric(fam, 0, 0)
+
+
+@pytest.mark.parametrize("x", [-11.95, -3.0, 0.0, 2.5])
+def test_gauss_lower_moments_against_quadrature(x):
+    # the left tail, where 1 - P(a, x^2/2) loses every digit: at m = 28,
+    # x = -11.95 that form gives 0.0 for 1.476e-2
+    got = sopoly._gauss_lower_moments(29, x)
+    got_array = sopoly._gauss_lower_moments(29, np.array([x, x]))
+    for m in (0, 1, 9, 28):
+        f = lambda t: t ** m * math.exp(-t * t / 2.0)
+        if x <= 0:
+            want = integrate.quad(f, -np.inf, x, epsabs=0.0, epsrel=1e-13)[0]
+        else:  # the full moment less the upper tail, with no cancellation
+            want = (sopoly._gauss_moment(m)
+                    - integrate.quad(f, x, np.inf, epsabs=0.0, epsrel=1e-13)[0])
+        assert got[m] == pytest.approx(want, rel=1e-12)
+        assert got_array[m] == pytest.approx([want, want], rel=1e-12)
+
+
+def test_gauss_lower_moments_at_infinity_and_with_variance():
+    c = 1.7
+    full = sopoly._gauss_lower_moments(9, np.inf, c)
+    assert full == pytest.approx([sopoly._gauss_moment(m, c) for m in range(9)],
+                                 rel=1e-15, abs=0.0)
+    assert sopoly._gauss_lower_moments(9, -np.inf, c) == [0.0] * 9
+    x = np.array([-2.0, 0.5, 3.0])
+    np.testing.assert_allclose(
+        sopoly._gauss_lower_moments(9, x, c),
+        np.sqrt(c) ** np.arange(1, 10)[:, None] * sopoly._gauss_lower_moments(9, x / np.sqrt(c)),
+        rtol=1e-14)
+
+
+@pytest.mark.parametrize("big_l", range(1, 9))
+def test_trunc_moments_against_incomplete_beta(big_l):
+    y = np.linspace(-1.0, 1.0, 401)
+    got = sopoly._trunc_moments(big_l, 21, np.append(y, np.inf)) / sopoly._trunc_cw(big_l)
+    b = big_l / 2.0
+    for m in range(21):
+        # the integral of |x|^m (1 - x^2)^(b-1) over [-1, 1] is B((m+1)/2, b)
+        total = sp.beta((m + 1) / 2.0, b)
+        inc = sp.betainc((m + 1) / 2.0, b, y * y)
+        want = total / 2.0 * np.where(y >= 0, (-1.0) ** m + inc, (-1.0) ** m * (1.0 - inc))
+        np.testing.assert_allclose(got[m, :-1], want, rtol=0.0, atol=1e-14 * total)
+        assert got[m, -1] == pytest.approx(0.0 if m % 2 else total, rel=1e-14, abs=0.0)

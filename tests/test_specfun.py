@@ -50,6 +50,14 @@ def test_upper_gamma_regularized_negative_and_complex():
         specfun.upper_gamma_regularized(0, 1.0)
 
 
+def test_upper_gamma_regularized_takes_arrays():
+    x = np.array([-1.5, 0.0, 0.7, 30.0])
+    for n in (1, 2, 9):
+        want = [specfun.upper_gamma_regularized(n, float(v)) for v in x]
+        np.testing.assert_allclose(specfun.upper_gamma_regularized(n, x), want,
+                                   rtol=1e-15)
+
+
 def test_lower_plus_upper_is_one():
     for n in (1, 4, 9):
         for x in (0.0, 0.7, 5.0):
@@ -74,6 +82,34 @@ def test_reg_incomplete_beta_endpoints():
     assert specfun.reg_incomplete_beta(0.0, 2.0, 3.0) == 0.0
     assert specfun.reg_incomplete_beta(1.0, 2.0, 3.0) == pytest.approx(1.0)
     assert specfun.reg_incomplete_beta(0.5, 2.0, 2.0) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("a", range(1, 15))
+def test_upper_beta_regularized_matches_scipy(a):
+    s = np.linspace(0.0, 1.0, 257)  # dyadic: 1 - s is exact
+    for b in range(1, 12):
+        got = specfun.upper_beta_regularized(a, b, s)
+        # 1 - I_s(a, b) loses its digits where I_s is near 1; I_{1-s}(b, a)
+        # is the same number without the cancellation
+        np.testing.assert_allclose(got, sp.betainc(b, a, 1.0 - s), rtol=1e-13, atol=0.0)
+        ok = sp.betainc(a, b, s) <= 0.5
+        np.testing.assert_allclose(got[ok], 1.0 - sp.betainc(a, b, s[ok]), rtol=1e-13,
+                                   atol=0.0)
+    assert specfun.upper_beta_regularized(a, 3, 0.25) == pytest.approx(
+        1.0 - sp.betainc(a, 3, 0.25), rel=1e-13)
+
+
+def test_half_beta_matches_scipy():
+    for p in range(1, 50):
+        for q in range(1, 50):
+            assert specfun.half_beta(p, q) == pytest.approx(sp.beta(p / 2, q / 2),
+                                                            rel=1e-14)
+    # where Gamma(q / 2) alone overflows a float: B(1, n) = 1/n and
+    # B(1/2, n) = 4^n n! (n-1)! / (2n)!, exact ratios of integers
+    n = 400
+    assert specfun.half_beta(2, 2 * n) == pytest.approx(1.0 / n, rel=1e-15)
+    want = 4 ** n * math.factorial(n) * math.factorial(n - 1) / math.factorial(2 * n)
+    assert specfun.half_beta(1, 2 * n) == pytest.approx(want, rel=1e-15)
 
 
 def test_double_factorial():

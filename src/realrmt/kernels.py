@@ -8,7 +8,8 @@ from numpy.polynomial import polynomial as P
 
 from . import pfaffian, sopoly
 from .sopoly import trunc_omega_real, trunc_omega_sq_complex
-from .specfun import sp, upper_beta_regularized, upper_gamma_regularized
+from .specfun import (lower_gamma_regularized, sp, upper_beta_regularized,
+                      upper_gamma_regularized)
 
 C2PI = 1.0 / sopoly.SQRT2PI
 
@@ -169,15 +170,22 @@ class GOEKernel(_PairSumKernel):
 def _gin_tail(n, w, y):
     """Finite-size summand of S at points w (any species) and y (real).
 
-    It is sgn(y)^(n-1) w^(n-1) e^(-w^2/2) / Gamma(n-1) times the integral of
-    t^(n-2) e^(-t^2/2) over [0, |y|]. At n = 1 the product tends to 1,
+    It is sgn(y)^(n-1) P((n-1)/2, y^2/2) w^(n-1) e^(-w^2/2) times
+    2^((n-3)/2) Gamma((n-1)/2) / Gamma(n-1), with every factor but P taken
+    as the (n-1)-th power of one base, as w^(n-1) alone overflows near the
+    spectrum edge from about n = 300. At n = 1 that product tends to 1,
     leaving e^(-w^2/2).
     """
     if n == 1:
         return np.exp(-w * w / 2.0)
-    part = sopoly._gauss_moment_chain(n - 2, abs(y), from_zero=True)[-1]
-    return (part * (np.copysign(1.0, y) * w) ** (n - 1)
-            * np.exp(-w * w / 2.0 - math.lgamma(n - 1.0)))
+    lead = ((n - 3.0) / 2.0 * math.log(2.0) + math.lgamma((n - 1.0) / 2.0)
+            - math.lgamma(n - 1.0))
+    inc = lower_gamma_regularized((n - 1.0) / 2.0, y * y / 2.0)
+    if isinstance(w, float):  # the exponent is at most 0.23 here, so math.exp cannot overflow
+        base = math.copysign(1.0, y) * w * math.exp((lead - w * w / 2.0) / (n - 1))
+    else:
+        base = np.copysign(1.0, y) * w * np.exp((lead - w * w / 2.0) / (n - 1))
+    return inc * base ** (n - 1)
 
 
 def _rt_erfc(w):

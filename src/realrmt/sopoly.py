@@ -6,7 +6,7 @@ import math
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .specfun import double_factorial, sp
+from .specfun import double_factorial, erfc_real, sp
 
 SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -144,37 +144,31 @@ def _gauss_moment(m, c=1.0):
     return double_factorial(m - 1) * math.sqrt(2.0 * math.pi * c) * c ** (m // 2)
 
 
-def _gauss_moment_chain(m, x, c=1.0, from_zero=False):
+def _gauss_moment_chain(m, x, c=1.0):
     """[M_{m mod 2}(x), M_{m mod 2 + 2}(x), ..., M_m(x)], M_j(x) the integral of
-    t^j e^{-t^2/(2c)} from -infinity (from 0 if from_zero) to x: floats at a
-    float x, arrays at a numpy array x.
+    t^j e^{-t^2/(2c)} from -infinity to x: floats at a float x, arrays at a
+    numpy array x.
 
     By parts, M_j = c ((j-1) M_{j-2} - x^(j-1) e^{-x^2/(2c)}), from
-    M_0 = sqrt(pi c/2) erfc(-x/sqrt(2c)) or M_1 = -c e^{-x^2/(2c)}; from 0,
-    M_0 = sqrt(pi c/2) erf(x/sqrt(2c)) and M_1 = c (1 - e^{-x^2/(2c)}). From
-    -infinity, at x < 0 both terms have the sign of M_j; at x > 0 they do at
-    odd j, and at even j the result is at least half the first term. At
-    x = +-inf the power term is 0.
+    M_0 = sqrt(pi c/2) erfc(-x/sqrt(2c)) or M_1 = -c e^{-x^2/(2c)}. At x < 0
+    both terms have the sign of M_j; at x > 0 they do at odd j, and at even
+    j the result is at least half the first term. At x = +-inf the power
+    term is 0.
     """
     odd = m % 2
-    start, sign = (math.erf, 1.0) if from_zero else (math.erfc, -1.0)
     if isinstance(x, np.ndarray):
         w = np.exp(-x * x / (2.0 * c))
-        if not odd:
-            z = (x / (sign * math.sqrt(2.0 * c))).ravel().tolist()
-            first = np.fromiter(map(start, z), float, x.size).reshape(x.shape)
-        x = np.where(np.isfinite(x), x, 0.0)
+        x_fin = np.where(np.isfinite(x), x, 0.0)
     else:
         w = math.exp(-x * x / (2.0 * c))
-        if not odd:
-            first = start(x / (sign * math.sqrt(2.0 * c)))
-        x = x if math.isfinite(x) else 0.0
+        x_fin = x if math.isfinite(x) else 0.0
     # power is c x^(j-1) e^{-x^2/(2c)} for the next order j
-    x2 = x * x
+    x2 = x_fin * x_fin
     if odd:
-        out, power = [c * (1.0 - w) if from_zero else -c * w], c * x2 * w
+        out, power = [-c * w], c * x2 * w
     else:
-        out, power = [math.sqrt(math.pi * c / 2.0) * first], c * x * w
+        first = math.sqrt(math.pi * c / 2.0) * erfc_real(-x / math.sqrt(2.0 * c))
+        out, power = [first], c * x_fin * w
     for j in range(2 + odd, m + 1, 2):
         out.append(c * (j - 1) * out[-1] - power)
         power = power * x2

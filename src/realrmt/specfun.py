@@ -43,25 +43,51 @@ def log_gamma(x):
     return math.lgamma(x)
 
 
-def upper_gamma_regularized(n, x):
-    """Regularized upper incomplete gamma Q(n, x) for integer n >= 1.
+def upper_gamma_regularized(a, x):
+    """Regularized upper incomplete gamma Q(a, x) for integer or half-integer a > 0.
 
-    It is the finite sum Q(n, x) = e^(-x) * sum_{j<n} x^j / j! for real,
-    negative (the analytic continuation), complex or array x. At x >= 0 every
-    term is positive.
+    It is the finite sum of e^(-x) x^j / Gamma(j + 1) over j = a - 1, a - 2,
+    ... down to 0 at integer a, and down to 1/2 at half-integer a, where
+    erfc(sqrt(x)) is added. Integer a takes real (negative: the analytic
+    continuation), complex or array x; half-integer a takes real x >= 0.
+    The sum of x^j / Gamma(j + 1) is at most e^|x|, so up to |x| = 700 it is
+    formed by recurrence and scaled by e^(-x) once; at larger real x, where
+    that would overflow, each term is formed in log space, to a relative
+    error of about x float epsilons.
     """
-    if n < 1 or int(n) != n:
-        raise ValueError("upper_gamma_regularized requires integer n >= 1")
-    term = total = 1.0
-    for j in range(1, int(n)):
-        term = term * x / j
+    if a <= 0 or int(2 * a) != 2 * a:
+        raise ValueError("upper_gamma_regularized requires integer or half-integer a > 0")
+    first = a % 1  # the lowest j: 0 or 1/2
+    count = int(a - first)
+    head = erfc_real(x ** 0.5) if first else 0.0
+    size = np.max(np.abs(x)) if isinstance(x, np.ndarray) else abs(x)
+    if size > 700.0 and not np.iscomplexobj(x):
+        x = np.asarray(x, dtype=float)
+        shape = (-1,) + (1,) * x.ndim
+        j = (first + np.arange(count)).reshape(shape)
+        log_gamma_j = np.reshape([math.lgamma(first + k + 1.0) for k in range(count)], shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_x = np.where(j > 0, j * np.log(np.abs(x)), 0.0)
+        return head + np.sum(np.sign(x) ** j * np.exp(log_x - x - log_gamma_j), axis=0)
+    term = 2.0 * (x / math.pi) ** 0.5 if first else 1.0
+    total = term if count else 0.0
+    for j in range(1, count):
+        term = term * x / (first + j)
         total = total + term
-    return np.exp(-x) * total
+    return head + (math.exp(-x) if isinstance(x, float) else np.exp(-x)) * total
 
 
-def lower_gamma_regularized(n, x):
-    """Regularized lower incomplete gamma P(n, x) = 1 - Q(n, x)."""
-    return 1.0 - upper_gamma_regularized(n, x)
+def lower_gamma_regularized(a, x):
+    """Regularized lower incomplete gamma P(a, x) = 1 - Q(a, x), a as for
+    upper_gamma_regularized."""
+    return 1.0 - upper_gamma_regularized(a, x)
+
+
+def erfc_real(x):
+    """math.erfc at a float, elementwise at an array."""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(math.erfc, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return math.erfc(x)
 
 
 def lower_gamma(a, x):
@@ -121,7 +147,13 @@ def double_factorial(n):
     """Double factorial with the conventions (-1)!! = 0!! = 1."""
     if n < -1:
         raise ValueError("double_factorial undefined for n < -1")
-    return math.prod(range(n, 0, -2))
+    if n <= 0:
+        return 1
+    result = 1
+    while n > 1:
+        result *= n
+        n -= 2
+    return result
 
 
 def hyp2f1(a, b, c, x, tol=1e-13, max_terms=10000):

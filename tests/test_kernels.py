@@ -94,7 +94,7 @@ def test_ginibre_density_is_srr_diagonal():
             kernels.ginibre_srr(8, x, x), rel=1e-12)
 
 
-@pytest.mark.parametrize("n", [2, 3, 8, 17, 24])
+@pytest.mark.parametrize("n", [2, 3, 8, 17, 24, 180, 240])
 def test_ginibre_real_density_matches_the_incomplete_gamma_form(n):
     # Edelman, Kostlan & Shub: Q(n-1, x^2) plus |x|^(n-1) e^(-x^2/2) P((n-1)/2, x^2/2)
     # times 2^((n-3)/2) Gamma((n-1)/2) / Gamma(n-1)
@@ -107,6 +107,23 @@ def test_ginibre_real_density_matches_the_incomplete_gamma_form(n):
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15 * want.max())
     assert [kernels.ginibre_density_real(n, v) for v in x[::30]] == pytest.approx(
         got[::30], rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [300, 800])
+def test_ginibre_real_density_at_large_n(n):
+    # the incomplete gamma form with |x|^(n-1) taken into the exponent, as
+    # |x|^(n-1) alone overflows at these orders; the density stays finite
+    # past the edge x = sqrt(n) of the spectrum
+    x = np.linspace(-1.3, 1.3, 53) * math.sqrt(n)
+    log_lead = ((n - 3) / 2.0 * math.log(2.0) + math.lgamma((n - 1) / 2.0)
+                - math.lgamma(n - 1.0))
+    with np.errstate(divide="ignore"):
+        tail = np.exp(log_lead + (n - 1) * np.log(np.abs(x)) - x * x / 2.0)
+    want = C2PI * (sp.gammaincc(n - 1, x * x)
+                   + tail * sp.gammainc((n - 1) / 2.0, x * x / 2.0))
+    got = kernels.ginibre_density_real(n, x)
+    np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-13 * want.max())
+    assert kernels.ginibre_srr(n, x[5], x[5]) == pytest.approx(got[5], rel=1e-12)
 
 
 def test_ginibre_order_one_density_is_standard_normal():

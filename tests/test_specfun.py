@@ -56,6 +56,27 @@ def test_upper_gamma_regularized_takes_arrays():
         want = [specfun.upper_gamma_regularized(n, float(v)) for v in x]
         np.testing.assert_allclose(specfun.upper_gamma_regularized(n, x), want,
                                    rtol=1e-15)
+    # past x = 700 the terms are formed in log space, where e^(-x) x^j / j!
+    # neither underflows nor overflows
+    assert specfun.upper_gamma_regularized(40, 2.5e9) == 0.0
+    big = np.array([0.0, 650.0, 784.0, 1000.0])
+    np.testing.assert_allclose(specfun.upper_gamma_regularized(800, big),
+                               sp.gammaincc(800, big), rtol=1e-12, atol=1e-300)
+    assert specfun.upper_gamma_regularized(800, 784.0) == pytest.approx(
+        sp.gammaincc(800, 784.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("a", [0.5, 1.5, 2.5, 7.5, 99.5, 399.5])
+def test_upper_gamma_regularized_at_half_integers(a):
+    x = np.array([0.0, 1e-3, 0.4, 3.0, 60.0, 390.0, 699.0])
+    want = sp.gammaincc(a, x)
+    np.testing.assert_allclose(specfun.upper_gamma_regularized(a, x), want,
+                               rtol=1e-13, atol=1e-300)
+    assert [specfun.upper_gamma_regularized(a, float(v)) for v in x] == pytest.approx(
+        want, rel=1e-13, abs=1e-300)
+    far = np.array([0.0, 400.0, 701.0, 1e4])
+    np.testing.assert_allclose(specfun.upper_gamma_regularized(a, far),
+                               sp.gammaincc(a, far), rtol=1e-12, atol=1e-300)
 
 
 def test_lower_plus_upper_is_one():

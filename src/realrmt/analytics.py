@@ -10,16 +10,26 @@ from .specfun import half_beta, hyp2f1, log_vol_orthogonal
 
 
 # ---------------------------------------------------------------------------
-# polynomial extraction from a generating function
+# p_{N,k} as a product of independent two-valued steps
 
 
-def _poly_from_values(fn, deg):
-    """Coefficients of a degree-deg polynomial from its values at the roots of unity.
+def _bernoulli_table(mu, parity):
+    """p_{N,k} when Z(s) / Z(1) = prod_i (1 - mu_i + mu_i s^2), times s at odd N.
 
-    fn takes the array of roots; roots[0] is exactly 1.
+    Each pair of eigenvalues is real with probability mu_i, independently of
+    the others. The product adds no negative terms, so each p_{N,k} is as
+    accurate, relatively, as the mu_i it is built from. Raises ArithmeticError
+    for a mu_i off the real interval [0, 1] by more than 1e-12, and clips the
+    rest to it.
     """
-    roots = np.exp(2j * math.pi * np.arange(deg + 1) / (deg + 1))
-    return np.real(np.fft.fft(fn(roots))) / (deg + 1)
+    mu = np.asarray(mu, dtype=complex)
+    bad = (abs(mu.imag) > 1e-12) | (mu.real < -1e-12) | (mu.real > 1.0 + 1e-12)
+    if bad.any():
+        raise ArithmeticError("Bernoulli factor mu outside [0, 1]: %s" % mu[bad])
+    poly = np.array([1.0])
+    for t in np.clip(mu.real, 0.0, 1.0):
+        poly = np.convolve(poly, [1.0 - t, 0.0, t])
+    return np.concatenate([np.zeros(parity), poly])
 
 
 def _sign_table(m, r, g, u):
@@ -56,31 +66,24 @@ def _trunc_sign_table(m, big_l):
                        lambda k: 0.0 if k % 2 else half_beta(k + 1, 2 * big_l))
 
 
-def _gf_probs(family, sgn, moments):
-    """p_{N,k} from the generating function Z(s) of a skew-orthogonal family.
+def _skew_bernoulli(family, sgn, moments):
+    """Success probabilities mu_i of the pair steps of a skew-orthogonal family.
 
     sgn is the monomial sign table of the real weight and moments its
-    monomial moments. In the skew basis Z(s) is the determinant of
-    diag(norms) + (s-1) alpha, alpha pairing polynomials 2j and 2l+1. At odd N
-    the last column is the s-free one of the even polynomials' moments: the
-    odd ones have none, so the bordered Pfaffian is this determinant up to
-    sign. Z is normalised at s = 1; its coefficients land on k = N, N-2, ...
+    monomial moments. In the skew basis Z(s) / Z(1) = det(I + (s-1) M), so
+    the mu_i are the eigenvalues of M = D^(-1/2) alpha D^(-1/2), D = diag(norms),
+    alpha pairing polynomials 2j and 2l+1. At odd N one Schur step folds in the
+    s-free border column of the even polynomials' moments. M is not symmetric
+    at odd N, nor for the truncated weight.
     """
     c = family.matrix()
-    n = len(family)
-    rows, cols = (n + 1) // 2, n // 2
-    alpha = np.zeros((rows, rows))
-    alpha[:, :cols] = c[0::2] @ sgn @ c[1::2].T
-    base = np.diag(family.norms)
-    base[:, cols:] = (c[0::2] @ moments)[:, None]  # border at odd N
-
-    def z(roots):
-        sign, log_v = np.linalg.slogdet(base + (roots[:, None, None] - 1.0) * alpha)
-        return sign / sign[0] * np.exp(log_v - log_v[0])
-
-    probs = np.zeros(n + 1)
-    probs[n % 2::2] = _poly_from_values(z, cols)
-    return probs
+    h = len(family) // 2
+    alpha = c[0::2] @ sgn @ c[1::2].T
+    if len(family) % 2:
+        b = c[0::2] @ moments
+        alpha = alpha[:h] - np.outer(b[:h], alpha[h]) / b[h]
+    scale = 1.0 / np.sqrt(family.norms[:h])
+    return np.linalg.eigvals(scale[:, None] * alpha * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +118,9 @@ def ginibre_alpha_via_recursion(j, l):
 def ginibre_prob_gf(n):
     """Probabilities p_{N,k} of k real eigenvalues for the real Ginibre ensemble."""
     ensembles.spec("ginibre", n, table=True)
-    return _gf_probs(sopoly.ginibre_family(n), _gauss_sign_table(n, 1.0),
-                     [ginibre_nu(a) for a in range(n)])
+    mu = _skew_bernoulli(sopoly.ginibre_family(n), _gauss_sign_table(n, 1.0),
+                         [ginibre_nu(a) for a in range(n)])
+    return _bernoulli_table(mu, n % 2)
 
 
 def ginibre_pnn(n):
@@ -193,8 +197,9 @@ def partial_prob_gf(n, tau):
     """Probabilities p_{N,k} for the partially symmetric real Ginibre ensemble."""
     ensembles.spec("partial", n, tau=tau, table=True)
     c = 1.0 + tau
-    return _gf_probs(sopoly.partial_family(n, tau), _gauss_sign_table(n, c),
-                     [sopoly._gauss_moment(a, c) for a in range(n)])
+    mu = _skew_bernoulli(sopoly.partial_family(n, tau), _gauss_sign_table(n, c),
+                         [sopoly._gauss_moment(a, c) for a in range(n)])
+    return _bernoulli_table(mu, n % 2)
 
 
 def partial_pnn(n, tau):
@@ -215,15 +220,7 @@ def spherical_bernoulli(n):
 
 def spherical_prob_gf(n):
     """Probabilities p_{N,k} of k real eigenvalues for the real spherical ensemble."""
-    ts = spherical_bernoulli(n)
-    poly = np.array([1.0])
-    for t in ts:
-        poly = np.convolve(poly, np.array([1.0 - t, 0.0, t]))
-    probs = np.zeros(n + 1)
-    off = 1 if n % 2 == 1 else 0
-    for k, c in enumerate(poly):
-        probs[k + off] = c
-    return probs
+    return _bernoulli_table(spherical_bernoulli(n), n % 2)
 
 
 def spherical_expected_reals(n):
@@ -272,8 +269,9 @@ def truncated_theta(coeffs, big_l):
 def truncated_prob_gf(m, big_l):
     """Probabilities p_{M,k} of k real eigenvalues for the truncated ensemble."""
     ensembles.spec("truncated", m, big_l=big_l, table=True)
-    return _gf_probs(sopoly.truncated_family(m, big_l), _trunc_sign_table(m, big_l),
-                     [truncated_theta(e, big_l) for e in np.eye(m)])
+    mu = _skew_bernoulli(sopoly.truncated_family(m, big_l), _trunc_sign_table(m, big_l),
+                         [truncated_theta(e, big_l) for e in np.eye(m)])
+    return _bernoulli_table(mu, m % 2)
 
 
 def truncated_pmm(m, big_l):
@@ -320,7 +318,7 @@ def truncated_expected_reals_weak(m):
 
 # the lambdas look their builders up at call time, so rebinding a name reaches them
 _TABLES = {
-    "goe": lambda n, tau, big_l: np.eye(n + 1)[n],
+    "goe": lambda n, tau, big_l: _bernoulli_table(np.ones(n // 2), n % 2),
     "ginibre": lambda n, tau, big_l: ginibre_prob_gf(n),
     "partial": lambda n, tau, big_l: partial_prob_gf(n, tau),
     "spherical": lambda n, tau, big_l: spherical_prob_gf(n),

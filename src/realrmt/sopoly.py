@@ -6,7 +6,7 @@ import math
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .specfun import double_factorial, erfc_real, sp
+from .specfun import double_factorial, erfc_real, half_beta, sp
 
 SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -229,8 +229,7 @@ def _sph_tail(u, big_n):
 
 def _trunc_cw(big_l):
     """Normalising constant c_w of the truncated real weight."""
-    return math.sqrt(big_l * math.gamma((big_l + 1) / 2.0)
-                     / math.gamma(big_l / 2.0)) / (math.sqrt(2.0) * math.pi ** 0.25)
+    return math.sqrt(big_l / (2.0 * half_beta(1, big_l)))
 
 
 def trunc_omega_real(big_l, x):

@@ -170,14 +170,37 @@ def test_sweep_all_real_probabilities_match_closed_forms():
              + [(analytics.ginibre_prob_gf(n)[n], analytics.ginibre_pnn(n))
                 for n in SWEEP_GINIBRE])
     for got, want in cases:
-        assert got == pytest.approx(want, rel=1e-5)
+        assert got == pytest.approx(want, rel=1e-5, abs=0.0)
 
 
-def test_coefficients_read_off_at_roots_of_unity():
-    coeffs = np.array([0.1, 0.0, 0.25, 0.3, 1e-9, 0.35 - 1e-9])
-    got = analytics._poly_from_values(
-        lambda s: np.polynomial.polynomial.polyval(s, coeffs), len(coeffs) - 1)
-    assert np.max(np.abs(got - coeffs)) < 1e-15
+# each tolerance at least ten times the worst relative error up to the cap
+ALL_REAL_CASES = (
+    [("ginibre", n, {}, analytics.ginibre_pnn(n), 1e-5)
+     for n in range(1, ENSEMBLES["ginibre"].max_table + 1)]
+    + [("partial", n, {"tau": tau}, analytics.partial_pnn(n, tau), 1e-3)
+       for tau in (0.5, -0.5, 0.25, 0.75)
+       for n in range(1, ENSEMBLES["partial"].max_table + 1)]
+    + [("truncated", m, {"big_l": big_l}, analytics.truncated_pmm(m, big_l), 1e-8)
+       for big_l in (1, 2, 3, 4, 6, 8)
+       for m in range(1, ENSEMBLES["truncated"].max_table + 1)]
+)
+
+
+def test_all_real_probability_keeps_relative_accuracy_up_to_the_cap():
+    for ensemble, n, kwargs, want, rel in ALL_REAL_CASES:
+        got = analytics.prob_table(ensemble, n, **kwargs)[n]
+        assert got == pytest.approx(want, rel=rel, abs=0.0), (ensemble, n, kwargs)
+
+
+@pytest.mark.parametrize("mu", [(0.3, 1.2), (-0.1,), (0.5 + 1e-6j,)])
+def test_bernoulli_table_refuses_a_factor_off_the_unit_interval(mu):
+    with pytest.raises(ArithmeticError, match="mu"):
+        analytics._bernoulli_table(np.array(mu), 0)
+
+
+def test_bernoulli_table_clips_factors_within_the_bound():
+    probs = analytics._bernoulli_table(np.array([-1e-13, 1.0 + 1e-13]), 1)
+    assert probs.tolist() == [0.0, 0.0, 0.0, 1.0, 0.0, 0.0]
 
 
 def _partial_monomial_table(n, tau):
@@ -262,6 +285,18 @@ def test_truncated_alpha_block_against_nested_quadrature(big_l):
     _check_trunc_alpha_block(4, big_l)
 
 
-@pytest.mark.parametrize("big_l", [1, 5])
+@pytest.mark.parametrize("big_l", [5])
 def test_truncated_alpha_block_at_odd_order_against_nested_quadrature(big_l):
     _check_trunc_alpha_block(5, big_l)
+
+
+@pytest.mark.parametrize("m", [4, 5, 8, 11])
+def test_truncated_alpha_block_at_l1_matches_closed_form(m):
+    # at L = 1 the block is 2 / (pi (2l+1) (2j+2l+1)) in closed form; the
+    # nested quadrature's outer integral does not converge there
+    c = sopoly.truncated_family(m, 1).matrix()
+    got = c[0::2] @ analytics._trunc_sign_table(m, 1) @ c[1::2].T
+    j, l = np.ogrid[:(m + 1) // 2, :m // 2]
+    want = 2.0 / (math.pi * (2 * l + 1) * (2 * j + 2 * l + 1))
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)

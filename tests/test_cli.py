@@ -312,6 +312,30 @@ def test_table_outside_the_bound_exits_with_numeric_error(monkeypatch, capsys):
     assert "1e-12 bound" in res.err
 
 
+def test_bernoulli_factor_off_the_unit_interval_exits_with_numeric_error(
+        monkeypatch, capsys):
+    monkeypatch.setattr(analytics, "_skew_bernoulli",
+                        lambda family, sgn, moments: np.array([0.3, 1.2]))
+    monkeypatch.setattr(sys, "argv", ["realrmt", "probs", "--ensemble", "partial",
+                                      "--tau", "0.5", "--n", "5"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 3
+    res = capsys.readouterr()
+    assert res.out == ""
+    assert "mu outside [0, 1]" in res.err
+
+
+def test_truncated_table_and_density_at_large_l():
+    res = run_cli("probs", "--ensemble", "truncated", "--n", "4", "--l", "400")
+    assert res.returncode == 0, res.stderr
+    p_mm = float(res.stdout.strip().splitlines()[-1].split(",")[1])
+    assert p_mm == pytest.approx(analytics.truncated_pmm(4, 400), rel=1e-9)
+    res = run_cli("density", "--ensemble", "truncated", "--n", "4", "--l", "400",
+                  "--grid", "-1:1:50")
+    assert res.returncode == 0, res.stderr
+
+
 def test_compare_fails_on_perturbed_exact_values():
     res = run_cli("compare", "--ensemble", "ginibre", "--n", "4",
                   "--reps", "5000", "--seed", "3", "--perturb-exact", "0.05")

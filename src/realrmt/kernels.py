@@ -4,7 +4,6 @@ import functools
 import math
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from . import pfaffian, sopoly
 from .sopoly import trunc_omega_real, trunc_omega_sq_complex
@@ -27,19 +26,21 @@ def _hermite_vals(n, x):
     return out[: n + 1]
 
 
-def _phi(coeffs, moments, y):
+def _phi(coeffs, moments, y, nu=None):
     """(1/2) integral of sgn(y - t) w(t) p(t) dt for each polynomial p.
 
     coeffs holds ascending-power coefficients, one polynomial per row (or one
     1-d polynomial); moments(count, y) gives the integrals of t^m w(t) up to
     y for m < count, one row per m (at a float y, it may take a faster scalar
-    path), and moments(count, inf) those over the support. The result has
-    shape coeffs.shape[:-1] + y.shape.
+    path), and moments(count, inf) those over the support, which the caller
+    may pass as nu. The result has shape coeffs.shape[:-1] + y.shape.
     """
     y = np.asarray(y, dtype=float)
     count = np.shape(coeffs)[-1]
+    if nu is None:
+        nu = moments(count, math.inf)
     table = (np.reshape(moments(count, y.ravel() if y.ndim else float(y)), (count, -1))
-             - 0.5 * np.reshape(moments(count, math.inf), (count, 1)))
+             - 0.5 * np.reshape(nu, (count, 1)))
     return (np.reshape(coeffs, (-1, count)) @ table).reshape(np.shape(coeffs)[:-1] + y.shape)
 
 
@@ -59,17 +60,19 @@ class _PairSumKernel:
     unpaired: every other p_j loses (nu_j / nu_{n-1}) p_{n-1}, nu_j being the
     integral of q_j, S gains q_{n-1}(y) / nu_{n-1} and I~ gains
     (Phi_{n-1}(x) - Phi_{n-1}(y)) / nu_{n-1} (Sinclair, J. Stat. Phys. 136,
-    2009). The family is built once, by the caller. moments is as for _phi.
-    The *_xy methods take values (vectorized); s, d and itilde take
-    (species, value) points.
+    2009). The family is built once, by the caller, and the weight's moments
+    over the support once, here. moments is as for _phi.
+    The *_xy methods take values (vectorized, elementwise); s, d and itilde
+    take (species, value) points, and block a sequence of them.
     """
 
     def __init__(self, family, weight, moments, factor):
         n = self.n = len(family)
         coeffs = family.matrix()
+        self._nu = np.asarray(moments(n, math.inf), dtype=float)
         self._unpaired = 0.0  # 1 / nu_{n-1} at odd n
         if n % 2:
-            nu = coeffs @ moments(n, np.inf)
+            nu = coeffs @ self._nu
             coeffs[:-1] -= np.outer(nu[:-1] / nu[-1], coeffs[-1])
             self._unpaired = 1.0 / nu[-1]
         self._coeffs = coeffs
@@ -79,26 +82,34 @@ class _PairSumKernel:
 
     def _q(self, t):
         t = np.asarray(t, dtype=float)
-        return self._weight(t) * P.polyval(t, self._coeffs.T)
+        powers = np.vander(t.ravel(), self.n, increasing=True)
+        return self._weight(t) * (self._coeffs @ powers.T).reshape((self.n,) + t.shape)
+
+    def _phi(self, t):
+        return _phi(self._coeffs, self._moments, t, self._nu)
 
     def _pairs(self, f, g):
         k = 2 * len(self._scale)
-        return np.tensordot(self._scale, f[0:k:2] * g[1:k:2] - f[1:k:2] * g[0:k:2],
-                            axes=1)
+        pair = f[0:k:2] * g[1:k:2] - f[1:k:2] * g[0:k:2]
+        return (self._scale @ pair.reshape(len(self._scale), -1)).reshape(pair.shape[1:])
+
+    # S, D and I~ from the family's values q and Phi at x and at y
+
+    def _s(self, phi_x, q_y):
+        return self._pairs(phi_x, q_y) + self._unpaired * q_y[-1]
+
+    def _itilde(self, x, y, phi_x, phi_y):
+        return (-self._pairs(phi_x, phi_y) - 0.5 * np.sign(x - y)
+                + self._unpaired * (phi_x[-1] - phi_y[-1]))
 
     def s_xy(self, x, y):
-        q_y = self._q(y)
-        return (self._pairs(_phi(self._coeffs, self._moments, x), q_y)
-                + self._unpaired * q_y[-1])
+        return self._s(self._phi(x), self._q(y))
 
     def d_xy(self, x, y):
         return self._pairs(self._q(x), self._q(y))
 
     def itilde_xy(self, x, y):
-        phi_x = _phi(self._coeffs, self._moments, x)
-        phi_y = _phi(self._coeffs, self._moments, y)
-        return (-self._pairs(phi_x, phi_y) - 0.5 * np.sign(x - y)
-                + self._unpaired * (phi_x[-1] - phi_y[-1]))
+        return self._itilde(x, y, self._phi(x), self._phi(y))
 
     def s(self, p, q):
         return self.s_xy(p[1], q[1])
@@ -108,6 +119,17 @@ class _PairSumKernel:
 
     def itilde(self, p, q):
         return self.itilde_xy(p[1], q[1])
+
+    def block(self, points):
+        """S, D and I~ at every pair of the points, as k x k arrays
+        (element (i, j) is s, d or itilde at points i and j), from one
+        evaluation of the family at the k values."""
+        t = np.array([p[1] for p in points], dtype=float)
+        q, phi = self._q(t), self._phi(t)
+        # family index first, then the first point, then the second
+        q_x, q_y, phi_x, phi_y = q[:, :, None], q[:, None, :], phi[:, :, None], phi[:, None, :]
+        return (self._s(phi_x, q_y), self._pairs(q_x, q_y),
+                self._itilde(t[:, None], t[None, :], phi_x, phi_y))
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +214,32 @@ def _rt_erfc(w):
     return math.sqrt(math.erfc(math.sqrt(2.0) * abs(w.imag)))
 
 
+def _gin_rr_sum(n, x, y):
+    """e^(-(x-y)^2/2) Q(n-1, xy) at real x and y.
+
+    It is the sum of e^(-(x^2+y^2)/2) (xy)^j / j! over j < n - 1, whose
+    terms are at most 1 in size. (At xy < 0, Q(n-1, xy) alone is e^|xy|
+    times an alternating sum: it overflows from |xy| of about 350, where
+    e^(-(x-y)^2/2) underflows, and their product is nan.) The terms come
+    from their ratio recurrence, starting at the first one above e^-700;
+    those before it, found in log space, are below the float range.
+    """
+    p = x * y
+    j, log_size = 0, -(x * x + y * y) / 2.0
+    while log_size < -700.0 and p != 0.0 and j < n - 1:
+        j += 1
+        log_size += math.log(abs(p) / j)
+    term = -math.exp(log_size) if p < 0.0 and j % 2 else math.exp(log_size)
+    total = 0.0
+    for j in range(j, n - 1):
+        total += term
+        term *= p / (j + 1)
+    return total
+
+
 def ginibre_srr(n, x, y):
     """Real-real kernel element S for the real Ginibre ensemble."""
-    q = upper_gamma_regularized(n - 1, x * y)
-    return C2PI * (math.exp(-(x - y) ** 2 / 2.0) * q + _gin_tail(n, x, y))
+    return C2PI * (_gin_rr_sum(n, x, y) + _gin_tail(n, x, y))
 
 
 def ginibre_src(n, x, w):
@@ -221,8 +265,7 @@ def ginibre_scc(n, w, z):
 
 def ginibre_drr(n, x, y):
     """Real-real kernel element D."""
-    q = upper_gamma_regularized(n - 1, x * y)
-    return C2PI * math.exp(-(x - y) ** 2 / 2.0) * (y - x) * q
+    return C2PI * (y - x) * _gin_rr_sum(n, x, y)
 
 
 def ginibre_drc(n, x, w):
@@ -251,12 +294,14 @@ def ginibre_irr(n, x, y):
     s_x = s_y = 0.0
     if n % 2:
         s_x, s_y = phi_x[-1] / nu[-1], phi_y[-1] / nu[-1]
-    w_x, w_y = math.exp(-x * x / 2.0), math.exp(-y * y / 2.0)
+    # e^(-b^2/2) b^m / m! by its recurrence in m, as m! overflows from m = 171
+    mono_x, mono_y = math.exp(-x * x / 2.0), math.exp(-y * y / 2.0)
     total = 0.0
     for k, m in enumerate(range(0, n - 1, 2)):
         nu_m = nu[k] if n % 2 else 0.0
-        total += (w_y * y ** m * (phi_x[k] - nu_m * s_x)
-                  - w_x * x ** m * (phi_y[k] - nu_m * s_y)) / math.gamma(m + 1)
+        total += mono_y * (phi_x[k] - nu_m * s_x) - mono_x * (phi_y[k] - nu_m * s_y)
+        mono_x *= x * x / ((m + 1.0) * (m + 2.0))
+        mono_y *= y * y / ((m + 1.0) * (m + 2.0))
     return C2PI * total + s_x - s_y - 0.5 * np.sign(x - y)
 
 
@@ -354,6 +399,22 @@ class GinibreKernel:
             return -ginibre_irc(self.n, q[1], p[1])
         return ginibre_icc(self.n, p[1], q[1])
 
+    def block(self, points):
+        """S, D and I~ at every pair of the points, as for
+        _PairSumKernel.block, one scalar element at a time: S at all k^2
+        pairs, D and I~ above the diagonal (both are antisymmetric)."""
+        k = len(points)
+        s = [[self.s(p, q) for q in points] for p in points]
+        d = [[0.0] * k for _ in range(k)]
+        itld = [[0.0] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i + 1, k):
+                d[i][j] = self.d(points[i], points[j])
+                d[j][i] = -d[i][j]
+                itld[i][j] = self.itilde(points[i], points[j])
+                itld[j][i] = -itld[i][j]
+        return np.array(s), np.array(d), np.array(itld)
+
 
 # ---------------------------------------------------------------------------
 # partially symmetric real Ginibre ensemble
@@ -442,15 +503,18 @@ def spherical_irr(n, t1, t2):
 
     With u = (t2 - t1)/2 and m = N - 1 the integral is 2 S(t, t) times
     int_0^u cos^m v dv = 2^-m sum_k C(m, k) sin((m - 2k) u)/(m - 2k), where
-    the k = m/2 term is u.
+    the k = m/2 term is u. The terms k and m - k are equal, so the sum runs
+    over j = m - 2k > 0, doubled.
     """
     m = n - 1
     u = (np.asarray(t2, dtype=float) - t1) / 2.0
-    total = 0.0
-    for k in range(m + 1):
-        j = m - 2 * k
-        total = total + math.comb(m, k) * (np.sin(j * u) / j if j else u)
-    return 2.0 * sopoly._sph_pre(n) * total / 2.0 ** m + 0.5 * np.sign(t1 - t2)
+    scale = 2.0 * sopoly._sph_pre(n) / 2.0 ** m
+    j = np.arange(m, 0, -2)
+    total = np.sin(u[..., None] * j) @ [2.0 * scale * math.comb(m, k) / (m - 2 * k)
+                                        for k in range(len(j))]
+    if m % 2 == 0:
+        total = total + scale * math.comb(m, m // 2) * u
+    return total + 0.5 * np.sign(t1 - t2)
 
 
 def spherical_density_real(n):
@@ -518,6 +582,14 @@ class SphericalKernel:
 
     def itilde(self, p, q):
         return spherical_irr(self.n, q[1], p[1])
+
+    def block(self, points):
+        """S, D and I~ at every pair of the points, as for
+        _PairSumKernel.block: each element function once, on the k x k grid."""
+        t = np.array([p[1] for p in points], dtype=float)
+        t_p, t_q = t[:, None], t[None, :]
+        return (spherical_srr(self.n, t_p, t_q), spherical_drr(self.n, t_q, t_p),
+                spherical_irr(self.n, t_q, t_p))
 
 
 # ---------------------------------------------------------------------------
@@ -621,13 +693,13 @@ def npoint_correlation(kernel, points):
     points is a sequence of (species, value) pairs with species 'r' or 'c'.
     The 2 x 2 block of points i and j is [[-I~_ij, S_ij], [-S_ji, D_ij]], so
     the matrix is [[-I~, S], [-S^T, D]] with its rows and columns interleaved;
-    I~ and D vanish on the diagonal. Each S element is computed once, and I~
-    and D only above the diagonal: both are antisymmetric. Coincident points
-    are rejected; use the density functions instead.
+    I~ and D are antisymmetric. All three come from one kernel.block call.
+    Coincident points are rejected; use the density functions instead.
 
-    Every kernel class here gives s, d and itilde in one layout: at real
-    points D(x, y) = dS(x, y)/dx and dI~(x, y)/dx = S(y, x), so S(x, y)
-    carries the weight of y. In the transposed layout rho_3 and up are wrong.
+    Every kernel class here gives s, d and itilde, and block, in one layout:
+    at real points D(x, y) = dS(x, y)/dx and dI~(x, y)/dx = S(y, x), so
+    S(x, y) carries the weight of y. In the transposed layout rho_3 and up
+    are wrong.
     """
     pts = list(points)
     n = len(pts)
@@ -635,17 +707,11 @@ def npoint_correlation(kernel, points):
         for j in range(i + 1, n):
             if pts[i] == pts[j]:
                 raise ValueError("coincident points are not allowed")
-    s = np.array([[kernel.s(p, q) for q in pts] for p in pts], dtype=complex)
-    itld = np.zeros((n, n), dtype=complex)
-    d = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i + 1, n):
-            itld[i, j] = kernel.itilde(pts[i], pts[j])
-            d[i, j] = kernel.d(pts[i], pts[j])
-    mat = np.empty((2 * n, 2 * n), dtype=complex)
-    mat[0::2, 0::2] = itld.T - itld
+    s, d, itld = kernel.block(pts)
+    mat = np.empty((2 * n, 2 * n), dtype=np.result_type(s, d, itld))
+    mat[0::2, 0::2] = -itld
     mat[0::2, 1::2] = s
     mat[1::2, 0::2] = -s.T
-    mat[1::2, 1::2] = d - d.T
+    mat[1::2, 1::2] = d
     value = pfaffian.pfaffian(pfaffian.SkewMatrix(mat, tol=1e-8))
     return float(np.real(value))

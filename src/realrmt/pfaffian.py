@@ -1,5 +1,7 @@
 """Pfaffians of skew-symmetric matrices and related helpers."""
 
+import math
+
 import numpy as np
 
 
@@ -14,8 +16,8 @@ class SkewMatrix:
         a = np.asarray(a)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("SkewMatrix requires a square matrix")
-        scale = np.max(np.abs(a)) if a.size else 0.0
-        asym = np.max(np.abs(a + a.T)) if a.size else 0.0
+        scale = np.abs(a).max() if a.size else 0.0
+        asym = np.abs(a + a.T).max() if a.size else 0.0
         if asym > tol * max(1.0, scale):
             raise ValueError("matrix is not skew-symmetric (asymmetry %g)" % asym)
         self.data = (a - a.T) / 2.0
@@ -34,46 +36,46 @@ def _as_skew(a):
 def pfaffian_signed_log(a):
     """Pfaffian in signed-log form: (sign_or_phase, log|Pf|).
 
-    Skew elimination with partial pivoting; returns (0.0, -inf) for a
-    singular matrix and for odd order.
+    Skew elimination with partial pivoting, over Python scalars: at the small
+    orders of n-point correlations (2k for k points) per-step numpy calls
+    cost more than the arithmetic. Returns (0.0, -inf) for a singular matrix
+    and for odd order.
     """
-    m = _as_skew(a).astype(np.result_type(np.asarray(a).dtype, float)).copy()
-    n = m.shape[0]
+    data = _as_skew(a)
+    n = data.shape[0]
     if n % 2 == 1:
-        return 0.0, -np.inf
-    sign = 1.0 + 0j if np.iscomplexobj(m) else 1.0
+        return 0.0, -math.inf
+    is_complex = np.iscomplexobj(data)
+    m = data.tolist()
+    sign = 1.0 + 0j if is_complex else 1.0
     log_abs = 0.0
-    for k in range(0, n - 2, 2):
-        col = np.abs(m[k, k + 1:])
-        j = k + 1 + int(np.argmax(col))
-        if col[j - k - 1] == 0.0:
-            return 0.0, -np.inf
-        if j != k + 1:
-            m[[k + 1, j], :] = m[[j, k + 1], :]
-            m[:, [k + 1, j]] = m[:, [j, k + 1]]
-            sign = -sign
-        piv = m[k, k + 1]
-        sign *= piv / abs(piv)
-        log_abs += np.log(abs(piv))
-        b = m[k, k + 2:]
-        c = m[k + 1, k + 2:]
-        m[k + 2:, k + 2:] -= (np.outer(b, c) - np.outer(c, b)) / piv
-        m[k + 2:, k + 2:] = (m[k + 2:, k + 2:] - m[k + 2:, k + 2:].T) / 2.0
-    if n >= 2:
-        piv = m[n - 2, n - 1]
+    for k in range(0, n, 2):
+        top = m[k]
+        j = max(range(k + 1, n), key=lambda c: abs(top[c]))
+        piv = top[j]
         if piv == 0.0:
-            return 0.0, -np.inf
+            return 0.0, -math.inf
+        if j != k + 1:
+            m[k + 1], m[j] = m[j], m[k + 1]
+            for row in m[k:]:
+                row[k + 1], row[j] = row[j], row[k + 1]
+            sign = -sign
         sign *= piv / abs(piv)
-        log_abs += np.log(abs(piv))
-    if not np.iscomplexobj(m):
-        sign = float(np.real(sign))
-    return sign, float(log_abs)
+        log_abs += math.log(abs(piv))
+        # rows and columns past the pivot pair lose (b c^T - c b^T) / piv
+        b, c = top, m[k + 1]
+        for r in range(k + 2, n):
+            b_r, c_r, row = b[r] / piv, c[r] / piv, m[r]
+            for col in range(r + 1, n):
+                row[col] -= b_r * c[col] - c_r * b[col]
+                m[col][r] = -row[col]
+    return sign, log_abs
 
 
 def pfaffian(a):
     """Pfaffian of an even-order skew-symmetric matrix."""
     sign, log_abs = pfaffian_signed_log(a)
-    if log_abs == -np.inf:
+    if log_abs == -math.inf:
         return 0.0 * sign
     return sign * np.exp(log_abs)
 

@@ -1,6 +1,7 @@
 """Tests for the correlation kernels, densities and scaling limits."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -124,6 +125,44 @@ def test_ginibre_real_density_at_large_n(n):
     got = kernels.ginibre_density_real(n, x)
     np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-13 * want.max())
     assert kernels.ginibre_srr(n, x[5], x[5]) == pytest.approx(got[5], rel=1e-12)
+
+
+def _gin_rr_sum_reference(n, x, y):
+    """e^(-(x^2+y^2)/2) times the sum of (xy)^j / j! over j < n - 1, in 60-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x, y = Decimal(x), Decimal(y)
+        term, total = (-(x * x + y * y) / 2).exp(), Decimal(0)
+        for j in range(n - 1):
+            total += term
+            term = term * x * y / (j + 1)
+        return float(total)
+
+
+@pytest.mark.parametrize("n,x,y", [
+    (800, math.sqrt(600.0), -math.sqrt(600.0)), (800, 20.0, -20.0), (800, 28.0, -28.0),
+    (400, 15.0, -19.5), (40, 5.5, -4.0), (20, 3.0, -4.0), (20, 4.4, 4.3),
+    (800, 25.0, 26.0), (12, 0.3, -1.1), (2, 0.5, -0.7)])
+def test_ginibre_real_real_elements_against_decimal_sum(n, x, y):
+    # S and D share e^(-(x-y)^2/2) Q(n-1, xy), which at opposite signs and
+    # large |xy| is e^|xy| times an alternating sum when taken as written
+    want = _gin_rr_sum_reference(n, x, y)
+    srr, drr = kernels.ginibre_srr(n, x, y), kernels.ginibre_drr(n, x, y)
+    assert math.isfinite(srr) and math.isfinite(drr)
+    assert srr - C2PI * kernels._gin_tail(n, x, y) == pytest.approx(
+        C2PI * want, rel=1e-14, abs=1e-16)
+    assert drr == pytest.approx(C2PI * (y - x) * want, rel=1e-14, abs=1e-15)
+
+
+def test_ginibre_irr_past_the_factorial_range():
+    # x^m / m! comes from a recurrence, as m! overflows a float from m = 171;
+    # at |x|, |y| <= 2 the terms past m = 170 are below 1e-100
+    for x, y in ((1.5, -0.7), (-1.9, 1.2), (0.3, 1.1), (2.0, -2.0)):
+        far = kernels.ginibre_irr(200, x, y)
+        assert math.isfinite(far)
+        assert far == pytest.approx(kernels.ginibre_irr(172, x, y), rel=1e-13, abs=1e-16)
+    rho2 = kernels.npoint_correlation(kernels.GinibreKernel(200), [("r", 0.4), ("r", -1.3)])
+    assert math.isfinite(rho2) and rho2 > 0.0
 
 
 def test_ginibre_order_one_density_is_standard_normal():
@@ -504,6 +543,64 @@ def test_kernel_layout_derivative_identities(name, n):
         di = (el(kern.itilde, x + h, y) - el(kern.itilde, x - h, y)) / (2.0 * h)
         assert el(kern.d, x, y) == pytest.approx(ds, rel=1e-6), (x, y)
         assert di == pytest.approx(el(kern.s, y, x), rel=1e-6), (x, y)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CLASSES))
+@pytest.mark.parametrize("n", [4, 5])
+def test_kernel_block_matches_the_per_pair_elements(name, n):
+    # block(points)[0], [1], [2] at (i, j) are s, d and itilde at points i and j
+    kern = KERNEL_CLASSES[name](n)
+    point_sets = [[("r", x) for x in REALS[:4]]]
+    if name == "ginibre":
+        point_sets += [[("r", REALS[0]), ("c", COMPLEX[0]), ("r", REALS[2]), ("c", COMPLEX[1])],
+                       [("c", w) for w in COMPLEX]]
+    for pts in point_sets:
+        s, d, itld = kern.block(pts)
+        for name_el, got, element in (("s", s, kern.s), ("d", d, kern.d),
+                                      ("itilde", itld, kern.itilde)):
+            want = np.array([[element(p, q) for q in pts] for p in pts], dtype=complex)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15, err_msg=name_el)
+
+
+GAUSS_PINS = [("r", v) for v in (0.3, -1.1, 2.0, -3.1, 3.3, -2.2)]
+TRUNC_PINS = [("r", v) for v in (0.3, -0.6, 0.8, -0.15, 0.55, -0.9)]
+GIN_PINS = [("r", -1.2), ("c", 0.3 + 0.8j), ("r", 0.4), ("c", -1.0 + 1.5j), ("r", 2.1),
+            ("c", 1.7 + 0.5j)]
+# kernel, points, and npoint_correlation at the first 1, 2, 3 and 6 of them as
+# one s, d or itilde call per matrix entry gives it
+PINNED = {
+    "goe12": (lambda: kernels.GOEKernel(12), GAUSS_PINS,
+              (1.5257091311664657, 2.2179382711790714, 3.0052687621566783, 4.211546405202652)),
+    "goe7": (lambda: kernels.GOEKernel(7), GAUSS_PINS[:4] + [("r", 2.9), ("r", -2.2)],
+             (1.1460859040694373, 1.2014616788231418, 1.0957851872276012, 0.16003928034747794)),
+    "partial9": (lambda: kernels.PartialKernel(9, 0.5), GAUSS_PINS,
+                 (0.46038972094995556, 0.20877048278729332, 0.0956107529474679,
+                  0.0071653760378273595)),
+    "truncated6": (lambda: kernels.TruncatedKernel(6, 3), TRUNC_PINS,
+                   (0.6995807698090157, 0.6867719398166131, 0.8819587865674575,
+                    0.20384364721833403)),
+    "truncated7": (lambda: kernels.TruncatedKernel(7, 2), TRUNC_PINS,
+                   (0.5494505231705, 0.41870362025299046, 0.5466702138875115,
+                    0.0060119839044227895)),
+    "ginibre12": (lambda: kernels.GinibreKernel(12), GIN_PINS,
+                  (0.39894227877697114, 0.09480012380622459, 0.01637351895678957,
+                   1.1921476110988367e-05)),
+    "ginibre9": (lambda: kernels.GinibreKernel(9), GIN_PINS,
+                 (0.3989412735049221, 0.09479916345798291, 0.01637317443489568,
+                  7.3687740298697955e-06)),
+    "spherical6": (lambda: kernels.SphericalKernel(6),
+                   [("r", v) for v in (0.3, 2.1, 4.0, 5.5, 1.2, 3.1)],
+                   (0.46875000000000006, 0.2193057176758839, 0.10269373227701878,
+                    0.006262266307852342)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_npoint_values_are_pinned(name):
+    make, pts, values = PINNED[name]
+    kern = make()
+    for k, want in zip((1, 2, 3, 6), values):
+        assert kernels.npoint_correlation(kern, pts[:k]) == pytest.approx(want, rel=1e-12), k
 
 
 def test_odd_order_kernels_integrate_to_count_moments():

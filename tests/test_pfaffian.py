@@ -7,17 +7,19 @@ from hypothesis import given, settings, strategies as st
 from realrmt import pfaffian
 
 
-def _skew(seed, n):
+def _skew(seed, n, is_complex=False):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n))
+    if is_complex:
+        a = a + 1j * rng.standard_normal((n, n))
     return (a - a.T) / 2.0
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 6),
-       st.integers(min_value=1, max_value=6))
-def test_pfaffian_squares_to_determinant(seed, half):
-    a = _skew(seed, 2 * half)
+       st.integers(min_value=1, max_value=10), st.booleans())
+def test_pfaffian_squares_to_determinant(seed, half, is_complex):
+    a = _skew(seed, 2 * half, is_complex)
     pf = pfaffian.pfaffian(a)
     det = np.linalg.det(a)
     assert pf * pf == pytest.approx(det, rel=1e-9, abs=1e-12)
@@ -25,11 +27,13 @@ def test_pfaffian_squares_to_determinant(seed, half):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 6),
-       st.integers(min_value=1, max_value=6))
-def test_pfaffian_congruence(seed, half):
+       st.integers(min_value=1, max_value=10), st.booleans())
+def test_pfaffian_congruence(seed, half, is_complex):
     n = 2 * half
-    a = _skew(seed, n)
+    a = _skew(seed, n, is_complex)
     b = np.random.default_rng(seed + 1).standard_normal((n, n))
+    if is_complex:
+        b = b + 1j * np.random.default_rng(seed + 2).standard_normal((n, n))
     lhs = pfaffian.pfaffian(b @ a @ b.T)
     rhs = np.linalg.det(b) * pfaffian.pfaffian(a)
     assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-10)
@@ -37,11 +41,31 @@ def test_pfaffian_congruence(seed, half):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 6),
-       st.integers(min_value=1, max_value=4))
-def test_elimination_matches_laplace(seed, half):
-    a = _skew(seed, 2 * half)
+       st.integers(min_value=1, max_value=4), st.booleans())
+def test_elimination_matches_laplace(seed, half, is_complex):
+    a = _skew(seed, 2 * half, is_complex)
     assert pfaffian.pfaffian(a) == pytest.approx(
         pfaffian.pfaffian_laplace(a), rel=1e-10, abs=1e-12)
+
+
+def test_order_twenty_pfaffian_is_the_product_of_its_blocks():
+    # a block-diagonal matrix conjugated by a unit-determinant permutation
+    vals = np.arange(1.0, 11.0) * np.exp(0.3j * np.arange(10))
+    perm = np.random.default_rng(4).permutation(20)
+    p = np.eye(20)[perm]
+    a = p @ pfaffian.skew_diagonal(vals) @ p.T
+    assert pfaffian.pfaffian(a) == pytest.approx(np.linalg.det(p) * np.prod(vals), rel=1e-13)
+
+
+def test_complex_skew_matrix_keeps_its_imaginary_part():
+    a = np.array([[0, 1 + 2j, 3, 4j], [-1 - 2j, 0, 5, 6],
+                  [-3, -5, 0, 2 - 1j], [-4j, -6, -2 + 1j, 0]])
+    want = pfaffian.pfaffian_laplace(a)
+    assert want == -14 + 23j
+    assert pfaffian.pfaffian(pfaffian.SkewMatrix(a)) == pytest.approx(want, rel=1e-14)
+    assert pfaffian.pfaffian(a) == pytest.approx(want, rel=1e-14)
+    sign, log_abs = pfaffian.pfaffian_signed_log(pfaffian.SkewMatrix(a))
+    assert sign * np.exp(log_abs) == pytest.approx(want, rel=1e-14)
 
 
 def test_odd_order_pfaffian_is_zero():

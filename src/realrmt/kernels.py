@@ -26,21 +26,27 @@ def _hermite_vals(n, x):
     return out[: n + 1]
 
 
-def _phi(coeffs, moments, y, nu=None):
+def _phi(coeffs, moments, nu, y):
     """(1/2) integral of sgn(y - t) w(t) p(t) dt for each polynomial p.
 
     coeffs holds ascending-power coefficients, one polynomial per row (or one
     1-d polynomial); moments(count, y) gives the integrals of t^m w(t) up to
-    y for m < count, one row per m (at a float y, it may take a faster scalar
-    path), and moments(count, inf) those over the support, which the caller
-    may pass as nu. The result has shape coeffs.shape[:-1] + y.shape.
+    y for m < count, one row per m, at a float y or an array, and nu is
+    moments(count, inf), those over the support. The result has shape
+    coeffs.shape[:-1] + y.shape.
+
+    At one or two points (rho_1 and rho_2) the moments are taken one float
+    at a time: there the numpy calls of the array path cost more than the
+    arithmetic (at three or more points the truncated moments' array path
+    is the faster).
     """
     y = np.asarray(y, dtype=float)
     count = np.shape(coeffs)[-1]
-    if nu is None:
-        nu = moments(count, math.inf)
-    table = (np.reshape(moments(count, y.ravel() if y.ndim else float(y)), (count, -1))
-             - 0.5 * np.reshape(nu, (count, 1)))
+    if y.size <= 2:
+        table = np.array([moments(count, v) for v in y.ravel().tolist()]).reshape(y.size, count).T
+    else:
+        table = np.reshape(moments(count, y.ravel()), (count, -1))
+    table = table - 0.5 * np.reshape(nu, (count, 1))
     return (np.reshape(coeffs, (-1, count)) @ table).reshape(np.shape(coeffs)[:-1] + y.shape)
 
 
@@ -86,12 +92,13 @@ class _PairSumKernel:
         return self._weight(t) * (self._coeffs @ powers.T).reshape((self.n,) + t.shape)
 
     def _phi(self, t):
-        return _phi(self._coeffs, self._moments, t, self._nu)
+        return _phi(self._coeffs, self._moments, self._nu, t)
 
     def _pairs(self, f, g):
         k = 2 * len(self._scale)
         pair = f[0:k:2] * g[1:k:2] - f[1:k:2] * g[0:k:2]
-        return (self._scale @ pair.reshape(len(self._scale), -1)).reshape(pair.shape[1:])
+        flat = pair.reshape(len(self._scale), math.prod(pair.shape[1:]))
+        return (self._scale @ flat).reshape(pair.shape[1:])
 
     # S, D and I~ from the family's values q and Phi at x and at y
 
@@ -138,7 +145,8 @@ class _PairSumKernel:
 
 def goe_phi(k, x):
     """One-sided Gaussian integral of the k-th skew polynomial."""
-    return _phi(sopoly.goe_family(k + 1).coeffs[k], sopoly._gauss_lower_moments, x)
+    moments = sopoly._gauss_lower_moments
+    return _phi(sopoly.goe_family(k + 1).coeffs[k], moments, moments(k + 1, math.inf), x)
 
 
 def goe_s(n, x, y):
@@ -281,28 +289,46 @@ def ginibre_dcc(n, w, z):
             * _rt_erfc(w) * _rt_erfc(z))
 
 
+def _gin_even_terms(top, b):
+    """[e^(-b^2/2) b^m / m!!] and [phi_m(b) / (m-1)!!] for even m <= top,
+    phi_m(b) = (1/2) integral of sgn(b - t) t^m e^(-t^2/2) dt.
+
+    Their product is e^(-b^2/2) b^m phi_m(b) / m!, the summand of the real
+    Ginibre I~; both factors stay bounded, where m! overflows from m = 171
+    and phi_m from about m = 300. The first is a Poisson weight in m/2; the
+    second is M_m(b) / (m-1)!! - sqrt(2 pi)/2 for the lower Gaussian moment
+    M_m, whose scaled recurrence (that of sopoly._gauss_moment_chain divided
+    by (m-1)!!) subtracts e^(-b^2/2) b^(m-1) / (m-1)!! at each step.
+    """
+    w = math.exp(-b * b / 2.0)
+    weights, phis = [w], []
+    lower, power = math.sqrt(math.pi / 2.0) * math.erfc(-b / math.sqrt(2.0)), b * w
+    for m in range(0, top + 1, 2):
+        if m:
+            lower -= power
+            power *= b * b / (m + 1.0)
+            weights.append(weights[-1] * b * b / m)
+        phis.append(lower - sopoly.SQRT2PI / 2.0)
+    return weights, phis
+
+
 def ginibre_irr(n, x, y):
     """Real-real kernel element I~."""
-    # at even m, phi_m(b) = (1/2) integral of sgn(b - t) t^m e^{-t^2/2} dt is
-    # M_m(b) - nu_m / 2 for the lower Gaussian moments M and nu_m = M_m(inf)
     top = 2 * ((n - 1) // 2)
-    nu = sopoly._gauss_moment_chain(top, math.inf)
-    phi_x, phi_y = ([mb - v / 2.0 for mb, v in zip(sopoly._gauss_moment_chain(top, b), nu)]
-                    for b in (x, y))
+    w_x, phi_x = _gin_even_terms(top, x)
+    w_y, phi_y = _gin_even_terms(top, y)
     # at odd n each even monomial is skew-orthogonalised against the unpaired
-    # x^(n-1), which adds (phi_{n-1}(x) - phi_{n-1}(y)) / nu_{n-1} to I~
+    # x^(n-1), which takes phi_{n-1}(b) / (n-2)!! from each scaled phi_m(b)
+    # and adds (phi_{n-1}(x) - phi_{n-1}(y)) / nu_{n-1} to I~, with
+    # nu_{n-1} = sqrt(2 pi) (n-2)!!
     s_x = s_y = 0.0
     if n % 2:
-        s_x, s_y = phi_x[-1] / nu[-1], phi_y[-1] / nu[-1]
-    # e^(-b^2/2) b^m / m! by its recurrence in m, as m! overflows from m = 171
-    mono_x, mono_y = math.exp(-x * x / 2.0), math.exp(-y * y / 2.0)
-    total = 0.0
-    for k, m in enumerate(range(0, n - 1, 2)):
-        nu_m = nu[k] if n % 2 else 0.0
-        total += mono_y * (phi_x[k] - nu_m * s_x) - mono_x * (phi_y[k] - nu_m * s_y)
-        mono_x *= x * x / ((m + 1.0) * (m + 2.0))
-        mono_y *= y * y / ((m + 1.0) * (m + 2.0))
-    return C2PI * total + s_x - s_y - 0.5 * np.sign(x - y)
+        s_x, s_y = phi_x.pop(), phi_y.pop()
+        w_x.pop()
+        w_y.pop()
+    total = sum(wy * (px - s_x) - wx * (py - s_y)
+                for wx, px, wy, py in zip(w_x, phi_x, w_y, phi_y))
+    return C2PI * (total + s_x - s_y) - 0.5 * np.sign(x - y)
 
 
 def ginibre_irc(n, x, w):
@@ -624,7 +650,8 @@ def truncated_density_real(m, big_l, x):
     (vectorized in x)."""
     fam = sopoly.truncated_family(m, big_l)
     r_last = fam.norms[m // 2 - 1]
-    phi = _phi(fam.coeffs[m - 2], functools.partial(sopoly._trunc_moments, big_l), x)
+    moments = functools.partial(sopoly._trunc_moments, big_l)
+    phi = _phi(fam.coeffs[m - 2], moments, moments(m - 1, math.inf), x)
     first = 2.0 * trunc_omega_real(big_l, x) / r_last * x ** (m - 1) * phi
     tail = upper_beta_regularized(m - 1, big_l, x * x)
     second = sopoly._gamma_ratio(big_l) * tail / (1.0 - x * x)
@@ -693,8 +720,11 @@ def npoint_correlation(kernel, points):
     points is a sequence of (species, value) pairs with species 'r' or 'c'.
     The 2 x 2 block of points i and j is [[-I~_ij, S_ij], [-S_ji, D_ij]], so
     the matrix is [[-I~, S], [-S^T, D]] with its rows and columns interleaved;
-    I~ and D are antisymmetric. All three come from one kernel.block call.
-    Coincident points are rejected; use the density functions instead.
+    I~ and D are antisymmetric. All three come from one kernel.block call;
+    at one point the Pfaffian of [[0, S], [-S, 0]] is S, so rho_1 takes only
+    kernel.s. Coincident points are rejected; use the density functions
+    instead. A value that is not finite (an element overflowed) raises
+    ArithmeticError.
 
     Every kernel class here gives s, d and itilde, and block, in one layout:
     at real points D(x, y) = dS(x, y)/dx and dI~(x, y)/dx = S(y, x), so
@@ -707,11 +737,16 @@ def npoint_correlation(kernel, points):
         for j in range(i + 1, n):
             if pts[i] == pts[j]:
                 raise ValueError("coincident points are not allowed")
-    s, d, itld = kernel.block(pts)
-    mat = np.empty((2 * n, 2 * n), dtype=np.result_type(s, d, itld))
-    mat[0::2, 0::2] = -itld
-    mat[0::2, 1::2] = s
-    mat[1::2, 0::2] = -s.T
-    mat[1::2, 1::2] = d
-    value = pfaffian.pfaffian(pfaffian.SkewMatrix(mat, tol=1e-8))
-    return float(np.real(value))
+    if n == 1:
+        value = float(np.real(kernel.s(pts[0], pts[0])))
+    else:
+        s, d, itld = kernel.block(pts)
+        mat = np.empty((2 * n, 2 * n), dtype=np.result_type(s, d, itld))
+        mat[0::2, 0::2] = -itld
+        mat[0::2, 1::2] = s
+        mat[1::2, 0::2] = -s.T
+        mat[1::2, 1::2] = d
+        value = float(np.real(pfaffian.pfaffian(pfaffian.SkewMatrix(mat, tol=1e-8))))
+    if not math.isfinite(value):
+        raise ArithmeticError("n-point correlation is not finite: %r" % value)
+    return value

@@ -178,11 +178,7 @@ def _gauss_moment_chain(m, x, c=1.0):
 def _gauss_lower_moments(count, x, c=1.0):
     """M_0(x), ..., M_{count-1}(x) of _gauss_moment_chain, its two chains
     interleaved: a list at a float x, one array (moment m in row m) at an
-    array x. At an array of a few points (an n-point correlation's) the
-    float path point by point is faster than numpy calls on tiny arrays."""
-    if isinstance(x, np.ndarray) and x.size <= 8:
-        per_point = [_gauss_lower_moments(count, v, c) for v in x.ravel().tolist()]
-        return np.array(per_point).reshape(x.size, count).T.reshape((count,) + x.shape)
+    array x."""
     out = [None] * count
     out[0::2] = _gauss_moment_chain(2 * ((count - 1) // 2), x, c)
     if count > 1:

@@ -154,15 +154,34 @@ def test_ginibre_real_real_elements_against_decimal_sum(n, x, y):
     assert drr == pytest.approx(C2PI * (y - x) * want, rel=1e-14, abs=1e-15)
 
 
-def test_ginibre_irr_past_the_factorial_range():
-    # x^m / m! comes from a recurrence, as m! overflows a float from m = 171;
-    # at |x|, |y| <= 2 the terms past m = 170 are below 1e-100
+@pytest.mark.parametrize("n", [200, 303, 304, 601])
+def test_ginibre_irr_past_the_factorial_range(n):
+    # m! overflows a float from m = 171, and the one-sided moments of
+    # t^m e^(-t^2/2) from m of about 300; at |x|, |y| <= 2 every term past
+    # m = 170 is below 1e-100
     for x, y in ((1.5, -0.7), (-1.9, 1.2), (0.3, 1.1), (2.0, -2.0)):
-        far = kernels.ginibre_irr(200, x, y)
+        far = kernels.ginibre_irr(n, x, y)
         assert math.isfinite(far)
-        assert far == pytest.approx(kernels.ginibre_irr(172, x, y), rel=1e-13, abs=1e-16)
-    rho2 = kernels.npoint_correlation(kernels.GinibreKernel(200), [("r", 0.4), ("r", -1.3)])
-    assert math.isfinite(rho2) and rho2 > 0.0
+        assert far == pytest.approx(kernels.ginibre_irr(172 + n % 2, x, y), rel=1e-13, abs=1e-16)
+    for pts in ([("r", 0.4), ("r", -1.3)], [("r", 1.4), ("c", -0.5 + 0.7j)]):
+        assert kernels.npoint_correlation(kernels.GinibreKernel(n), pts) == pytest.approx(
+            kernels.npoint_correlation(kernels.GinibreKernel(172), pts), rel=1e-12)
+
+
+def test_npoint_refuses_a_value_that_is_not_finite():
+    class Overflowed:
+        """A kernel whose S elements overflowed."""
+
+        def s(self, p, q):
+            return math.nan
+
+        def block(self, points):
+            k = len(points)
+            return np.full((k, k), math.nan), np.zeros((k, k)), np.zeros((k, k))
+
+    for pts in ([("r", 0.1)], [("r", 0.1), ("r", 0.4)]):
+        with pytest.raises(ArithmeticError):
+            kernels.npoint_correlation(Overflowed(), pts)
 
 
 def test_ginibre_order_one_density_is_standard_normal():
@@ -546,12 +565,12 @@ def test_kernel_layout_derivative_identities(name, n):
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_CLASSES))
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [1, 4, 5])
 def test_kernel_block_matches_the_per_pair_elements(name, n):
     # block(points)[0], [1], [2] at (i, j) are s, d and itilde at points i and j
     kern = KERNEL_CLASSES[name](n)
     point_sets = [[("r", x) for x in REALS[:4]]]
-    if name == "ginibre":
+    if name == "ginibre" and n > 1:  # a 1 x 1 matrix has no complex eigenvalues
         point_sets += [[("r", REALS[0]), ("c", COMPLEX[0]), ("r", REALS[2]), ("c", COMPLEX[1])],
                        [("c", w) for w in COMPLEX]]
     for pts in point_sets:
@@ -601,6 +620,34 @@ def test_npoint_values_are_pinned(name):
     kern = make()
     for k, want in zip((1, 2, 3, 6), values):
         assert kernels.npoint_correlation(kern, pts[:k]) == pytest.approx(want, rel=1e-12), k
+
+
+ORDER_ONE_DENSITY = {
+    "goe": lambda x: C2PI * math.exp(-x * x / 2.0),
+    "ginibre": lambda x: C2PI * math.exp(-x * x / 2.0),
+    "partial": lambda x: math.exp(-x * x / 3.0) / math.sqrt(3.0 * math.pi),  # tau = 0.5
+    "spherical": lambda x: 1.0 / (2.0 * math.pi),  # uniform in the angle
+    "truncated": lambda x: 0.5,  # L = 2: uniform on (-1, 1)
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CLASSES))
+def test_order_one_kernels(name):
+    # a 1 x 1 matrix is its own eigenvalue: rho_1 is the density of its
+    # entry, and with no second eigenvalue rho_2 vanishes
+    kern = KERNEL_CLASSES[name](1)
+    for x in REALS:
+        assert kernels.npoint_correlation(kern, [("r", x)]) == pytest.approx(
+            ORDER_ONE_DENSITY[name](x), rel=1e-13)
+    assert kernels.npoint_correlation(kern, [("r", REALS[0]), ("r", REALS[1])]) == pytest.approx(
+        0.0, abs=1e-15)
+
+
+def test_partial_order_one_density():
+    x = np.array(REALS)
+    want = [ORDER_ONE_DENSITY["partial"](v) for v in REALS]
+    np.testing.assert_allclose(kernels.partial_density_real(1, 0.5, x), want, rtol=1e-13)
+    assert kernels.partial_density_real(1, 0.5, REALS[0]) == pytest.approx(want[0], rel=1e-13)
 
 
 def test_odd_order_kernels_integrate_to_count_moments():

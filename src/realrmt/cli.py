@@ -170,13 +170,18 @@ def sample(ensemble, n, big_l, tau, seed, out, fmt, workers, reps):
 @click.option("--reps", type=click.IntRange(min=0), default=0)
 def density(ensemble, n, big_l, tau, seed, out, fmt, workers, grid, reps):
     """Analytic real-eigenvalue density on a grid, optionally with a histogram."""
-    ens = ensembles.spec(ensemble, n, tau, big_l, density=True)
+    ens = ensembles.spec(ensemble, n, tau, big_l)
     lo, hi, bins = _parse_grid(grid)
     edges = np.linspace(lo, hi, bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     width = (hi - lo) / bins
-    # one call on the whole grid; the spherical density is a constant
-    rho = np.broadcast_to(ens.density(n, tau, big_l, centers), centers.shape)
+    # one call on the whole grid; the spherical density is a constant. A
+    # value that is not finite (truncated L = 1 at x = +-1) is refused.
+    with np.errstate(all="ignore"):
+        rho = np.broadcast_to(ens.density(n, tau, big_l, centers), centers.shape)
+    if not np.isfinite(rho).all():
+        raise ArithmeticError("real density is not finite at x = %.15g"
+                              % centers[~np.isfinite(rho)][0])
     columns = {"x": centers, "rho": rho}
     if reps:
         vals = ensembles.simulate_real_eigenvalues(ensemble, n, reps, seed, tau=tau,

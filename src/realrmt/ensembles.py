@@ -194,7 +194,6 @@ class Ensemble:
     param: str | None = None  # keyword of the one parameter, if any
     param_range: tuple = ()  # the open interval its value must lie in
     max_table: float = math.inf
-    even_density: bool = False  # the real density is given at even order only
     angles: bool = False  # real eigenvalues are binned as boundary angles
 
 
@@ -202,8 +201,7 @@ class Ensemble:
 ENSEMBLES = {
     "goe": Ensemble(
         sample=lambda n, rng, tau, big_l, size: sample_goe(n, rng, size=size),
-        density=lambda n, tau, big_l, x: kernels.goe_density(n, x),
-        even_density=True),
+        density=lambda n, tau, big_l, x: kernels.goe_density(n, x)),
     "ginibre": Ensemble(
         sample=lambda n, rng, tau, big_l, size: sample_ginibre(n, rng, size=size),
         density=lambda n, tau, big_l, x: kernels.ginibre_density_real(n, x),
@@ -220,14 +218,14 @@ ENSEMBLES = {
         sample=lambda n, rng, tau, big_l, size:
             sample_truncated(n, big_l, rng, size=size),
         density=lambda n, tau, big_l, x: kernels.truncated_density_real(n, big_l, x),
-        param="big_l", param_range=(0, math.inf), max_table=12, even_density=True),
+        param="big_l", param_range=(0, math.inf), max_table=12),
 }
 
 
-def spec(name, n, tau=None, big_l=None, table=False, density=False):
+def spec(name, n, tau=None, big_l=None, table=False):
     """The named Ensemble, once it is shown to support order n and the parameters.
 
-    table asks for an exact table, density for the real density. Raises ConfigError.
+    table asks for an exact table. Raises ConfigError.
     """
     ens = ENSEMBLES.get(name)
     if ens is None:
@@ -246,8 +244,6 @@ def spec(name, n, tau=None, big_l=None, table=False, density=False):
     if table and n > ens.max_table:
         raise ConfigError("%s exact tables are supported up to order %d"
                           % (name, ens.max_table))
-    if density and ens.even_density and n % 2 == 1:
-        raise ConfigError("%s density requires even order" % (name,))
     return ens
 
 

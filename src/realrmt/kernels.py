@@ -14,40 +14,7 @@ C2PI = 1.0 / sopoly.SQRT2PI
 
 
 # ---------------------------------------------------------------------------
-# shared Gaussian helpers
-
-
-def _hermite_vals(n, x):
-    """Physicists' Hermite polynomial values H_0..H_n at x."""
-    x = np.asarray(x, dtype=float)
-    out = [np.ones_like(x), 2.0 * x]
-    for k in range(1, n):
-        out.append(2.0 * x * out[k] - 2.0 * k * out[k - 1])
-    return out[: n + 1]
-
-
-def _phi(coeffs, moments, nu, y):
-    """(1/2) integral of sgn(y - t) w(t) p(t) dt for each polynomial p.
-
-    coeffs holds ascending-power coefficients, one polynomial per row (or one
-    1-d polynomial); moments(count, y) gives the integrals of t^m w(t) up to
-    y for m < count, one row per m, at a float y or an array, and nu is
-    moments(count, inf), those over the support. The result has shape
-    coeffs.shape[:-1] + y.shape.
-
-    At one or two points (rho_1 and rho_2) the moments are taken one float
-    at a time: there the numpy calls of the array path cost more than the
-    arithmetic (at three or more points the truncated moments' array path
-    is the faster).
-    """
-    y = np.asarray(y, dtype=float)
-    count = np.shape(coeffs)[-1]
-    if y.size <= 2:
-        table = np.array([moments(count, v) for v in y.ravel().tolist()]).reshape(y.size, count).T
-    else:
-        table = np.reshape(moments(count, y.ravel()), (count, -1))
-    table = table - 0.5 * np.reshape(nu, (count, 1))
-    return (np.reshape(coeffs, (-1, count)) @ table).reshape(np.shape(coeffs)[:-1] + y.shape)
+# the pair-sum kernel of the GOE, partial and truncated ensembles
 
 
 class _PairSumKernel:
@@ -67,7 +34,8 @@ class _PairSumKernel:
     integral of q_j, S gains q_{n-1}(y) / nu_{n-1} and I~ gains
     (Phi_{n-1}(x) - Phi_{n-1}(y)) / nu_{n-1} (Sinclair, J. Stat. Phys. 136,
     2009). The family is built once, by the caller, and the weight's moments
-    over the support once, here. moments is as for _phi.
+    over the support once, here: moments(count, y) gives the integrals of
+    t^m w(t) up to y for m < count, one row per m, at a float y or an array.
     The *_xy methods take values (vectorized, elementwise); s, d and itilde
     take (species, value) points, and block a sequence of them.
     """
@@ -91,8 +59,22 @@ class _PairSumKernel:
         powers = np.vander(t.ravel(), self.n, increasing=True)
         return self._weight(t) * (self._coeffs @ powers.T).reshape((self.n,) + t.shape)
 
-    def _phi(self, t):
-        return _phi(self._coeffs, self._moments, self._nu, t)
+    def _phi(self, y):
+        """Phi_j(y) for every j, with shape (n,) + y.shape.
+
+        At one or two points (rho_1 and rho_2) the moments are taken one
+        float at a time: there the numpy calls of the array path cost more
+        than the arithmetic (at three or more points the truncated moments'
+        array path is the faster).
+        """
+        y = np.asarray(y, dtype=float)
+        if y.size <= 2:
+            table = np.array([self._moments(self.n, v) for v in y.ravel().tolist()])
+            table = table.reshape(y.size, self.n).T
+        else:
+            table = np.reshape(self._moments(self.n, y.ravel()), (self.n, -1))
+        table = table - 0.5 * self._nu[:, None]
+        return (self._coeffs @ table).reshape((self.n,) + y.shape)
 
     def _pairs(self, f, g):
         k = 2 * len(self._scale)
@@ -143,29 +125,15 @@ class _PairSumKernel:
 # Gaussian orthogonal ensemble
 
 
-def goe_phi(k, x):
-    """One-sided Gaussian integral of the k-th skew polynomial."""
-    moments = sopoly._gauss_lower_moments
-    return _phi(sopoly.goe_family(k + 1).coeffs[k], moments, moments(k + 1, math.inf), x)
-
-
 def goe_s(n, x, y):
     """Scalar kernel S_N(x, y) for the Gaussian orthogonal ensemble."""
     return GOEKernel(n).s_xy(x, y)
 
 
 def goe_density(n, x):
-    """Real eigenvalue density for the Gaussian orthogonal ensemble, n even
-    (vectorized in x)."""
-    x = np.asarray(x, dtype=float)
-    h = _hermite_vals(n - 1, x)
-    c1 = 1.0 / (2.0 ** (n - 2) * math.sqrt(math.pi) * math.gamma(n - 1.0))
-    c2 = 1.0 / (2.0 * math.sqrt(math.pi) * math.gamma(n - 1.0))
-    first = (n - 1.0) * h[n - 2] ** 2
-    if n > 2:
-        first = first - (n - 2.0) * h[n - 1] * h[n - 3]
-    return (np.exp(-x * x) * c1 * first
-            + np.exp(-x * x / 2.0) * c2 * h[n - 1] * goe_phi(n - 2, x))
+    """Real eigenvalue density for the Gaussian orthogonal ensemble, S(x, x)
+    of its kernel at any order (vectorized in x)."""
+    return GOEKernel(n).s_xy(x, x)
 
 
 def goe_d(n, x, y):
@@ -350,8 +318,7 @@ def ginibre_icc(n, w, z):
 def ginibre_density_real(n, x):
     """Density of real eigenvalues for the real Ginibre ensemble (vectorized in x)."""
     x = np.asarray(x, dtype=float)
-    q = upper_gamma_regularized(n - 1, x * x) if n > 1 else 0.0  # Q(0, .) = 0
-    return C2PI * (q + _gin_tail(n, x, x))
+    return C2PI * (upper_gamma_regularized(n - 1, x * x) + _gin_tail(n, x, x))
 
 
 def ginibre_density_complex(n, w):
@@ -622,23 +589,6 @@ class SphericalKernel:
 # real truncated orthogonal ensemble
 
 
-def truncated_d(m, big_l, mu, eta, species=("r", "r")):
-    """Kernel element D for the truncated ensemble, any species pair."""
-    def omega(val, sp_tag):
-        if sp_tag == "r":
-            return trunc_omega_real(big_l, val)
-        return math.sqrt(trunc_omega_sq_complex(big_l, val))
-
-    prod = mu * eta
-    total = 0.0
-    coeff = 1.0
-    for j in range(m - 1):
-        if j > 0:
-            coeff *= (big_l + j) / j
-        total = total + coeff * prod ** j
-    return 2.0 * omega(mu, species[0]) * omega(eta, species[1]) * (eta - mu) * total
-
-
 def truncated_srr(m, big_l, x, y):
     """Real-real kernel element S for the truncated ensemble. Like ginibre_srr
     it carries the weight of x: it is TruncatedKernel's S transposed."""
@@ -646,16 +596,9 @@ def truncated_srr(m, big_l, x, y):
 
 
 def truncated_density_real(m, big_l, x):
-    """Density of real eigenvalues for the truncated ensemble, m even
-    (vectorized in x)."""
-    fam = sopoly.truncated_family(m, big_l)
-    r_last = fam.norms[m // 2 - 1]
-    moments = functools.partial(sopoly._trunc_moments, big_l)
-    phi = _phi(fam.coeffs[m - 2], moments, moments(m - 1, math.inf), x)
-    first = 2.0 * trunc_omega_real(big_l, x) / r_last * x ** (m - 1) * phi
-    tail = upper_beta_regularized(m - 1, big_l, x * x)
-    second = sopoly._gamma_ratio(big_l) * tail / (1.0 - x * x)
-    return first + second
+    """Density of real eigenvalues for the truncated ensemble, S(x, x) of its
+    kernel at any order (vectorized in x); 0 off [-1, 1]."""
+    return TruncatedKernel(m, big_l).s_xy(x, x)
 
 
 def truncated_density_complex(m, big_l, z):

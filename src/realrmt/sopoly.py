@@ -233,8 +233,12 @@ def _trunc_cw(big_l):
 
 
 def trunc_omega_real(big_l, x):
-    """Real-axis weight of the truncated ensemble."""
-    return _trunc_cw(big_l) * (1.0 - x * x) ** (big_l / 2.0 - 1.0)
+    """Real-axis weight of the truncated ensemble, 0 off [-1, 1] (vectorized in x)."""
+    u = 1.0 - x * x
+    inside = u >= 0.0
+    # off the support the power is taken at 1, as at odd L it is not real there
+    return np.where(inside, _trunc_cw(big_l) * np.where(inside, u, 1.0) ** (big_l / 2.0 - 1.0),
+                    0.0)
 
 
 def trunc_omega_sq_complex(big_l, z):

@@ -44,19 +44,20 @@ def log_gamma(x):
 
 
 def upper_gamma_regularized(a, x):
-    """Regularized upper incomplete gamma Q(a, x) for integer or half-integer a > 0.
+    """Regularized upper incomplete gamma Q(a, x) for integer or half-integer a >= 0.
 
     It is the finite sum of e^(-x) x^j / Gamma(j + 1) over j = a - 1, a - 2,
     ... down to 0 at integer a, and down to 1/2 at half-integer a, where
-    erfc(sqrt(x)) is added. Integer a takes real (negative: the analytic
-    continuation), complex or array x; half-integer a takes real x >= 0.
+    erfc(sqrt(x)) is added; at a = 0 the sum is empty, and Q(0, x) = 0.
+    Integer a takes real (negative: the analytic continuation), complex or
+    array x; half-integer a takes real x >= 0.
     The sum of x^j / Gamma(j + 1) is at most e^|x|, so up to |x| = 700 it is
     formed by recurrence and scaled by e^(-x) once; at larger real x, where
     that would overflow, each term is formed in log space, to a relative
     error of about x float epsilons.
     """
-    if a <= 0 or int(2 * a) != 2 * a:
-        raise ValueError("upper_gamma_regularized requires integer or half-integer a > 0")
+    if a < 0 or int(2 * a) != 2 * a:
+        raise ValueError("upper_gamma_regularized requires integer or half-integer a >= 0")
     first = a % 1  # the lowest j: 0 or 1/2
     count = int(a - first)
     head = erfc_real(x ** 0.5) if first else 0.0

@@ -216,11 +216,27 @@ def test_density_of_order_one_ginibre():
         [math.exp(-0.125) / math.sqrt(2.0 * math.pi)] * 2, rel=1e-14)
 
 
-def test_density_rejects_bad_grid_and_odd_order():
+def test_density_rejects_bad_grid():
     assert run_cli("density", "--ensemble", "ginibre", "--n", "4",
                    "--grid", "oops").returncode == 1
-    assert run_cli("density", "--ensemble", "goe", "--n", "5",
-                   "--grid", "-1:1:4").returncode == 1
+
+
+def test_truncated_density_off_its_support():
+    # rho = 0 outside [-1, 1]; at L = 1 the density diverges at x = +-1,
+    # which is refused
+    for big_l in ("2", "3"):
+        res = run_cli("density", "--ensemble", "truncated", "--n", "4", "--l", big_l,
+                      "--grid", "-2:2:4")
+        assert res.returncode == 0, res.stderr
+        _, rows = _parse_csv(res.stdout)
+        assert [float(r["rho"]) for r in rows[::3]] == [0.0, 0.0]
+        assert all(float(r["rho"]) > 0.0 for r in rows[1:3])
+    res = run_cli("density", "--ensemble", "truncated", "--n", "4", "--l", "1",
+                  "--grid", "-1.5:1.5:3")
+    assert res.returncode == 3
+    assert res.stdout == ""
+    assert "not finite" in res.stderr
+    assert "Warning" not in res.stderr
 
 
 def test_compare_passes_and_reports():
@@ -290,11 +306,17 @@ def test_orders_past_the_table_cap_exit_with_config_error(name):
     assert run_cli("sample", "--reps", "3", *args).returncode == 0
 
 
-@pytest.mark.parametrize("name", [k for k, e in ENSEMBLES.items() if e.even_density])
-def test_odd_order_density_exits_with_config_error(name):
-    res = run_cli("density", "--grid", "-1:1:4", *_ensemble_args(name, 5))
-    assert res.returncode == 1
-    assert "requires even order" in res.stderr
+@pytest.mark.parametrize("name,args,kernel", [
+    ("goe", ["--grid", "-4:4:8"], kernels.GOEKernel(5)),
+    ("truncated", ["--l", "3", "--grid", "-1:1:8"], kernels.TruncatedKernel(5, 3))],
+    ids=["goe", "truncated"])
+def test_odd_order_density_is_the_kernel_diagonal(name, args, kernel):
+    res = run_cli("density", "--ensemble", name, "--n", "5", *args)
+    assert res.returncode == 0, res.stderr
+    _, rows = _parse_csv(res.stdout)
+    x = np.array([float(r["x"]) for r in rows])
+    np.testing.assert_allclose([float(r["rho"]) for r in rows], kernel.s_xy(x, x),
+                               rtol=1e-14)
 
 
 def test_table_outside_the_bound_exits_with_numeric_error(monkeypatch, capsys):

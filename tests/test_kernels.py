@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate
 from scipy import special as sp
 
-from realrmt import analytics, kernels, sopoly
+from realrmt import analytics, ensembles, kernels, sopoly
 from realrmt.ensembles import ENSEMBLES
 
 C2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -22,6 +22,31 @@ def test_goe_density_is_kernel_diagonal():
     for x in (-1.2, 0.0, 0.8):
         assert kernels.goe_density(6, x) == pytest.approx(
             float(kernels.goe_s(6, x, x)), rel=1e-10)
+
+
+def _goe_closed_form_density(n, x):
+    """Mehta's even-order GOE density, with the one-sided integral of
+    e^(-t^2/2) H_{n-2}(t) by quadrature."""
+    def herm(k, t):
+        return np.polynomial.hermite.hermval(t, [0.0] * k + [1.0]) if k >= 0 else 0.0
+
+    def f(t):
+        return math.exp(-t * t / 2.0) * herm(n - 2, t) / 2.0 ** (n - 2)
+
+    lower = integrate.quad(f, -np.inf, x, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    total = integrate.quad(f, -np.inf, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    c = math.sqrt(math.pi) * math.gamma(n - 1.0)
+    first = (n - 1.0) * herm(n - 2, x) ** 2 - (n - 2.0) * herm(n - 1, x) * herm(n - 3, x)
+    return (math.exp(-x * x) * first / (2.0 ** (n - 2) * c)
+            + math.exp(-x * x / 2.0) * herm(n - 1, x) * (lower - total / 2.0) / (2.0 * c))
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+def test_goe_density_matches_the_even_order_closed_form(n):
+    xs = np.linspace(-math.sqrt(2.0 * n) - 2.0, math.sqrt(2.0 * n) + 2.0, 9)
+    want = np.array([_goe_closed_form_density(n, x) for x in xs])
+    np.testing.assert_allclose(kernels.goe_density(n, xs), want, rtol=0.0,
+                               atol=1e-12 * want.max())
 
 
 def test_goe_kernel_one_and_two_point():
@@ -191,6 +216,15 @@ def test_ginibre_order_one_density_is_standard_normal():
             C2PI * math.exp(-x * x / 2.0), rel=1e-15)
 
 
+def test_ginibre_order_one_has_no_complex_eigenvalues():
+    w = 0.3 + 0.8j
+    kern = kernels.GinibreKernel(1)
+    assert kernels.ginibre_density_complex(1, w) == 0.0
+    assert kernels.npoint_correlation(kern, [("c", w)]) == 0.0
+    assert kernels.npoint_correlation(kern, [("r", -0.6), ("c", w)]) == pytest.approx(
+        0.0, abs=1e-15)
+
+
 def test_ginibre_complex_density_matches_scc():
     w = 1.0 + 0.8j
     rho = kernels.GinibreKernel(8)
@@ -339,6 +373,18 @@ def test_truncated_density_is_srr_diagonal():
     for x in (-0.6, 0.0, 0.9):
         assert kernels.truncated_density_real(4, 2, x) == pytest.approx(
             kernels.truncated_srr(4, 2, x, x), rel=1e-9)
+
+
+def test_truncated_density_off_and_at_the_edge_of_its_support():
+    # the weight is 0 off [-1, 1]; at x = +-1 the density is finite for L >= 2
+    for big_l in (1, 2, 3):
+        assert kernels.truncated_density_real(4, big_l, 1.5) == 0.0
+        np.testing.assert_array_equal(
+            kernels.truncated_density_real(5, big_l, np.array([-2.0, -1.0 - 1e-12, 1.5])), 0.0)
+    edges = np.array([-1.0, 1.0])
+    np.testing.assert_allclose(kernels.truncated_density_real(8, 2, edges), 4.0, rtol=1e-13)
+    np.testing.assert_array_equal(kernels.truncated_density_real(8, 4, edges), 0.0)
+    assert kernels.truncated_density_real(8, 2, 1.0) == pytest.approx(4.0, rel=1e-13)
 
 
 def test_truncated_weights():
@@ -570,7 +616,7 @@ def test_kernel_block_matches_the_per_pair_elements(name, n):
     # block(points)[0], [1], [2] at (i, j) are s, d and itilde at points i and j
     kern = KERNEL_CLASSES[name](n)
     point_sets = [[("r", x) for x in REALS[:4]]]
-    if name == "ginibre" and n > 1:  # a 1 x 1 matrix has no complex eigenvalues
+    if name == "ginibre":
         point_sets += [[("r", REALS[0]), ("c", COMPLEX[0]), ("r", REALS[2]), ("c", COMPLEX[1])],
                        [("c", w) for w in COMPLEX]]
     for pts in point_sets:
@@ -648,6 +694,31 @@ def test_partial_order_one_density():
     want = [ORDER_ONE_DENSITY["partial"](v) for v in REALS]
     np.testing.assert_allclose(kernels.partial_density_real(1, 0.5, x), want, rtol=1e-13)
     assert kernels.partial_density_real(1, 0.5, REALS[0]) == pytest.approx(want[0], rel=1e-13)
+
+
+MOMENT_CASES = {"goe": {}, "ginibre": {}, "partial": {"tau": 0.5}, "spherical": {},
+                "truncated": {"big_l": 3}}
+
+
+@pytest.mark.parametrize("n", [6, 7])
+@pytest.mark.parametrize("name", sorted(ENSEMBLES))
+def test_real_density_integrates_to_the_expected_real_count(name, n):
+    # the integral of rho_1 over the real line (spherical: over the angles,
+    # truncated: over x = sin(u)) is E[k] from the exact table
+    params = MOMENT_CASES[name]
+    ens = ensembles.spec(name, n, **params)
+    tau, big_l = params.get("tau"), params.get("big_l")
+    if name == "spherical":
+        x, w = _gl(0.0, 2.0 * math.pi, 8)
+    elif name == "truncated":
+        u, w = _gl(-0.5 * math.pi, 0.5 * math.pi, 200)
+        x, w = np.sin(u), w * np.cos(u)
+    else:
+        half = math.sqrt(2.0 * n) + 10.0
+        x, w = _gl(-half, half, 200)
+    rho = np.broadcast_to(ens.density(n, tau, big_l, x), x.shape)
+    probs = analytics.prob_table(name, n, tau=tau, big_l=big_l)
+    assert w @ rho == pytest.approx(np.arange(n + 1) @ probs, abs=1e-12)
 
 
 def test_odd_order_kernels_integrate_to_count_moments():

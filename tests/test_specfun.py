@@ -46,8 +46,13 @@ def test_upper_gamma_regularized_negative_and_complex():
         for x in (-2.0, -0.5, 1.5 + 2.0j):
             want = np.exp(-x) * sum(x ** j / math.factorial(j) for j in range(n))
             assert specfun.upper_gamma_regularized(n, x) == pytest.approx(want)
-    with pytest.raises(ValueError):
-        specfun.upper_gamma_regularized(0, 1.0)
+    # a = 0: the sum is empty
+    assert specfun.upper_gamma_regularized(0, 1.0) == 0.0
+    assert specfun.upper_gamma_regularized(0, -2.0 + 0.5j) == 0.0
+    np.testing.assert_array_equal(specfun.upper_gamma_regularized(0, np.array([0.0, 3.0])), 0.0)
+    for a in (-1, 1.3):
+        with pytest.raises(ValueError):
+            specfun.upper_gamma_regularized(a, 1.0)
 
 
 def test_upper_gamma_regularized_takes_arrays():

@@ -72,16 +72,14 @@ def _skew_bernoulli(family, sgn, moments):
     sgn is the monomial sign table of the real weight and moments its
     monomial moments. In the skew basis Z(s) / Z(1) = det(I + (s-1) M), so
     the mu_i are the eigenvalues of M = D^(-1/2) alpha D^(-1/2), D = diag(norms),
-    alpha pairing polynomials 2j and 2l+1. At odd N one Schur step folds in the
-    s-free border column of the even polynomials' moments. M is not symmetric
-    at odd N, nor for the truncated weight.
+    alpha pairing polynomials 2j and 2l+1. At odd N the family's fold takes
+    the unpaired polynomial out of the even ones first, which stands for the
+    s-free border column of the bordered Pfaffian. M is not symmetric at odd
+    N, nor for the truncated weight.
     """
-    c = family.matrix()
+    c, _ = family.folded(moments)
     h = len(family) // 2
-    alpha = c[0::2] @ sgn @ c[1::2].T
-    if len(family) % 2:
-        b = c[0::2] @ moments
-        alpha = alpha[:h] - np.outer(b[:h], alpha[h]) / b[h]
+    alpha = c[0:2 * h:2] @ sgn @ c[1::2].T
     scale = 1.0 / np.sqrt(family.norms[:h])
     return np.linalg.eigvals(scale[:, None] * alpha * scale)
 
@@ -93,11 +91,6 @@ def _skew_bernoulli(family, sgn, moments):
 def ginibre_alpha(j, l):
     """Skew-basis alpha entry pairing polynomials 2j and 2l+1 (0-based pairs)."""
     return 2.0 * math.gamma(j + l + 0.5)
-
-
-def ginibre_nu(j):
-    """Integral of x^j against the Gaussian weight e^{-x^2/2}."""
-    return sopoly._gauss_moment(j)
 
 
 def ginibre_alpha_via_recursion(j, l):
@@ -119,7 +112,7 @@ def ginibre_prob_gf(n):
     """Probabilities p_{N,k} of k real eigenvalues for the real Ginibre ensemble."""
     ensembles.spec("ginibre", n, table=True)
     mu = _skew_bernoulli(sopoly.ginibre_family(n), _gauss_sign_table(n, 1.0),
-                         [ginibre_nu(a) for a in range(n)])
+                         sopoly._gauss_lower_moments(n, math.inf))
     return _bernoulli_table(mu, n % 2)
 
 
@@ -198,7 +191,7 @@ def partial_prob_gf(n, tau):
     ensembles.spec("partial", n, tau=tau, table=True)
     c = 1.0 + tau
     mu = _skew_bernoulli(sopoly.partial_family(n, tau), _gauss_sign_table(n, c),
-                         [sopoly._gauss_moment(a, c) for a in range(n)])
+                         sopoly._gauss_lower_moments(n, math.inf, c))
     return _bernoulli_table(mu, n % 2)
 
 
@@ -256,21 +249,11 @@ def gaussian_local_limit_curve(n):
 # real truncated orthogonal ensemble
 
 
-def truncated_theta(coeffs, big_l):
-    """Full-interval integral of a polynomial against the truncation weight."""
-    cw = sopoly._trunc_cw(big_l)
-    total = 0.0
-    for m, c in enumerate(np.asarray(coeffs)):
-        if c != 0.0 and m % 2 == 0:
-            total += c * half_beta(m + 1, big_l)
-    return cw * total
-
-
 def truncated_prob_gf(m, big_l):
     """Probabilities p_{M,k} of k real eigenvalues for the truncated ensemble."""
     ensembles.spec("truncated", m, big_l=big_l, table=True)
     mu = _skew_bernoulli(sopoly.truncated_family(m, big_l), _trunc_sign_table(m, big_l),
-                         [truncated_theta(e, big_l) for e in np.eye(m)])
+                         sopoly._trunc_moments(big_l, m, math.inf))
     return _bernoulli_table(mu, m % 2)
 
 

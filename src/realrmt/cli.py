@@ -176,12 +176,18 @@ def density(ensemble, n, big_l, tau, seed, out, fmt, workers, grid, reps):
     centers = 0.5 * (edges[:-1] + edges[1:])
     width = (hi - lo) / bins
     # one call on the whole grid; the spherical density is a constant. A
-    # value that is not finite (truncated L = 1 at x = +-1) is refused.
+    # value that is not finite (truncated L = 1 at x = +-1) is refused, and so
+    # is one below -1e-12 max |rho| (the GOE pair sum loses every digit to
+    # cancellation from n = 72)
     with np.errstate(all="ignore"):
         rho = np.broadcast_to(ens.density(n, tau, big_l, centers), centers.shape)
     if not np.isfinite(rho).all():
         raise ArithmeticError("real density is not finite at x = %.15g"
                               % centers[~np.isfinite(rho)][0])
+    negative = rho < -1e-12 * np.abs(rho).max()
+    if negative.any():
+        raise ArithmeticError("real density is negative at x = %.15g: %.6g"
+                              % (centers[negative][0], rho[negative][0]))
     columns = {"x": centers, "rho": rho}
     if reps:
         vals = ensembles.simulate_real_eigenvalues(ensemble, n, reps, seed, tau=tau,

@@ -30,26 +30,22 @@ class _PairSumKernel:
 
     so D(x, y) = dS(x, y)/dx and dI~(x, y)/dx = S(y, x), the layout that
     npoint_correlation takes. At odd n the last polynomial p_{n-1} stays
-    unpaired: every other p_j loses (nu_j / nu_{n-1}) p_{n-1}, nu_j being the
-    integral of q_j, S gains q_{n-1}(y) / nu_{n-1} and I~ gains
-    (Phi_{n-1}(x) - Phi_{n-1}(y)) / nu_{n-1} (Sinclair, J. Stat. Phys. 136,
-    2009). The family is built once, by the caller, and the weight's moments
-    over the support once, here: moments(count, y) gives the integrals of
-    t^m w(t) up to y for m < count, one row per m, at a float y or an array.
+    unpaired: the family's fold (PolynomialFamily.folded) takes
+    (nu_j / nu_{n-1}) p_{n-1} from every other p_j, nu_j being the integral
+    of q_j, S gains q_{n-1}(y) / nu_{n-1} and I~ gains
+    (Phi_{n-1}(x) - Phi_{n-1}(y)) / nu_{n-1}. The family is built once, by
+    the caller, and the weight's moments over the support once, here:
+    moments(count, y) gives the integrals of t^m w(t) up to y for m < count,
+    one row per m, at a float y or an array.
     The *_xy methods take values (vectorized, elementwise); s, d and itilde
     take (species, value) points, and block a sequence of them.
     """
 
     def __init__(self, family, weight, moments, factor):
         n = self.n = len(family)
-        coeffs = family.matrix()
         self._nu = np.asarray(moments(n, math.inf), dtype=float)
-        self._unpaired = 0.0  # 1 / nu_{n-1} at odd n
-        if n % 2:
-            nu = coeffs @ self._nu
-            coeffs[:-1] -= np.outer(nu[:-1] / nu[-1], coeffs[-1])
-            self._unpaired = 1.0 / nu[-1]
-        self._coeffs = coeffs
+        self._coeffs, nu_last = family.folded(self._nu)
+        self._unpaired = 0.0 if nu_last is None else 1.0 / nu_last
         self._weight = weight
         self._moments = moments
         self._scale = factor / family.norms[: n // 2]

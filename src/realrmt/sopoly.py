@@ -4,7 +4,6 @@ weight moments and normalising constants."""
 import math
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .specfun import double_factorial, erfc_real, half_beta, sp
 
@@ -14,91 +13,89 @@ SQRT2PI = math.sqrt(2.0 * math.pi)
 class PolynomialFamily:
     """A family of skew-orthogonal polynomials.
 
-    coeffs[j] holds the ascending-power coefficients of the j-th polynomial;
-    norms[k] is the skew inner product of the pair (2k, 2k+1).
+    Row j of the (n, n) array holds the ascending-power coefficients of the
+    j-th polynomial; norms[k] is the skew inner product of the pair (2k, 2k+1).
     """
 
-    def __init__(self, ensemble, coeffs, norms, params=None):
+    def __init__(self, ensemble, array, norms, params=None):
         self.ensemble = ensemble
-        self.coeffs = [np.asarray(c, dtype=float) for c in coeffs]
+        self._array = np.asarray(array, dtype=float)
         self.norms = np.asarray(norms, dtype=float)
         self.params = dict(params or {})
 
     def __len__(self):
-        return len(self.coeffs)
+        return len(self._array)
 
     def matrix(self):
         """The coefficients as one square array, polynomial j in row j."""
-        out = np.zeros((len(self), len(self)))
-        for j, c in enumerate(self.coeffs):
-            out[j, :len(c)] = c
-        return out
+        return self._array
+
+    @property
+    def coeffs(self):
+        """Row j of the array up to the degree of polynomial j, for each j."""
+        return [row[:np.flatnonzero(row)[-1] + 1] for row in self._array]
+
+    def folded(self, moments):
+        """The array with the unpaired polynomial folded in, and its integral.
+
+        moments[m] is the integral of x^m against the weight, so nu = array @
+        moments holds the integral of each p_j. At odd order every row
+        j < n-1 loses (nu_j / nu_{n-1}) row n-1, which leaves it integrating
+        to 0 (Sinclair, J. Stat. Phys. 136, 2009); the result is a new array
+        and nu_{n-1}. At even order it is the array itself and None.
+        """
+        c = self._array
+        if len(c) % 2 == 0:
+            return c, None
+        nu = c @ moments
+        c = c.copy()
+        c[:-1] -= np.outer(nu[:-1] / nu[-1], c[-1])
+        return c, nu[-1]
 
 
 def eval_poly(coeffs, x):
     """Evaluate ascending-power coefficients at x (Horner)."""
-    return P.polyval(x, np.asarray(coeffs))
+    return np.polynomial.polynomial.polyval(x, np.asarray(coeffs))
 
 
-def _monomial(k):
-    c = np.zeros(k + 1)
-    c[k] = 1.0
-    return c
+def _skew_family(ensemble, n, a, step, norms, params=None):
+    """Family of order n from one three-term recurrence.
 
-
-def _hermite_coeffs(n_max):
-    """Coefficient arrays of physicists' Hermite polynomials H_0..H_n_max."""
-    hs = [np.array([1.0]), np.array([0.0, 2.0])]
-    for n in range(1, n_max):
-        nxt = 2.0 * np.concatenate(([0.0], hs[n])) - 2.0 * n * np.pad(hs[n - 1], (0, 2))
-        hs.append(nxt)
-    return hs[: n_max + 1]
-
-
-def _skew_family(ensemble, base, step, norms, params=None):
-    """Family whose odd members are p_j = base_j - step(k) base_{j-2}, k = (j-1)/2 >= 1.
-
-    Even members are the base polynomials themselves.
+    Row j of the base is b_j: b_0 = 1, b_1 = x, b_{j+1} = x b_j - a j b_{j-1}.
+    The even members are the b_j, and the odd ones b_j - step(k) b_{j-2},
+    k = (j-1)/2 >= 1.
     """
-    coeffs = []
-    for j, c in enumerate(base):
-        k = (j - 1) // 2
-        if j % 2 == 1 and k > 0:
-            c = P.polysub(c, step(k) * base[j - 2])
-        coeffs.append(c)
+    base = np.zeros((n, n))
+    base[:1, :1] = 1.0
+    for j in range(1, n):
+        base[j, 1:] = base[j - 1, :-1]
+        if j > 1:
+            base[j] -= a * (j - 1) * base[j - 2]
+    coeffs = base.copy()
+    steps = np.array([step(k) for k in range(1, (n - 2) // 2 + 1)], dtype=float)
+    coeffs[3::2] -= steps[:, None] * base[1:n - 2:2]
     return PolynomialFamily(ensemble, coeffs, norms, params)
 
 
 def goe_family(n):
-    """Skew-orthogonal polynomials and norms for the Gaussian orthogonal ensemble."""
-    hs = _hermite_coeffs(n)
+    """Skew-orthogonal polynomials and norms for the Gaussian orthogonal
+    ensemble: b_j = H_j(x) / 2^j."""
     norms = [math.gamma(2 * k + 1) * math.sqrt(math.pi) / 2.0 ** (2 * k)
              for k in range((n + 1) // 2)]
-    return _skew_family("goe", [hs[j] / 2.0 ** j for j in range(n)], lambda k: k, norms)
+    return _skew_family("goe", n, 0.5, lambda k: k, norms)
 
 
 def ginibre_family(n):
     """Skew-orthogonal polynomials and norms for the real Ginibre ensemble."""
-    return _skew_family("ginibre", [_monomial(j) for j in range(n)],
-                        lambda k: 2.0 * k, _ginibre_norms((n + 1) // 2))
-
-
-def _partial_base(n, tau):
-    """Rescaled Hermite-type polynomials C_j(z) with C_{j+1} = z C_j - tau j C_{j-1}."""
-    cs = [np.array([1.0]), np.array([0.0, 1.0])]
-    for j in range(1, n):
-        nxt = np.concatenate(([0.0], cs[j]))
-        nxt = P.polysub(nxt, tau * j * cs[j - 1])
-        cs.append(np.asarray(nxt))
-    return cs[: n + 1]
+    return _skew_family("ginibre", n, 0.0, lambda k: 2.0 * k, _ginibre_norms((n + 1) // 2))
 
 
 def partial_family(n, tau):
-    """Skew-orthogonal polynomials and norms for the partially symmetric ensemble."""
+    """Skew-orthogonal polynomials and norms for the partially symmetric
+    ensemble: b_j = tau^(j/2) He_j(x / sqrt(tau))."""
     norms = [math.gamma(2 * k + 1) * 2.0 * math.sqrt(2.0 * math.pi) * (1.0 + tau)
              for k in range((n + 1) // 2)]
-    return _skew_family("partial", _partial_base(n, tau)[:n], lambda k: 2.0 * k,
-                        norms, params={"tau": tau})
+    return _skew_family("partial", n, tau, lambda k: 2.0 * k, norms, params={"tau": tau})
 
 
 def spherical_family(big_n):
@@ -107,14 +104,10 @@ def spherical_family(big_n):
     Each pair is the monomials (a, N-1-a), with a from _sph_pairs; at odd
     order the unpaired middle monomial comes last.
     """
-    coeffs = []
-    norms = []
-    for a in _sph_pairs(big_n):
-        coeffs += [_monomial(a), _monomial(big_n - 1 - a)]
-        norms.append(_sph_norm(big_n, a))
-    if big_n % 2 == 1:
-        coeffs.append(_monomial((big_n - 1) // 2))
-    return PolynomialFamily("spherical", coeffs, norms, params={"N": big_n})
+    pairs = _sph_pairs(big_n)
+    degrees = [d for a in pairs for d in (a, big_n - 1 - a)] + [(big_n - 1) // 2] * (big_n % 2)
+    return PolynomialFamily("spherical", np.eye(big_n)[degrees],
+                            [_sph_norm(big_n, a) for a in pairs], params={"N": big_n})
 
 
 def truncated_family(n, big_l):
@@ -122,9 +115,8 @@ def truncated_family(n, big_l):
     norms = [math.exp(math.lgamma(big_l + 1) + math.lgamma(2 * k + 1)
                       - math.lgamma(big_l + 2 * k + 1))
              for k in range((n + 1) // 2)]
-    return _skew_family("truncated", [_monomial(j) for j in range(n)],
-                        lambda k: 2.0 * k / (big_l + 2.0 * k), norms,
-                        params={"L": big_l})
+    return _skew_family("truncated", n, 0.0, lambda k: 2.0 * k / (big_l + 2.0 * k),
+                        norms, params={"L": big_l})
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +311,8 @@ def _im_pair_integral(f, g, weight, xs, ys, n=160):
 
 def inner_product_numeric(family, j, l, n=160):
     """Skew inner product of polynomials j and l of a family, by quadrature."""
-    fj = family.coeffs[j]
-    fl = family.coeffs[l]
+    fj = family.matrix()[j]
+    fl = family.matrix()[l]
     f = lambda t: eval_poly(fj, t)
     g = lambda t: eval_poly(fl, t)
     kind = family.ensemble

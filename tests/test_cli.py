@@ -239,6 +239,18 @@ def test_truncated_density_off_its_support():
     assert "Warning" not in res.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ["--ensemble", "goe", "--n", "80", "--grid", "-1:1:2"],
+    ["--ensemble", "partial", "--n", "120", "--tau", "0.5", "--grid", "-18.6:-18.5:1"],
+])
+def test_density_refuses_a_negative_value(args):
+    # past its working order the pair sum cancels to negative values
+    res = run_cli("density", *args)
+    assert res.returncode == 3
+    assert res.stdout == ""
+    assert "negative" in res.stderr
+
+
 def test_compare_passes_and_reports():
     res = run_cli("compare", "--ensemble", "ginibre", "--n", "4",
                   "--reps", "5000", "--seed", "3", "--format", "json")

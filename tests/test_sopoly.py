@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import hermite, hermite_e
 from scipy import integrate
 from scipy import special as sp
 
@@ -56,6 +57,95 @@ def test_spherical_family_odd_order_has_middle_polynomial():
     assert len(fam) == 7
     assert len(fam.coeffs[-1]) - 1 == 3
     assert len(fam.norms) == 3
+
+
+def _base(ensemble, n, a):
+    """Rows b_0 .. b_{n-1} of the three-term recurrence, with no odd step."""
+    return sopoly._skew_family(ensemble, n, a, lambda k: 0.0, []).matrix()
+
+
+def test_goe_base_is_hermite_over_powers_of_two():
+    base = _base("goe", 30, 0.5)
+    for j in range(30):
+        want = np.zeros(30)
+        want[:j + 1] = hermite.herm2poly(np.eye(j + 1)[j]) / 2.0 ** j
+        if j < 29:
+            assert base[j].tolist() == want.tolist(), j
+        else:
+            # H_29 has coefficients past 2^53, one of them halfway between two
+            # doubles, which the two algorithms round opposite ways
+            np.testing.assert_allclose(base[j], want, rtol=2.0 ** -52, atol=0.0)
+
+
+@pytest.mark.parametrize("tau", [0.25, 0.5])
+def test_partial_base_is_scaled_probabilists_hermite(tau):
+    n = 30
+    base = _base("partial", n, tau)
+    for j in range(n):
+        # tau^(j/2) He_j(x / sqrt(tau)) has x^k coefficient tau^((j-k)/2) He_j[k]
+        want = np.zeros(n)
+        k = np.arange(j + 1)
+        want[:j + 1] = hermite_e.herme2poly(np.eye(j + 1)[j]) * tau ** ((j - k) / 2.0)
+        np.testing.assert_allclose(base[j], want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("family", [sopoly.ginibre_family,
+                                    lambda n: sopoly.truncated_family(n, 3)])
+def test_ginibre_and_truncated_bases_are_the_identity(family):
+    # the even members are the base itself
+    assert family(12).matrix()[0::2].tolist() == np.eye(12)[0::2].tolist()
+    assert _base("ginibre", 12, 0.0).tolist() == np.eye(12).tolist()
+
+
+@pytest.mark.parametrize("name,family,a,step", [
+    ("goe", sopoly.goe_family, 0.5, lambda k: k),
+    ("ginibre", sopoly.ginibre_family, 0.0, lambda k: 2.0 * k),
+    ("partial", lambda n: sopoly.partial_family(n, -0.5), -0.5, lambda k: 2.0 * k),
+    ("truncated", lambda n: sopoly.truncated_family(n, 3), 0.0,
+     lambda k: 2.0 * k / (3 + 2.0 * k)),
+])
+def test_odd_members_take_a_step_of_the_base(name, family, a, step):
+    n = 13
+    base, got = _base(name, n, a), family(n).matrix()
+    assert got[0::2].tolist() == base[0::2].tolist()
+    assert got[1].tolist() == base[1].tolist()
+    for j in range(3, n, 2):
+        assert got[j].tolist() == (base[j] - step((j - 1) // 2) * base[j - 2]).tolist(), j
+
+
+def _closed_form_moments(name, n):
+    """Integrals of x^m against each family's real weight, m < n."""
+    if name == "truncated":
+        cw = sopoly._trunc_cw(3)
+        return np.array([0.0 if m % 2 else cw * sp.beta((m + 1) / 2.0, 1.5) for m in range(n)])
+    c = 1.5 if name == "partial" else 1.0
+    return np.array([sopoly._gauss_moment(m, c) for m in range(n)])
+
+
+_FOLD_FAMILIES = {"goe": sopoly.goe_family, "ginibre": sopoly.ginibre_family,
+                  "partial": lambda n: sopoly.partial_family(n, 0.5),
+                  "truncated": lambda n: sopoly.truncated_family(n, 3)}
+
+
+@pytest.mark.parametrize("name", sorted(_FOLD_FAMILIES))
+@pytest.mark.parametrize("n", [3, 9, 21])
+def test_fold_leaves_every_other_polynomial_integrating_to_zero(name, n):
+    fam = _FOLD_FAMILIES[name](n)
+    moments = _closed_form_moments(name, n)
+    folded, nu_last = fam.folded(moments)
+    assert folded.shape == (n, n)
+    assert folded[-1].tolist() == fam.matrix()[-1].tolist()
+    # each integral is checked against the sum of its terms' sizes
+    scale = np.abs(folded) @ np.abs(moments)
+    assert abs(nu_last - folded[-1] @ moments) <= 1e-14 * scale[-1]
+    assert np.all(np.abs(folded[:-1] @ moments) <= 1e-14 * scale[:-1])
+
+
+@pytest.mark.parametrize("name", sorted(_FOLD_FAMILIES))
+def test_fold_at_even_order_returns_the_array_unchanged(name):
+    fam = _FOLD_FAMILIES[name](10)
+    folded, nu_last = fam.folded(_closed_form_moments(name, 10))
+    assert folded is fam.matrix() and nu_last is None
 
 
 def test_goe_inner_products_small():

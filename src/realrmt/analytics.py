@@ -32,56 +32,49 @@ def _bernoulli_table(mu, parity):
     return np.concatenate([np.zeros(parity), poly])
 
 
-def _sign_table(m, r, g, u):
-    """J[a, b] = double integral of sgn(y - x) x^a y^b w(x) w(y), for a, b < m.
+def _fold(cols, nu):
+    """Columns j < h = len(nu) - 1 of a factor of alpha, each less (nu_j / nu_h)
+    column h: the fold of sopoly.SkewFamily, which at odd N stands for the
+    s-free border column of the bordered Pfaffian. In that basis (each pair of
+    skew norm 1) Z(s) / Z(1) = det(I + (s-1) alpha), alpha[j, l] being the
+    real-real part of the skew product of the members 2j and 2l+1."""
+    h = len(nu) - 1
+    return cols[:, :h] - np.outer(cols[:, h], nu[:h] / nu[h])
 
-    Integrating by parts in x gives J(a, b) = r(a) J(a-2, b) - 2 g(a) u(a+b-1),
-    u(k) being the k-th moment of w^2 up to the factor in g, with J(-1, .) = 0
-    and, by antisymmetry, J(0, b) = -J(b, 0).
+
+def _gauss_factor(m, tau):
+    """K with K^T K = alpha over the even members 0 .. 2m-2 of partial_family
+    (tau = 0: ginibre_family), in the scaled basis. Every entry is positive.
+
+    With c = 1 + tau, s = c/2 and d = s - tau = (1 - tau)/2, the generating
+    functions e^{xt - tau t^2/2} = e^{xt - s t^2/2} e^{d t^2/2} give
+    b_2j = sum_i (2j)! / ((j-i)! (2i)!) (d/2)^(j-i) h_2i in the monic
+    Hermite polynomials h_i of e^{-x^2/c}, whose squared norms are
+    sqrt(pi c) i! s^i. The odd member's Phi is -c b_2l w, so alpha_jl is
+    2c times the integral of b_2j b_2l e^{-x^2/c}, and over the pair norms
+    K_ij = s^(i + 1/4) (d/2)^(j-i) sqrt((2j)! / (2i)!) / (j-i)!, i <= j.
     """
-    uk = np.array([u(k) for k in range(2 * m)])
-    table = np.zeros((m + 1, m))  # table[-1] is J(-1, .) = 0
-    for _ in range(2):
-        # the first sweep gets column 0 right, as it reads only J(0, 0) = 0
-        # from row 0; the second starts from the row 0 that column gives
-        table[0] = -table[:m, 0]
-        for a in range(1, m):
-            table[a] = r(a) * table[a - 2] - 2.0 * g(a) * uk[a - 1:a - 1 + m]
-    return table[:m]
+    s, half_d = (1.0 + tau) / 2.0, (1.0 - tau) / 4.0
+    lg = np.array([math.lgamma(k + 1.0) for k in range(2 * m)])
+    i, j = np.ogrid[:m, :m]
+    gap = np.maximum(j - i, 0)
+    log_k = ((i + 0.25) * math.log(s) + gap * math.log(half_d)
+             + 0.5 * (lg[2 * j] - lg[2 * i]) - lg[gap])
+    return np.where(j >= i, np.exp(log_k), 0.0)
 
 
-def _gauss_sign_table(m, c):
-    """Sign table of w(x) = e^{-x^2/(2c)}: x^a w = -c x^(a-1) w', and w^2 has
-    the Gaussian moments of variance c/2."""
-    return _sign_table(m, lambda a: c * (a - 1), lambda a: c,
-                       lambda k: sopoly._gauss_moment(k, c / 2.0))
-
-
-def _trunc_sign_table(m, big_l):
-    """Sign table of w(x) = c_w (1 - x^2)^(L/2-1): (L+a-1) x^a w is (a-1) x^(a-2) w
-    minus the derivative of x^(a-1) (1 - x^2) w, which vanishes at x = +-1."""
-    cw2 = sopoly._trunc_cw(big_l) ** 2
-    return _sign_table(m, lambda a: (a - 1.0) / (big_l + a - 1.0),
-                       lambda a: cw2 / (big_l + a - 1.0),
-                       lambda k: 0.0 if k % 2 else half_beta(k + 1, 2 * big_l))
-
-
-def _skew_bernoulli(family, sgn, moments):
-    """Success probabilities mu_i of the pair steps of a skew-orthogonal family.
-
-    sgn is the monomial sign table of the real weight and moments its
-    monomial moments. In the skew basis Z(s) / Z(1) = det(I + (s-1) M), so
-    the mu_i are the eigenvalues of M = D^(-1/2) alpha D^(-1/2), D = diag(norms),
-    alpha pairing polynomials 2j and 2l+1. At odd N the family's fold takes
-    the unpaired polynomial out of the even ones first, which stands for the
-    s-free border column of the bordered Pfaffian. M is not symmetric at odd
-    N, nor for the truncated weight.
-    """
-    c, _ = family.folded(moments)
-    h = len(family) // 2
-    alpha = c[0:2 * h:2] @ sgn @ c[1::2].T
-    scale = 1.0 / np.sqrt(family.norms[:h])
-    return np.linalg.eigvals(scale[:, None] * alpha * scale)
+def _gauss_bernoulli(n, tau):
+    """mu_i of the partially symmetric family of order n (tau = 0: real Ginibre):
+    at even N the squared singular values of K. At odd N alpha is K~^T K, K~
+    the folded K, and K[h, :h] = 0, so they are the eigenvalues of the h x h
+    product K K~^T, which keeps more of their relative accuracy at tau < 0
+    than the product in the other order."""
+    k = _gauss_factor((n + 1) // 2, tau)
+    if n % 2 == 0:
+        return np.linalg.svd(k, compute_uv=False) ** 2
+    h = n // 2
+    folded = _fold(k, sopoly.partial_family(n, tau).nu[0::2])
+    return np.linalg.eigvals(k[:h, :h] @ folded[:h].T)
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +104,7 @@ def ginibre_alpha_via_recursion(j, l):
 def ginibre_prob_gf(n):
     """Probabilities p_{N,k} of k real eigenvalues for the real Ginibre ensemble."""
     ensembles.spec("ginibre", n, table=True)
-    mu = _skew_bernoulli(sopoly.ginibre_family(n), _gauss_sign_table(n, 1.0),
-                         sopoly._gauss_lower_moments(n, math.inf))
-    return _bernoulli_table(mu, n % 2)
+    return _bernoulli_table(_gauss_bernoulli(n, 0.0), n % 2)
 
 
 def ginibre_pnn(n):
@@ -189,10 +180,7 @@ def partial_nu(j):
 def partial_prob_gf(n, tau):
     """Probabilities p_{N,k} for the partially symmetric real Ginibre ensemble."""
     ensembles.spec("partial", n, tau=tau, table=True)
-    c = 1.0 + tau
-    mu = _skew_bernoulli(sopoly.partial_family(n, tau), _gauss_sign_table(n, c),
-                         sopoly._gauss_lower_moments(n, math.inf, c))
-    return _bernoulli_table(mu, n % 2)
+    return _bernoulli_table(_gauss_bernoulli(n, tau), n % 2)
 
 
 def partial_pnn(n, tau):
@@ -252,9 +240,27 @@ def gaussian_local_limit_curve(n):
 def truncated_prob_gf(m, big_l):
     """Probabilities p_{M,k} of k real eigenvalues for the truncated ensemble."""
     ensembles.spec("truncated", m, big_l=big_l, table=True)
-    mu = _skew_bernoulli(sopoly.truncated_family(m, big_l), _trunc_sign_table(m, big_l),
-                         sopoly._trunc_moments(big_l, m, math.inf))
-    return _bernoulli_table(mu, m % 2)
+    family = sopoly.truncated_family(m, big_l)
+    alpha = _trunc_alpha(family)
+    if m % 2:
+        alpha = _fold(alpha.T, family.nu[0::2]).T
+    return _bernoulli_table(np.linalg.eigvals(alpha), m % 2)
+
+
+def _trunc_alpha(family):
+    """alpha over the even members 0 .. 2h and the odd ones of a truncated
+    family of order m, h = (m-1)//2, in its scaled basis.
+
+    (L + 2l) w p_2l+1 is minus the derivative of x^2l (1 - x^2)^(L/2), which
+    vanishes at x = +-1, so Phi_2l+1 = -c_w x^2l (1 - x^2)^(L/2) / (L + 2l)
+    and alpha = 2 c_w^2 G diag(1 / (L + 2l)), G_jl being the integral of
+    x^(2j+2l) (1 - x^2)^(L-1), B(j + l + 1/2, L), over sqrt(r_j r_l).
+    """
+    big_l, cols, scale = family.params["L"], len(family) // 2, family._inv_sigma[0::2]
+    gram = np.array([[half_beta(2 * (j + l) + 1, 2 * big_l) for l in range(cols)]
+                     for j in range(len(scale))])
+    return (2.0 * sopoly._trunc_cw(big_l) ** 2 * gram * scale[:, None]
+            * (scale[:cols] / (big_l + 2.0 * np.arange(cols))))
 
 
 def truncated_pmm(m, big_l):

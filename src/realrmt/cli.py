@@ -177,8 +177,7 @@ def density(ensemble, n, big_l, tau, seed, out, fmt, workers, grid, reps):
     width = (hi - lo) / bins
     # one call on the whole grid; the spherical density is a constant. A
     # value that is not finite (truncated L = 1 at x = +-1) is refused, and so
-    # is one below -1e-12 max |rho| (the GOE pair sum loses every digit to
-    # cancellation from n = 72)
+    # is one below -1e-12 max |rho|, which no density should reach
     with np.errstate(all="ignore"):
         rho = np.broadcast_to(ens.density(n, tau, big_l, centers), centers.shape)
     if not np.isfinite(rho).all():

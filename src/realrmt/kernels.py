@@ -1,6 +1,5 @@
 """Correlation kernels, eigenvalue densities and their scaling limits."""
 
-import functools
 import math
 
 import numpy as np
@@ -21,62 +20,33 @@ class _PairSumKernel:
     """Kernel elements at real points from a skew-orthogonal family of order n.
 
     With q_j = w p_j for the weight w, Phi_j(y) = (1/2) int sgn(y - t) q_j(t) dt,
-    r_j the norm of the pair (2j, 2j+1) and c the family's norm factor:
+    each pair (2j, 2j+1) scaled to skew norm 1 (sopoly.SkewFamily) and c the
+    family's norm factor:
 
-        S(x, y)  =  c sum_j (Phi_2j(x) q_2j+1(y) - Phi_2j+1(x) q_2j(y)) / r_j
-        D(x, y)  =  c sum_j (q_2j(x) q_2j+1(y) - q_2j+1(x) q_2j(y)) / r_j
-        I~(x, y) = -c sum_j (Phi_2j(x) Phi_2j+1(y) - Phi_2j+1(x) Phi_2j(y)) / r_j
+        S(x, y)  =  c sum_j (Phi_2j(x) q_2j+1(y) - Phi_2j+1(x) q_2j(y))
+        D(x, y)  =  c sum_j (q_2j(x) q_2j+1(y) - q_2j+1(x) q_2j(y))
+        I~(x, y) = -c sum_j (Phi_2j(x) Phi_2j+1(y) - Phi_2j+1(x) Phi_2j(y))
                    - sgn(x - y) / 2,
 
     so D(x, y) = dS(x, y)/dx and dI~(x, y)/dx = S(y, x), the layout that
     npoint_correlation takes. At odd n the last polynomial p_{n-1} stays
-    unpaired: the family's fold (PolynomialFamily.folded) takes
-    (nu_j / nu_{n-1}) p_{n-1} from every other p_j, nu_j being the integral
-    of q_j, S gains q_{n-1}(y) / nu_{n-1} and I~ gains
-    (Phi_{n-1}(x) - Phi_{n-1}(y)) / nu_{n-1}. The family is built once, by
-    the caller, and the weight's moments over the support once, here:
-    moments(count, y) gives the integrals of t^m w(t) up to y for m < count,
-    one row per m, at a float y or an array.
+    unpaired, and the family has folded it out of every other member: S
+    gains q_{n-1}(y) / nu_{n-1} and I~ gains
+    (Phi_{n-1}(x) - Phi_{n-1}(y)) / nu_{n-1}, nu_{n-1} being the integral of
+    q_{n-1}. The family is built once, by the caller.
     The *_xy methods take values (vectorized, elementwise); s, d and itilde
     take (species, value) points, and block a sequence of them.
     """
 
-    def __init__(self, family, weight, moments, factor):
-        n = self.n = len(family)
-        self._nu = np.asarray(moments(n, math.inf), dtype=float)
-        self._coeffs, nu_last = family.folded(self._nu)
-        self._unpaired = 0.0 if nu_last is None else 1.0 / nu_last
-        self._weight = weight
-        self._moments = moments
-        self._scale = factor / family.norms[: n // 2]
-
-    def _q(self, t):
-        t = np.asarray(t, dtype=float)
-        powers = np.vander(t.ravel(), self.n, increasing=True)
-        return self._weight(t) * (self._coeffs @ powers.T).reshape((self.n,) + t.shape)
-
-    def _phi(self, y):
-        """Phi_j(y) for every j, with shape (n,) + y.shape.
-
-        At one or two points (rho_1 and rho_2) the moments are taken one
-        float at a time: there the numpy calls of the array path cost more
-        than the arithmetic (at three or more points the truncated moments'
-        array path is the faster).
-        """
-        y = np.asarray(y, dtype=float)
-        if y.size <= 2:
-            table = np.array([self._moments(self.n, v) for v in y.ravel().tolist()])
-            table = table.reshape(y.size, self.n).T
-        else:
-            table = np.reshape(self._moments(self.n, y.ravel()), (self.n, -1))
-        table = table - 0.5 * self._nu[:, None]
-        return (self._coeffs @ table).reshape((self.n,) + y.shape)
+    def __init__(self, family, factor):
+        self.n = len(family)
+        self._values = family.values
+        self._factor = factor
+        self._unpaired = 1.0 / family.nu[-1] if self.n % 2 else 0.0
 
     def _pairs(self, f, g):
-        k = 2 * len(self._scale)
-        pair = f[0:k:2] * g[1:k:2] - f[1:k:2] * g[0:k:2]
-        flat = pair.reshape(len(self._scale), math.prod(pair.shape[1:]))
-        return (self._scale @ flat).reshape(pair.shape[1:])
+        k = self.n - self.n % 2
+        return self._factor * np.add.reduce(f[0:k:2] * g[1:k:2] - f[1:k:2] * g[0:k:2])
 
     # S, D and I~ from the family's values q and Phi at x and at y
 
@@ -88,13 +58,14 @@ class _PairSumKernel:
                 + self._unpaired * (phi_x[-1] - phi_y[-1]))
 
     def s_xy(self, x, y):
-        return self._s(self._phi(x), self._q(y))
+        q_x, phi_x = self._values(x)
+        return self._s(phi_x, q_x if y is x else self._values(y)[0])
 
     def d_xy(self, x, y):
-        return self._pairs(self._q(x), self._q(y))
+        return self._pairs(self._values(x)[0], self._values(y)[0])
 
     def itilde_xy(self, x, y):
-        return self._itilde(x, y, self._phi(x), self._phi(y))
+        return self._itilde(x, y, self._values(x)[1], self._values(y)[1])
 
     def s(self, p, q):
         return self.s_xy(p[1], q[1])
@@ -110,7 +81,7 @@ class _PairSumKernel:
         (element (i, j) is s, d or itilde at points i and j), from one
         evaluation of the family at the k values."""
         t = np.array([p[1] for p in points], dtype=float)
-        q, phi = self._q(t), self._phi(t)
+        q, phi = self._values(t)
         # family index first, then the first point, then the second
         q_x, q_y, phi_x, phi_y = q[:, :, None], q[:, None, :], phi[:, :, None], phi[:, None, :]
         return (self._s(phi_x, q_y), self._pairs(q_x, q_y),
@@ -153,8 +124,7 @@ class GOEKernel(_PairSumKernel):
     weight e^{-x^2/2}, norm factor 1."""
 
     def __init__(self, n):
-        super().__init__(sopoly.goe_family(n), lambda t: np.exp(-t * t / 2.0),
-                         sopoly._gauss_lower_moments, 1.0)
+        super().__init__(sopoly.goe_family(n), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +231,8 @@ def _gin_even_terms(top, b):
     Ginibre I~; both factors stay bounded, where m! overflows from m = 171
     and phi_m from about m = 300. The first is a Poisson weight in m/2; the
     second is M_m(b) / (m-1)!! - sqrt(2 pi)/2 for the lower Gaussian moment
-    M_m, whose scaled recurrence (that of sopoly._gauss_moment_chain divided
-    by (m-1)!!) subtracts e^(-b^2/2) b^(m-1) / (m-1)!! at each step.
+    M_m = (m-1) M_{m-2} - b^(m-1) e^(-b^2/2), whose recurrence divided by
+    (m-1)!! subtracts e^(-b^2/2) b^(m-1) / (m-1)!! at each step.
     """
     w = math.exp(-b * b / 2.0)
     weights, phis = [w], []
@@ -414,10 +384,7 @@ class PartialKernel(_PairSumKernel):
     n: weight e^{-x^2/(2(1 + tau))}, norm factor 2."""
 
     def __init__(self, n, tau):
-        c = 1.0 + tau
-        super().__init__(sopoly.partial_family(n, tau),
-                         lambda t: np.exp(-t * t / (2.0 * c)),
-                         lambda count, y: sopoly._gauss_lower_moments(count, y, c), 2.0)
+        super().__init__(sopoly.partial_family(n, tau), 2.0)
 
 
 def partial_srr(n, tau, x, y):
@@ -456,9 +423,11 @@ def elliptical_density(tau):
 
 
 def crossover_srr(alpha, x, y, nodes=400):
-    """Weak-asymmetry crossover limit of the scaled real-real S element."""
+    """Weak-asymmetry limit int_0^1 e^{-alpha^2 t^2} cos(pi (x - y) t) dt of
+    S(x/r, y/r)/r for the partially symmetric ensemble at order N and
+    tau = 1 - alpha^2/N, r = sqrt(N)/pi being the real density at 0 as tau -> 1."""
     tt, ww = sopoly._gl_nodes(0.0, 1.0, np.polynomial.legendre.leggauss(nodes))
-    return float(np.sum(ww * np.exp(-alpha ** 2 * tt) * np.cos(math.pi * (x - y) * tt)))
+    return float(np.sum(ww * np.exp(-(alpha * tt) ** 2) * np.cos(math.pi * (x - y) * tt)))
 
 
 def crossover_scc(alpha, w1, w2, nodes=400):
@@ -644,9 +613,7 @@ class TruncatedKernel(_PairSumKernel):
     weight omega on (-1, 1), norm factor 2."""
 
     def __init__(self, m, big_l):
-        super().__init__(sopoly.truncated_family(m, big_l),
-                         lambda t: trunc_omega_real(big_l, t),
-                         functools.partial(sopoly._trunc_moments, big_l), 2.0)
+        super().__init__(sopoly.truncated_family(m, big_l), 2.0)
 
 
 # ---------------------------------------------------------------------------

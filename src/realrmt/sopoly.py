@@ -11,10 +11,10 @@ SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
 class PolynomialFamily:
-    """A family of skew-orthogonal polynomials.
+    """A family of skew-orthogonal polynomials, given by its coefficients.
 
-    Row j of the (n, n) array holds the ascending-power coefficients of the
-    j-th polynomial; norms[k] is the skew inner product of the pair (2k, 2k+1).
+    Row j of matrix() holds the ascending-power coefficients of the j-th
+    polynomial; norms[k] is the skew inner product of the pair (2k, 2k+1).
     """
 
     def __init__(self, ensemble, array, norms, params=None):
@@ -33,24 +33,7 @@ class PolynomialFamily:
     @property
     def coeffs(self):
         """Row j of the array up to the degree of polynomial j, for each j."""
-        return [row[:np.flatnonzero(row)[-1] + 1] for row in self._array]
-
-    def folded(self, moments):
-        """The array with the unpaired polynomial folded in, and its integral.
-
-        moments[m] is the integral of x^m against the weight, so nu = array @
-        moments holds the integral of each p_j. At odd order every row
-        j < n-1 loses (nu_j / nu_{n-1}) row n-1, which leaves it integrating
-        to 0 (Sinclair, J. Stat. Phys. 136, 2009); the result is a new array
-        and nu_{n-1}. At even order it is the array itself and None.
-        """
-        c = self._array
-        if len(c) % 2 == 0:
-            return c, None
-        nu = c @ moments
-        c = c.copy()
-        c[:-1] -= np.outer(nu[:-1] / nu[-1], c[-1])
-        return c, nu[-1]
+        return [row[:np.flatnonzero(row)[-1] + 1] for row in self.matrix()]
 
 
 def eval_poly(coeffs, x):
@@ -58,44 +41,144 @@ def eval_poly(coeffs, x):
     return np.polynomial.polynomial.polyval(x, np.asarray(coeffs))
 
 
-def _skew_family(ensemble, n, a, step, norms, params=None):
-    """Family of order n from one three-term recurrence.
+class SkewFamily(PolynomialFamily):
+    """The family of order n from one three-term recurrence, evaluated by it.
 
-    Row j of the base is b_j: b_0 = 1, b_1 = x, b_{j+1} = x b_j - a j b_{j-1}.
-    The even members are the b_j, and the odd ones b_j - step(k) b_{j-2},
-    k = (j-1)/2 >= 1.
+    The base is b_0 = 1, b_1 = x, b_{j+1} = x b_j - a j b_{j-1}; the even
+    members are the b_j and the odd ones b_j - step(k) b_{j-2}, k = (j-1)/2 >= 1.
+    The pair (2k, 2k+1) has skew norm r_k, with r_{k+1} = ratio(k) r_k.
+
+    values(x) gives q_j = w p_j and Phi_j(x) = (1/2) int sgn(x - t) q_j(t) dt
+    over sigma_j = sqrt(r_{j//2}), so each pair has skew norm 1 and no norm
+    is formed. The base values come from the recurrence, their integrals
+    F_j from -infinity from the weight's (in a subclass); one odd step, and
+    at odd n one fold, then act on both. nu holds the F_j at +infinity, the
+    integrals of the members before the fold (the weight is even, so the odd
+    ones vanish). The fold takes (nu_j / nu_{n-1}) p_{n-1} from every other
+    p_j, which leaves it integrating to 0 (Sinclair, J. Stat. Phys. 136,
+    2009). matrix() and norms are the monomial form, for reference only.
     """
-    base = np.zeros((n, n))
-    base[:1, :1] = 1.0
-    for j in range(1, n):
-        base[j, 1:] = base[j - 1, :-1]
-        if j > 1:
-            base[j] -= a * (j - 1) * base[j - 2]
-    coeffs = base.copy()
-    steps = np.array([step(k) for k in range(1, (n - 2) // 2 + 1)], dtype=float)
-    coeffs[3::2] -= steps[:, None] * base[1:n - 2:2]
-    return PolynomialFamily(ensemble, coeffs, norms, params)
+
+    def __init__(self, ensemble, n, a, step, r0, ratio, params=None):
+        self.ensemble, self.n, self.params = ensemble, n, dict(params or {})
+        self._a, self._step, self._r0, self._ratio = a, step, r0, ratio
+        rho = [1.0 if j % 2 or not j else math.sqrt(ratio(j // 2 - 1)) for j in range(n)]
+        # step j -> j+1 of either recurrence: (j / (rho_j rho_{j+1}), 1 / rho_{j+1})
+        self._coef = [(j / (rho[j] * rho[j + 1]), 1.0 / rho[j + 1]) for j in range(n - 1)]
+        self._steps = np.reshape([step(k) / rho[2 * k] for k in range(1, n // 2)], (-1, 1))
+        self._inv_sigma = np.cumprod([r0 ** -0.5] + [inv for _, inv in self._coef])
+        self.nu = np.array(self._lower(math.inf, [0.0] * n), dtype=float)
+        self._half_nu = 0.5 * self.nu[:, None]
+        self._fold = (self.nu[:-1] / self.nu[-1])[:, None] if n % 2 else None
+
+    def __len__(self):
+        return self.n
+
+    def matrix(self):
+        n, base = self.n, np.eye(self.n)
+        for j in range(2, n):
+            base[j] = np.roll(base[j - 1], 1) - self._a * (j - 1) * base[j - 2]
+        steps = [self._step(k) for k in range(1, n // 2)]
+        base[3::2] -= np.reshape(steps, (-1, 1)) * base[1:n - 2:2]
+        return base
+
+    @property
+    def norms(self):
+        return np.cumprod([self._r0] + [self._ratio(k) for k in range((self.n - 1) // 2)])
+
+    def values(self, x):
+        """q_j(x) and Phi_j(x) of every member j, each of shape (n,) + x.shape;
+        at one or two points on floats, where numpy's per-call cost dominates."""
+        x = np.asarray(x, dtype=float)
+        flat = x.ravel()
+        w = self._weight(flat)
+        if flat.size <= 2:
+            rows = np.array([self._base(v, u) for v, u in zip(flat.tolist(), w.tolist())]).T
+        else:
+            rows = np.array(self._base(flat, w))
+        rows = rows.reshape(2, self.n, -1)
+        rows[1] -= self._half_nu
+        rows[:, 3::2] -= self._steps * rows[:, 1:self.n - 2:2]
+        if self._fold is not None:
+            rows[:, :-1] -= self._fold * rows[:, -1:]
+        return rows[0].reshape(self.n, *x.shape), rows[1].reshape(self.n, *x.shape)
+
+    def _base(self, x, w):
+        """q_0 .. q_{n-1} and F_0 .. F_{n-1} of the base over sigma_j, in one
+        list, from the weight w at x: floats at a float x, arrays at a 1-D
+        array x."""
+        q, prev, a = [w / math.sqrt(self._r0)], 0.0, self._a
+        for t, inv in self._coef:
+            nxt = x * q[-1] if inv == 1.0 else inv * x * q[-1]
+            q.append(nxt - a * t * prev if a else nxt)
+            prev = q[-2]
+        return q + list(self._lower(x, q))
+
+
+class GaussianFamily(SkewFamily):
+    """A family with the weight w = e^{-x^2/(2c)} on the real line.
+
+    By parts, F_{j+1} = (c - a) j F_{j-1} - c b_j(y) w(y), from
+    F_0 = sqrt(pi c/2) erfc(-y/sqrt(2c)) and F_1 = -c w(y). Left of the
+    zeros of b_j both terms have the sign of F_{j+1}, so the left tail keeps
+    its relative accuracy.
+    """
+
+    def __init__(self, ensemble, n, a, c, step, r0, ratio, params=None):
+        self._c, self._y0 = c, -1.0 / math.sqrt(2.0 * c)
+        self._f0 = math.sqrt(math.pi * c / 2.0 / r0)
+        super().__init__(ensemble, n, a, step, r0, ratio, params)
+
+    def _weight(self, x):
+        return np.exp(x * x * (-0.5 / self._c))
+
+    def _lower(self, x, q):
+        c, slope, prev = self._c, self._c - self._a, 0.0
+        f = [self._f0 * erfc_real(x * self._y0)]
+        for (t, inv), q_j in zip(self._coef, q):
+            f.append(slope * t * prev - c * inv * q_j)
+            prev = f[-2]
+        return f
+
+
+class TruncatedFamily(SkewFamily):
+    """The truncated family, b_j = x^j, with the weight trunc_omega_real and
+    the integrals of _trunc_moments."""
+
+    def __init__(self, n, big_l):
+        super().__init__("truncated", n, 0.0, lambda k: 2.0 * k / (big_l + 2.0 * k), 1.0,
+                         lambda k: ((2 * k + 1.0) * (2 * k + 2.0)
+                                    / ((big_l + 2 * k + 1.0) * (big_l + 2 * k + 2.0))),
+                         {"L": big_l})
+
+    def _weight(self, x):
+        return trunc_omega_real(self.params["L"], x)
+
+    def _lower(self, x, q):
+        return (_trunc_moments(self.params["L"], self.n, x).T * self._inv_sigma).T
 
 
 def goe_family(n):
-    """Skew-orthogonal polynomials and norms for the Gaussian orthogonal
-    ensemble: b_j = H_j(x) / 2^j."""
-    norms = [math.gamma(2 * k + 1) * math.sqrt(math.pi) / 2.0 ** (2 * k)
-             for k in range((n + 1) // 2)]
-    return _skew_family("goe", n, 0.5, lambda k: k, norms)
+    """Skew-orthogonal polynomials of the Gaussian orthogonal ensemble:
+    b_j = H_j(x) / 2^j, weight e^{-x^2/2}, pair norms (2k)! sqrt(pi) / 4^k."""
+    return GaussianFamily("goe", n, 0.5, 1.0, lambda k: k, math.sqrt(math.pi),
+                          lambda k: (2 * k + 1.0) * (2 * k + 2.0) / 4.0)
 
 
 def ginibre_family(n):
-    """Skew-orthogonal polynomials and norms for the real Ginibre ensemble."""
-    return _skew_family("ginibre", n, 0.0, lambda k: 2.0 * k, _ginibre_norms((n + 1) // 2))
+    """Skew-orthogonal polynomials of the real Ginibre ensemble: b_j = x^j,
+    weight e^{-x^2/2}, pair norms 2 sqrt(2 pi) (2k)!."""
+    return GaussianFamily("ginibre", n, 0.0, 1.0, lambda k: 2.0 * k, 2.0 * SQRT2PI,
+                          lambda k: (2 * k + 1.0) * (2 * k + 2.0))
 
 
 def partial_family(n, tau):
-    """Skew-orthogonal polynomials and norms for the partially symmetric
-    ensemble: b_j = tau^(j/2) He_j(x / sqrt(tau))."""
-    norms = [math.gamma(2 * k + 1) * 2.0 * math.sqrt(2.0 * math.pi) * (1.0 + tau)
-             for k in range((n + 1) // 2)]
-    return _skew_family("partial", n, tau, lambda k: 2.0 * k, norms, params={"tau": tau})
+    """Skew-orthogonal polynomials of the partially symmetric ensemble:
+    b_j = tau^(j/2) He_j(x / sqrt(tau)), weight e^{-x^2/(2(1 + tau))}, pair
+    norms 2 sqrt(2 pi) (1 + tau) (2k)!."""
+    return GaussianFamily("partial", n, tau, 1.0 + tau, lambda k: 2.0 * k,
+                          2.0 * SQRT2PI * (1.0 + tau),
+                          lambda k: (2 * k + 1.0) * (2 * k + 2.0), {"tau": tau})
 
 
 def spherical_family(big_n):
@@ -111,12 +194,9 @@ def spherical_family(big_n):
 
 
 def truncated_family(n, big_l):
-    """Skew-orthogonal polynomials and norms for the real truncated ensemble."""
-    norms = [math.exp(math.lgamma(big_l + 1) + math.lgamma(2 * k + 1)
-                      - math.lgamma(big_l + 2 * k + 1))
-             for k in range((n + 1) // 2)]
-    return _skew_family("truncated", n, 0.0, lambda k: 2.0 * k / (big_l + 2.0 * k),
-                        norms, params={"L": big_l})
+    """Skew-orthogonal polynomials of the real truncated ensemble: b_j = x^j,
+    pair norms L! (2k)! / (L + 2k)!."""
+    return TruncatedFamily(n, big_l)
 
 
 # ---------------------------------------------------------------------------
@@ -134,53 +214,6 @@ def _gauss_moment(m, c=1.0):
     if m % 2 == 1:
         return 0.0
     return double_factorial(m - 1) * math.sqrt(2.0 * math.pi * c) * c ** (m // 2)
-
-
-def _gauss_moment_chain(m, x, c=1.0):
-    """[M_{m mod 2}(x), M_{m mod 2 + 2}(x), ..., M_m(x)], M_j(x) the integral of
-    t^j e^{-t^2/(2c)} from -infinity to x: floats at a float x, arrays at a
-    numpy array x.
-
-    By parts, M_j = c ((j-1) M_{j-2} - x^(j-1) e^{-x^2/(2c)}), from
-    M_0 = sqrt(pi c/2) erfc(-x/sqrt(2c)) or M_1 = -c e^{-x^2/(2c)}. At x < 0
-    both terms have the sign of M_j; at x > 0 they do at odd j, and at even
-    j the result is at least half the first term. At x = +-inf the power
-    term is 0.
-    """
-    odd = m % 2
-    if isinstance(x, np.ndarray):
-        w = np.exp(-x * x / (2.0 * c))
-        x_fin = np.where(np.isfinite(x), x, 0.0)
-    else:
-        w = math.exp(-x * x / (2.0 * c))
-        x_fin = x if math.isfinite(x) else 0.0
-    # power is c x^(j-1) e^{-x^2/(2c)} for the next order j
-    x2 = x_fin * x_fin
-    if odd:
-        out, power = [-c * w], c * x2 * w
-    else:
-        first = math.sqrt(math.pi * c / 2.0) * erfc_real(-x / math.sqrt(2.0 * c))
-        out, power = [first], c * x_fin * w
-    for j in range(2 + odd, m + 1, 2):
-        out.append(c * (j - 1) * out[-1] - power)
-        power = power * x2
-    return out
-
-
-def _gauss_lower_moments(count, x, c=1.0):
-    """M_0(x), ..., M_{count-1}(x) of _gauss_moment_chain, its two chains
-    interleaved: a list at a float x, one array (moment m in row m) at an
-    array x."""
-    out = [None] * count
-    out[0::2] = _gauss_moment_chain(2 * ((count - 1) // 2), x, c)
-    if count > 1:
-        out[1::2] = _gauss_moment_chain(2 * (count // 2) - 1, x, c)
-    return np.array(out) if isinstance(x, np.ndarray) else out
-
-
-def _ginibre_norms(count):
-    """Pair norms 2 sqrt(2 pi) (2k)! of the real Ginibre family, k < count."""
-    return [2.0 * SQRT2PI * math.gamma(2 * k + 1) for k in range(count)]
 
 
 def _sph_pairs(big_n):
@@ -321,15 +354,8 @@ def inner_product_numeric(family, j, l, n=160):
         w = lambda t: np.exp(-t * t / 2.0)
         return 0.5 * _sgn_pair_integral(f, g, w, -8.0, 8.0, n)
 
-    if kind == "ginibre":
-        w = lambda t: np.exp(-t * t / 2.0)
-        alpha = _sgn_pair_integral(f, g, w, -8.0, 8.0, n)
-        wc = lambda x, y: np.exp(y * y - x * x) * sp.erfc(math.sqrt(2.0) * y)
-        beta = _im_pair_integral(f, g, wc, (-8.0, 8.0), (0.0, 8.0), n)
-        return alpha + beta
-
-    if kind == "partial":
-        tau = family.params["tau"]
+    if kind in ("ginibre", "partial"):
+        tau = family.params.get("tau", 0.0)
         w = lambda t: np.exp(-t * t / (2.0 * (1.0 + tau)))
         alpha = _sgn_pair_integral(f, g, w, -9.0, 9.0, n)
         c = math.sqrt(2.0 / (1.0 - tau * tau))

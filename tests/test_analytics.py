@@ -192,6 +192,20 @@ def test_all_real_probability_keeps_relative_accuracy_up_to_the_cap():
         assert got == pytest.approx(want, rel=rel, abs=0.0), (ensemble, n, kwargs)
 
 
+@pytest.mark.parametrize("tau", [-0.9, -0.5, 0.5, 0.99])
+@pytest.mark.parametrize("n", [12, 18])
+def test_partial_all_real_probability_from_the_factor(n, tau):
+    # the sign-table product lost every digit at tau <= -0.8 and 7.8e-10 at 0.99
+    got = analytics.partial_prob_gf(n, tau)[n]
+    assert got == pytest.approx(analytics.partial_pnn(n, tau), rel=1e-12, abs=0.0)
+
+
+def test_ginibre_all_real_probability_at_even_orders():
+    for n in range(2, ENSEMBLES["ginibre"].max_table + 1, 2):
+        got = analytics.ginibre_prob_gf(n)[n]
+        assert got == pytest.approx(analytics.ginibre_pnn(n), rel=1e-12, abs=0.0), n
+
+
 @pytest.mark.parametrize("mu", [(0.3, 1.2), (-0.1,), (0.5 + 1e-6j,)])
 def test_bernoulli_table_refuses_a_factor_off_the_unit_interval(mu):
     with pytest.raises(ArithmeticError, match="mu"):
@@ -233,13 +247,24 @@ def test_partial_tables_match_the_monomial_path(tau):
         assert np.max(np.abs(analytics.partial_prob_gf(n, tau) - want)) <= 1e-12, n
 
 
-def test_ginibre_sign_table_alpha_matches_closed_form():
-    fam = sopoly.ginibre_family(12)
-    c = fam.matrix()
-    alpha = c[0::2] @ analytics._gauss_sign_table(12, 1.0) @ c[1::2].T
+def test_ginibre_alpha_factor_matches_closed_form():
+    # K^T K is alpha over the pair norms r_j = 2 sqrt(2 pi) (2j)!
+    k = analytics._gauss_factor(6, 0.0)
+    upper = np.triu(np.ones((6, 6), dtype=bool))
+    assert np.all(k[upper] > 0) and np.all(k[~upper] == 0)
+    root_r = np.sqrt(sopoly.ginibre_family(12).norms)
+    alpha = k.T @ k * np.outer(root_r, root_r)
     for j in range(6):
         for l in range(6):
             assert alpha[j, l] == pytest.approx(analytics.ginibre_alpha(j, l), rel=1e-13)
+
+
+def _trunc_alpha(m, big_l):
+    """analytics._trunc_alpha times sqrt(r_j r_l), the alpha of the unscaled
+    members."""
+    family = sopoly.truncated_family(m, big_l)
+    root_r = np.sqrt(family.norms)
+    return analytics._trunc_alpha(family) * np.outer(root_r, root_r[:m // 2])
 
 
 def _trunc_alpha_reference(fam, big_l):
@@ -274,8 +299,7 @@ def _trunc_alpha_reference(fam, big_l):
 
 def _check_trunc_alpha_block(m, big_l):
     fam = sopoly.truncated_family(m, big_l)
-    c = fam.matrix()
-    got = c[0::2] @ analytics._trunc_sign_table(m, big_l) @ c[1::2].T
+    got = _trunc_alpha(m, big_l)
     assert got.shape == ((m + 1) // 2, m // 2)
     assert np.max(np.abs(got - _trunc_alpha_reference(fam, big_l))) < 1e-10
 
@@ -294,8 +318,7 @@ def test_truncated_alpha_block_at_odd_order_against_nested_quadrature(big_l):
 def test_truncated_alpha_block_at_l1_matches_closed_form(m):
     # at L = 1 the block is 2 / (pi (2l+1) (2j+2l+1)) in closed form; the
     # nested quadrature's outer integral does not converge there
-    c = sopoly.truncated_family(m, 1).matrix()
-    got = c[0::2] @ analytics._trunc_sign_table(m, 1) @ c[1::2].T
+    got = _trunc_alpha(m, 1)
     j, l = np.ogrid[:(m + 1) // 2, :m // 2]
     want = 2.0 / (math.pi * (2 * l + 1) * (2 * j + 2 * l + 1))
     assert got.shape == want.shape

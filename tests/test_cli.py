@@ -239,16 +239,33 @@ def test_truncated_density_off_its_support():
     assert "Warning" not in res.stderr
 
 
-@pytest.mark.parametrize("args", [
+NEGATIVE_CASES = [
     ["--ensemble", "goe", "--n", "80", "--grid", "-1:1:2"],
     ["--ensemble", "partial", "--n", "120", "--tau", "0.5", "--grid", "-18.6:-18.5:1"],
-])
-def test_density_refuses_a_negative_value(args):
-    # past its working order the pair sum cancels to negative values
+]
+
+
+@pytest.mark.parametrize("args", NEGATIVE_CASES)
+def test_density_refuses_a_negative_value(monkeypatch, capsys, args):
+    # the registry looks the density up at call time, so rebinding reaches it
+    negative = lambda *a: np.full(np.shape(a[-1]), -1.0)
+    monkeypatch.setattr(kernels, "goe_density", negative)
+    monkeypatch.setattr(kernels, "partial_density_real", negative)
+    monkeypatch.setattr(sys, "argv", ["realrmt", "density"] + args)
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 3
+    res = capsys.readouterr()
+    assert res.out == ""
+    assert "negative" in res.err
+
+
+@pytest.mark.parametrize("args", NEGATIVE_CASES)
+def test_density_is_nonnegative_where_the_monomial_sums_went_negative(args):
     res = run_cli("density", *args)
-    assert res.returncode == 3
-    assert res.stdout == ""
-    assert "negative" in res.stderr
+    assert res.returncode == 0, res.stderr
+    _, rows = _parse_csv(res.stdout)
+    assert rows and all(float(r["rho"]) >= 0.0 for r in rows)
 
 
 def test_compare_passes_and_reports():
@@ -348,8 +365,7 @@ def test_table_outside_the_bound_exits_with_numeric_error(monkeypatch, capsys):
 
 def test_bernoulli_factor_off_the_unit_interval_exits_with_numeric_error(
         monkeypatch, capsys):
-    monkeypatch.setattr(analytics, "_skew_bernoulli",
-                        lambda family, sgn, moments: np.array([0.3, 1.2]))
+    monkeypatch.setattr(analytics, "_gauss_bernoulli", lambda n, tau: np.array([0.3, 1.2]))
     monkeypatch.setattr(sys, "argv", ["realrmt", "probs", "--ensemble", "partial",
                                       "--tau", "0.5", "--n", "5"])
     with pytest.raises(SystemExit) as exc:

@@ -96,6 +96,71 @@ def test_goe_s_is_continuous_near_the_diagonal():
         assert abs(float(kernels.goe_s(8, 1.0 + d, 1.0)) - at) <= 1e-8, d
 
 
+def _decimal_pi():
+    """pi to the working precision (the recipe of the decimal module's docs)."""
+    three = Decimal(3)
+    last, t, s, n, na, d, da = 0, three, 3, 1, 0, 0, 24
+    while s != last:
+        last = s
+        n, na = n + na, na + 8
+        d, da = d + da, da + 32
+        t = (t * n) / d
+        s += t
+    return +s
+
+
+def _goe_density_reference(n, x):
+    """The GOE rho_n(x) in 80-digit decimals, from the unscaled pair sum.
+
+    b_{j+1} = x b_j - (j/2) b_{j-1}; F_j, the integral of b_j e^{-t^2/2} up
+    to x, has F_{j+1} = (j/2) F_{j-1} - b_j(x) e^{-x^2/2}, from
+    F_0 = sqrt(2 pi) (1 + erf(x / sqrt 2)) / 2, erf by its series of positive
+    terms; the odd members are b_j - k b_{j-2}, j = 2k + 1, and at odd n the
+    last member is folded out of the others; the pair norms are
+    (2k)! sqrt(pi) / 4^k.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 80
+        pi, x = _decimal_pi(), Decimal(x)
+        z, w = abs(x) / Decimal(2).sqrt(), (-x * x / 2).exp()
+        term, series, k = z, Decimal(0), 0
+        while term > series * Decimal(10) ** -85 or k < 3:
+            series += term
+            k += 1
+            term = term * 2 * z * z / (2 * k + 1)
+        erf = 2 / pi.sqrt() * (-z * z).exp() * series * (1 if x >= 0 else -1)
+        root = (2 * pi).sqrt()
+        b, f, nu = [Decimal(1), x], [root * (1 + erf) / 2, -w], [root, Decimal(0)]
+        for j in range(1, n - 1):
+            b.append(x * b[j] - Decimal(j) / 2 * b[j - 1])
+            f.append(Decimal(j) / 2 * f[j - 1] - b[j] * w)
+            nu.append(Decimal(j) / 2 * nu[j - 1])
+        q, phi = [bj * w for bj in b[:n]], [fj - vj / 2 for fj, vj in zip(f[:n], nu[:n])]
+        for j in reversed(range(3, n, 2)):
+            q[j] -= (j - 1) // 2 * q[j - 2]
+            phi[j] -= (j - 1) // 2 * phi[j - 2]
+        rho = Decimal(0)
+        if n % 2:
+            for j in range(0, n - 1, 2):
+                q[j] -= nu[j] / nu[n - 1] * q[n - 1]
+                phi[j] -= nu[j] / nu[n - 1] * phi[n - 1]
+            rho = q[n - 1] / nu[n - 1]
+        norm = pi.sqrt()
+        for k in range(n // 2):
+            rho += (phi[2 * k] * q[2 * k + 1] - phi[2 * k + 1] * q[2 * k]) / norm
+            norm = norm * (2 * k + 1) * (2 * k + 2) / 4
+        return float(rho)
+
+
+@pytest.mark.parametrize("n", [20, 60, 61, 150])
+def test_goe_density_against_decimal_pair_sum(n):
+    # the monomial expansion of the family cancelled from about n = 40
+    x = np.linspace(-math.sqrt(2.0 * n) - 3.0, math.sqrt(2.0 * n) + 3.0, 13)
+    want = np.array([_goe_density_reference(n, v) for v in x])
+    got = kernels.goe_density(n, x)
+    assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
+
+
 def test_goe_semicircle_support():
     assert kernels.goe_semicircle(0.0) == pytest.approx(2.0 / math.pi)
     assert kernels.goe_semicircle(1.5) == 0.0
@@ -276,6 +341,13 @@ def test_partial_density_reduces_to_ginibre():
             kernels.ginibre_density_real(6, x), rel=1e-9)
 
 
+def test_partial_density_is_even_near_the_symmetric_limit():
+    # at tau = 0.99 the monomial coefficients of the family cancelled, and
+    # rho(-0.5) and rho(0.5) came out 6.7e5 and 4.3e5
+    rho = kernels.partial_density_real(100, 0.99, np.array([-0.5, 0.5]))
+    assert rho[0] == pytest.approx(rho[1], rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("n", [4, 5])
 def test_partial_correlations_integrate_to_count_moments(n):
     # the integrals of rho_1 and rho_2 over the line are E[k] and E[k(k-1)]
@@ -315,9 +387,25 @@ def test_crossover_interpolates():
     val = kernels.crossover_srr(1e-6, 0.3, 0.1)
     sine = math.sin(math.pi * 0.2) / (math.pi * 0.2)
     assert val == pytest.approx(sine, rel=1e-4)
-    # strong asymmetry kills the correlation
-    assert kernels.crossover_srr(30.0, 0.3, 0.1) < 1e-2
+    # at strong asymmetry the integrand is gone long before t = 1, leaving
+    # the Gaussian transform sqrt(pi) / (2 alpha) e^{-(pi u)^2 / (4 alpha^2)}
+    want = math.sqrt(math.pi) / 60.0 * math.exp(-(0.2 * math.pi) ** 2 / 3600.0)
+    assert kernels.crossover_srr(30.0, 0.3, 0.1) == pytest.approx(want, rel=1e-12)
     assert abs(kernels.crossover_scc(2.0, 1.0 + 1.0j, 1.0 + 1.0j)) > 0
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_partial_kernel_tends_to_the_crossover_limit(alpha):
+    # at tau = 1 - alpha^2 / N, unfolded by the tau -> 1 density sqrt(N) / pi at 0
+    u = np.array([0.0, 0.3, 0.7, 1.5])
+    want = np.array([kernels.crossover_srr(alpha, v, 0.0) for v in u])
+    gaps = []
+    for n in (40, 80, 160):
+        r = math.sqrt(n) / math.pi
+        got = kernels.PartialKernel(n, 1.0 - alpha ** 2 / n).s_xy(u / r, np.zeros(4)) / r
+        gaps.append(np.max(np.abs(got - want)) / want[0])
+    assert gaps[0] > gaps[1] > gaps[2]
+    assert gaps[2] < 0.01
 
 
 # ---------------------------------------------------------------------------

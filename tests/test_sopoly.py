@@ -61,7 +61,7 @@ def test_spherical_family_odd_order_has_middle_polynomial():
 
 def _base(ensemble, n, a):
     """Rows b_0 .. b_{n-1} of the three-term recurrence, with no odd step."""
-    return sopoly._skew_family(ensemble, n, a, lambda k: 0.0, []).matrix()
+    return sopoly.GaussianFamily(ensemble, n, a, 1.0, lambda k: 0.0, 1.0, lambda k: 1.0).matrix()
 
 
 def test_goe_base_is_hermite_over_powers_of_two():
@@ -113,39 +113,54 @@ def test_odd_members_take_a_step_of_the_base(name, family, a, step):
         assert got[j].tolist() == (base[j] - step((j - 1) // 2) * base[j - 2]).tolist(), j
 
 
-def _closed_form_moments(name, n):
-    """Integrals of x^m against each family's real weight, m < n."""
-    if name == "truncated":
-        cw = sopoly._trunc_cw(3)
-        return np.array([0.0 if m % 2 else cw * sp.beta((m + 1) / 2.0, 1.5) for m in range(n)])
-    c = 1.5 if name == "partial" else 1.0
-    return np.array([sopoly._gauss_moment(m, c) for m in range(n)])
-
-
 _FOLD_FAMILIES = {"goe": sopoly.goe_family, "ginibre": sopoly.ginibre_family,
                   "partial": lambda n: sopoly.partial_family(n, 0.5),
                   "truncated": lambda n: sopoly.truncated_family(n, 3)}
+
+
+def _integrate(name, f):
+    """Integral of f over the family's support, f taking an array: a 200-node
+    Gauss-Legendre rule on [-25, 25] for the Gaussian weights, and in
+    x = sin(u) on [-pi/2, pi/2] for the truncated one, where its factor
+    (1 - x^2)^(1/2) is cos(u)."""
+    x, w = np.polynomial.legendre.leggauss(200)
+    if name == "truncated":
+        u, w = np.pi / 2.0 * x, np.pi / 2.0 * w
+        return f(np.sin(u)) @ (w * np.cos(u))
+    return f(25.0 * x) @ (25.0 * w)
+
+
+def _sigma(fam):
+    """sigma_j = sqrt(r_{j//2}), the scale of member j in values()."""
+    return np.sqrt(fam.norms[np.arange(len(fam)) // 2])
 
 
 @pytest.mark.parametrize("name", sorted(_FOLD_FAMILIES))
 @pytest.mark.parametrize("n", [3, 9, 21])
 def test_fold_leaves_every_other_polynomial_integrating_to_zero(name, n):
     fam = _FOLD_FAMILIES[name](n)
-    moments = _closed_form_moments(name, n)
-    folded, nu_last = fam.folded(moments)
-    assert folded.shape == (n, n)
-    assert folded[-1].tolist() == fam.matrix()[-1].tolist()
-    # each integral is checked against the sum of its terms' sizes
-    scale = np.abs(folded) @ np.abs(moments)
-    assert abs(nu_last - folded[-1] @ moments) <= 1e-14 * scale[-1]
-    assert np.all(np.abs(folded[:-1] @ moments) <= 1e-14 * scale[:-1])
+    q = lambda x: fam.values(x)[0]
+    integrals = _integrate(name, q)
+    sizes = _integrate(name, lambda x: np.abs(q(x)))
+    assert integrals.shape == (n,)
+    # each integral is checked against the integral of its member's size
+    assert abs(integrals[-1] - fam.nu[-1]) <= 1e-14 * sizes[-1]
+    assert np.all(np.abs(integrals[:-1]) <= 1e-14 * sizes[:-1])
+    # Phi_j rises by the integral of q_j from left of the support to right of it
+    far = 1.0 if name == "truncated" else 25.0
+    phi = fam.values(np.array([-far, far]))[1]
+    np.testing.assert_allclose(phi[:, 1] - phi[:, 0], integrals, rtol=0.0,
+                               atol=1e-14 * sizes.max())
 
 
 @pytest.mark.parametrize("name", sorted(_FOLD_FAMILIES))
 def test_fold_at_even_order_returns_the_array_unchanged(name):
+    # at even order values() gives the members of matrix(), unfolded
     fam = _FOLD_FAMILIES[name](10)
-    folded, nu_last = fam.folded(_closed_form_moments(name, 10))
-    assert folded is fam.matrix() and nu_last is None
+    x = np.linspace(-0.95, 0.95, 7) if name == "truncated" else np.linspace(-6.0, 6.0, 7)
+    want = np.array([sopoly.eval_poly(c, x) for c in fam.matrix()]) * fam._weight(x)
+    want /= _sigma(fam)[:, None]
+    np.testing.assert_allclose(fam.values(x)[0], want, rtol=1e-12, atol=1e-14)
 
 
 def test_goe_inner_products_small():
@@ -171,33 +186,51 @@ def test_inner_product_rejects_unknown_family():
         sopoly.inner_product_numeric(fam, 0, 0)
 
 
+def _lower(fam, x):
+    """The one-sided integrals F_j(x) of the base b_j of a Gaussian family, over
+    sigma_j: a list at a float x, one array (integral j in row j) at an array x."""
+    w = fam._weight(np.asarray(x, dtype=float))
+    if isinstance(x, float):
+        return fam._base(x, float(w))[len(fam):]
+    return np.array(fam._base(x, w)[len(fam):])
+
+
 @pytest.mark.parametrize("x", [-11.95, -3.0, 0.0, 2.5])
 def test_gauss_lower_moments_against_quadrature(x):
-    # the left tail, where 1 - P(a, x^2/2) loses every digit: at m = 28,
-    # x = -11.95 that form gives 0.0 for 1.476e-2
-    got = sopoly._gauss_lower_moments(29, x)
-    got_array = sopoly._gauss_lower_moments(29, np.array([x, x]))
+    # the GOE base b_m = H_m / 2^m; in the left tail, where 1 - P(a, x^2/2)
+    # loses every digit, at m = 28, x = -11.95 that form gives 0.0 for 1.476e-2
+    fam = sopoly.goe_family(29)
+    sigma = _sigma(fam)
+    got = _lower(fam, x)
+    got_array = _lower(fam, np.array([x, x]))
     for m in (0, 1, 9, 28):
-        f = lambda t: t ** m * math.exp(-t * t / 2.0)
+        b = hermite.Hermite(np.eye(m + 1)[m])
+        f = lambda t: b(t) / 2.0 ** m * math.exp(-t * t / 2.0)
         if x <= 0:
             want = integrate.quad(f, -np.inf, x, epsabs=0.0, epsrel=1e-13)[0]
-        else:  # the full moment less the upper tail, with no cancellation
-            want = (sopoly._gauss_moment(m)
+        else:  # the full integral less the upper tail, with no cancellation
+            want = (fam.nu[m] * sigma[m]
                     - integrate.quad(f, x, np.inf, epsabs=0.0, epsrel=1e-13)[0])
-        assert got[m] == pytest.approx(want, rel=1e-12)
-        assert got_array[m] == pytest.approx([want, want], rel=1e-12)
+        assert got[m] * sigma[m] == pytest.approx(want, rel=1e-12)
+        assert got_array[m] * sigma[m] == pytest.approx([want, want], rel=1e-12)
 
 
 def test_gauss_lower_moments_at_infinity_and_with_variance():
+    # nu_2k = sqrt(2 pi c) (c - a)^k (2k-1)!!, and nu_j = 0 at odd j
     c = 1.7
-    full = sopoly._gauss_lower_moments(9, np.inf, c)
-    assert full == pytest.approx([sopoly._gauss_moment(m, c) for m in range(9)],
-                                 rel=1e-15, abs=0.0)
-    assert sopoly._gauss_lower_moments(9, -np.inf, c) == [0.0] * 9
+    fam = sopoly.partial_family(9, c - 1.0)
+    full = fam.nu * _sigma(fam)
+    assert full == pytest.approx([0.0 if m % 2 else math.sqrt(c) * sopoly._gauss_moment(m)
+                                  for m in range(9)], rel=1e-15, abs=0.0)
+    # at +-60 the weight underflows to 0: F is nu on the right, 0 on the left
+    np.testing.assert_allclose(_lower(fam, 60.0), fam.nu, rtol=1e-15, atol=0.0)
+    assert _lower(fam, -60.0) == [0.0] * 9
+    # b_j(x; a) = c^(j/2) b_j(x / sqrt(c); a / c) and w_c(x) = w_1(x / sqrt(c))
+    unit = sopoly.GaussianFamily("partial", 9, (c - 1.0) / c, 1.0, lambda k: 0.0, fam.norms[0],
+                                 lambda k: (2 * k + 1.0) * (2 * k + 2.0))
     x = np.array([-2.0, 0.5, 3.0])
     np.testing.assert_allclose(
-        sopoly._gauss_lower_moments(9, x, c),
-        np.sqrt(c) ** np.arange(1, 10)[:, None] * sopoly._gauss_lower_moments(9, x / np.sqrt(c)),
+        _lower(fam, x), np.sqrt(c) ** np.arange(1, 10)[:, None] * _lower(unit, x / np.sqrt(c)),
         rtol=1e-14)
 
 

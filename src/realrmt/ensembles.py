@@ -18,7 +18,12 @@ def rng_for(seed, index):
     return np.random.Generator(np.random.Philox(key=(int(seed) << 64) | int(index)))
 
 
-COND_MAX = 1e12  # a spherical draw whose A has a larger condition number is redrawn
+COND_MAX = 1e12
+"""Bound of the spherical guard: a draw is kept only if ||A||_F ||A^{-1}||_F < COND_MAX.
+
+That Frobenius product is at least the 2-norm condition number of A, so every
+kept A has a 2-norm condition number below COND_MAX.
+"""
 
 
 def _shape(size):
@@ -33,7 +38,9 @@ def sample_goe(n, rng, size=None):
     variates, in the same order, as size separate calls.
     """
     a = rng.standard_normal(_shape(size) + (n, n))
-    return (a + a.swapaxes(-1, -2)) / 2.0
+    x = a + a.swapaxes(-1, -2)
+    x *= 0.5
+    return x
 
 
 def sample_ginibre(n, rng, size=None):
@@ -44,54 +51,74 @@ def sample_ginibre(n, rng, size=None):
 def sample_partial(n, tau, rng, b=None, size=None):
     """Draw from the partially symmetric real Ginibre ensemble (size: as sample_goe).
 
-    X = (S + sqrt(c) A) / sqrt(b) with c = (1 - tau)/(1 + tau); the default
-    b = 1/(1 + tau) gives off-diagonal variance 1 and correlation tau.
+    X = (S + sqrt(c) A) / sqrt(b) with c = (1 - tau)/(1 + tau), S symmetric
+    and A antisymmetric; the default b = 1/(1 + tau) gives off-diagonal
+    variance 1 and correlation tau. One n x n Gaussian G gives both, as
+    S = (G + G^T)/2 and A = (G - G^T)/2 are independent, so
+    X = p G + q G^T with p, q = (1 +- sqrt(c)) / (2 sqrt(b)).
     """
     spec("partial", n, tau=tau)
     if b is None:
         b = 1.0 / (1.0 + tau)
-    c = (1.0 - tau) / (1.0 + tau)
-    gh = rng.standard_normal(_shape(size) + (2, n, n))
-    g, h = gh[..., 0, :, :], gh[..., 1, :, :]
-    s = (g + g.swapaxes(-1, -2)) / 2.0
-    a = (h - h.swapaxes(-1, -2)) / 2.0
-    return (s + math.sqrt(c) * a) / math.sqrt(b)
+    root_c, scale = math.sqrt((1.0 - tau) / (1.0 + tau)), 2.0 * math.sqrt(b)
+    g = rng.standard_normal(_shape(size) + (n, n))
+    x = g * ((1.0 + root_c) / scale)
+    x += g.swapaxes(-1, -2) * ((1.0 - root_c) / scale)
+    return x
+
+
+def _inverse_if_well_conditioned(a):
+    """A^{-1}, for one matrix or a stack, or None if some A fails the COND_MAX guard.
+
+    A singular A, whose inverse raises LinAlgError, fails it too.
+    """
+    try:
+        a_inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return None
+    # the guard squared, so that no square root is taken
+    sq = np.einsum("...ij,...ij->...", a, a) * np.einsum("...ij,...ij->...", a_inv, a_inv)
+    return a_inv if np.all(sq < COND_MAX ** 2) else None
 
 
 def sample_spherical(n, rng, max_attempts=10, size=None):
     """Draw Y = A^{-1} B with A, B independent real Ginibre matrices.
 
-    size: as sample_goe. A draw whose A has condition number COND_MAX or
-    more is redrawn. If any draw of a stack needs that, the stack is drawn
-    again one matrix at a time from the same stream position, so the
-    variates stay those of size separate calls.
+    Y is formed as inv(A) @ B. size: as sample_goe. A draw whose A fails the
+    COND_MAX guard, or is singular, is redrawn. If any draw of a stack needs
+    that, the stack is drawn again one matrix at a time from the same stream
+    position, so the variates stay those of size separate calls.
     """
     if size is not None:
         state = rng.bit_generator.state
         ab = rng.standard_normal((size, 2, n, n))
-        a, b = ab[:, 0], ab[:, 1]
-        if np.all(np.linalg.cond(a) < COND_MAX):
-            return np.linalg.solve(a, b)
+        a_inv = _inverse_if_well_conditioned(ab[:, 0])
+        if a_inv is not None:
+            return a_inv @ ab[:, 1]
         rng.bit_generator.state = state
         return np.stack([sample_spherical(n, rng, max_attempts) for _ in range(size)])
     for _ in range(max_attempts):
         a = rng.standard_normal((n, n))
         b = rng.standard_normal((n, n))
-        if np.linalg.cond(a) < COND_MAX:
-            return np.linalg.solve(a, b)
+        a_inv = _inverse_if_well_conditioned(a)
+        if a_inv is not None:
+            return a_inv @ b
     raise RuntimeError("failed to draw a well-conditioned spherical matrix")
 
 
 def sample_truncated(m, big_l, rng, size=None):
-    """Draw the bottom-right m x m block of a random (m+L) x (m+L) orthogonal matrix.
+    """Draw the bottom-right m x m block of a Haar random (m+L) x (m+L) orthogonal matrix.
 
+    The block is rows L: of the matrix's last m columns, which form a Haar
+    random orthonormal m-frame in R^(m+L). The reduced QR of an (m+L) x m
+    Gaussian, with each column of Q multiplied by the sign of R's diagonal
+    entry, gives that frame (Mezzadri, Notices AMS 54 (2007)).
     size: as sample_goe.
     """
-    n = m + big_l
-    x = rng.standard_normal(_shape(size) + (n, n))
+    x = rng.standard_normal(_shape(size) + (m + big_l, m))
     q, r = np.linalg.qr(x)
-    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
-    return q[..., big_l:, big_l:]
+    q *= np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+    return q[..., big_l:, :]
 
 
 def classify_spectra(eigs, rel_tol=1e-9):

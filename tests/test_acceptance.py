@@ -211,6 +211,8 @@ MC_CELLS = (
     + [("truncated", 2, None, 1), ("truncated", 4, None, 2),
        ("truncated", 4, None, 8)]
     + [("partial", 4, 0.5, None), ("partial", 4, -0.5, None)]
+    + [("truncated", 3, None, 8), ("truncated", 2, None, 4), ("truncated", 3, None, 3)]
+    + [("partial", 5, 0.75, None)]
 )
 
 

@@ -41,6 +41,20 @@ def test_partial_correlation():
         ensembles.sample_partial(3, 1.5, rng)
 
 
+@pytest.mark.parametrize("tau", [-0.5, 0.9])
+def test_partial_diagonal_variance_and_correlation(tau):
+    n, size = 3, 40000
+    mats = ensembles.sample_partial(n, tau, ensembles.rng_for(12, 0), size=size)
+    diag = mats[:, np.arange(n), np.arange(n)].ravel()
+    assert np.var(diag) == pytest.approx(1.0 + tau, rel=0.03)
+    upper = np.triu_indices(n, 1)
+    x, y = mats[:, upper[0], upper[1]].ravel(), mats[:, upper[1], upper[0]].ravel()
+    assert np.var(x) == pytest.approx(1.0, rel=0.03)
+    assert np.var(y) == pytest.approx(1.0, rel=0.03)
+    corr = np.mean(x * y) / math.sqrt(np.var(x) * np.var(y))
+    assert corr == pytest.approx(tau, abs=0.02)
+
+
 def test_truncated_sample_is_orthogonal_block():
     rng = ensembles.rng_for(3, 0)
     m, big_l = 4, 2
@@ -48,6 +62,14 @@ def test_truncated_sample_is_orthogonal_block():
     assert block.shape == (m, m)
     # all singular values of a sub-block of an orthogonal matrix are <= 1
     assert np.max(np.linalg.svd(block, compute_uv=False)) <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("m,big_l", [(3, 1), (4, 8), (3, 100)])
+def test_truncated_stacks_are_contractions(m, big_l):
+    size = 500
+    blocks = ensembles.sample_truncated(m, big_l, ensembles.rng_for(13, 0), size=size)
+    assert blocks.shape == (size, m, m)
+    assert np.max(np.linalg.svd(blocks, compute_uv=False)) <= 1.0 + 1e-12
 
 
 def test_spherical_sample_shape():
@@ -229,6 +251,43 @@ def test_spherical_stack_replays_redrawn_draws(monkeypatch):
     np.testing.assert_array_equal(
         ensembles.simulate_real_counts("spherical", 3, 600, 8),
         np.bincount([len(r) for r in ref], minlength=4))
+
+
+def test_spherical_guard_bounds_the_two_norm_condition_number(monkeypatch):
+    a = ensembles.rng_for(14, 0).standard_normal((2000, 3, 3))
+    frobenius = np.linalg.norm(a, axis=(1, 2)) * np.linalg.norm(np.linalg.inv(a),
+                                                                 axis=(1, 2))
+    cond = np.linalg.cond(a)
+    assert np.all(frobenius >= cond)
+    monkeypatch.setattr(ensembles, "COND_MAX", LOW_COND_MAX)
+    kept = np.array([ensembles._inverse_if_well_conditioned(x) is not None for x in a])
+    np.testing.assert_array_equal(kept, frobenius < LOW_COND_MAX)
+    assert 0 < np.sum(kept) < len(a)
+    assert np.all(cond[kept] < LOW_COND_MAX)
+
+
+@pytest.mark.parametrize("singular", [{1}, {1, 2}], ids=["stack", "stack-and-draw"])
+def test_spherical_stack_replays_a_singular_draw(monkeypatch, singular):
+    inv = np.linalg.inv
+    calls = []
+
+    def singular_at(a):
+        calls.append(a.shape)
+        if len(calls) in singular:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", singular_at)
+    rng_a, rng_b = ensembles.rng_for(15, 0), ensembles.rng_for(15, 0)
+    stack = ensembles.sample_spherical(4, rng_a, size=50)
+    # the stack's inverse raised, then each draw was inverted on its own, and
+    # a draw whose inverse raised too was redrawn
+    redrawn = len(singular) - 1
+    assert calls == [(50, 4, 4)] + [(4, 4)] * (50 + redrawn)
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    rng_b.standard_normal((redrawn, 2, 4, 4))
+    np.testing.assert_array_equal(stack, _per_draw("spherical", 4, rng_b, 50))
+    np.testing.assert_array_equal(rng_a.standard_normal(3), rng_b.standard_normal(3))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Correlation kernels, eigenvalue densities and their scaling limits."""
 
+import functools
 import math
 
 import numpy as np
@@ -13,15 +14,29 @@ C2PI = 1.0 / sopoly.SQRT2PI
 
 
 # ---------------------------------------------------------------------------
-# the pair-sum kernel of the GOE, partial and truncated ensembles
+# the pair-sum kernel of the GOE, Ginibre, partial and truncated ensembles
+
+
+def _point(p, complex_points=True):
+    """(True, x) at a real point ('r', x), (False, z) at a complex one ('c', z)."""
+    species, z = p[0], complex(p[1])
+    if species == "r" and not z.imag:
+        return True, z.real
+    if species == "c" and z.imag > 0.0 and complex_points:
+        return False, z
+    raise ValueError("%r is not ('r', real x) or, with complex points, ('c', z), Im z > 0" % (p,))
+
+
+def _sandwich(a, form):  # einsum, as a matmul would map BLAS's 0.4 MB work buffer
+    return np.einsum("ik,jk->ij", np.einsum("ij,jk->ik", a, form), a)
 
 
 class _PairSumKernel:
-    """Kernel elements at real points from a skew-orthogonal family of order n.
+    """Kernel elements from a skew-orthogonal family of order n.
 
     With q_j = w p_j for the weight w, Phi_j(y) = (1/2) int sgn(y - t) q_j(t) dt,
     each pair (2j, 2j+1) scaled to skew norm 1 (sopoly.SkewFamily) and c the
-    family's norm factor:
+    family's norm factor, at real points:
 
         S(x, y)  =  c sum_j (Phi_2j(x) q_2j+1(y) - Phi_2j+1(x) q_2j(y))
         D(x, y)  =  c sum_j (q_2j(x) q_2j+1(y) - q_2j+1(x) q_2j(y))
@@ -30,62 +45,58 @@ class _PairSumKernel:
 
     so D(x, y) = dS(x, y)/dx and dI~(x, y)/dx = S(y, x), the layout that
     npoint_correlation takes. At odd n the last polynomial p_{n-1} stays
-    unpaired, and the family has folded it out of every other member: S
-    gains q_{n-1}(y) / nu_{n-1} and I~ gains
-    (Phi_{n-1}(x) - Phi_{n-1}(y)) / nu_{n-1}, nu_{n-1} being the integral of
-    q_{n-1}. The family is built once, by the caller.
-    The *_xy methods take values (vectorized, elementwise); s, d and itilde
-    take (species, value) points, and block a sequence of them.
+    unpaired, and the family has folded it out of every other member: S gains
+    q_{n-1}(y) / nu_{n-1} and I~ (Phi_{n-1}(x) - Phi_{n-1}(y)) / nu_{n-1},
+    nu_{n-1} being the integral of q_{n-1}. The caller builds the family once.
+
+    A complex point z enters the same sums with Phi_j(z) = -i conj(q_j(z)),
+    q_j from the complex weight, and no sgn or unpaired term. With rows
+    [Phi(p) | c_p], [q(p) | 0] per point (c_p = 1 if p is real, else 0), the
+    interleaved [[-I~, S], [-S^T, D]] is A J A^T plus sgn/2 at real pairs: J is
+    c times the pair-skew form, -1/nu_{n-1} at (n-1, n) at odd n, A = B V^T for
+    B the family's points() and V its point_map(). Only s_xy takes real values.
     """
 
     def __init__(self, family, factor):
-        self.n = len(family)
-        self._values = family.values
-        self._factor = factor
+        self.n, self._family, self._factor = len(family), family, factor
         self._unpaired = 1.0 / family.nu[-1] if self.n % 2 else 0.0
 
-    def _pairs(self, f, g):
-        k = self.n - self.n % 2
-        return self._factor * np.add.reduce(f[0:k:2] * g[1:k:2] - f[1:k:2] * g[0:k:2])
-
-    # S, D and I~ from the family's values q and Phi at x and at y
-
-    def _s(self, phi_x, q_y):
-        return self._pairs(phi_x, q_y) + self._unpaired * q_y[-1]
-
-    def _itilde(self, x, y, phi_x, phi_y):
-        return (-self._pairs(phi_x, phi_y) - 0.5 * np.sign(x - y)
-                + self._unpaired * (phi_x[-1] - phi_y[-1]))
+    @functools.cached_property
+    def _form(self):  # V^T J V: O(n^3), so on the first point set, not for grids
+        j = np.zeros((self.n + 1, self.n + 1))
+        j[range(0, self.n - 1, 2), range(1, self.n, 2)] = self._factor
+        j[self.n - 1, self.n] = -self._unpaired
+        return _sandwich(self._family.point_map().T, j - j.T)
 
     def s_xy(self, x, y):
-        q_x, phi_x = self._values(x)
-        return self._s(phi_x, q_x if y is x else self._values(y)[0])
+        q_x, phi_x = self._family.values(x)
+        q_y = q_x if y is x else self._family.values(y)[0]
+        return (self._factor * np.add.reduce(phi_x[:-1:2] * q_y[1::2] - phi_x[1::2] * q_y[:-1:2])
+                + self._unpaired * q_y[-1])
 
-    def d_xy(self, x, y):
-        return self._pairs(self._values(x)[0], self._values(y)[0])
-
-    def itilde_xy(self, x, y):
-        return self._itilde(x, y, self._values(x)[1], self._values(y)[1])
+    def matrix(self, points):
+        pts = [_point(p) for p in points]
+        m = _sandwich(self._family.points(pts), self._form)
+        for i, (r, x) in enumerate(pts):
+            for j, (s, y) in enumerate(pts[:i]):
+                if r and s:  # -I~ gains sgn(x - y) / 2 at a real pair
+                    m[2 * i, 2 * j] += 0.5 * ((x > y) - (x < y))
+                    m[2 * j, 2 * i] -= 0.5 * ((x > y) - (x < y))
+        return m
 
     def s(self, p, q):
-        return self.s_xy(p[1], q[1])
+        return self.matrix([p] if p == q else [p, q])[0, -1]
 
     def d(self, p, q):
-        return self.d_xy(p[1], q[1])
+        return self.matrix([p, q])[1, 3]
 
     def itilde(self, p, q):
-        return self.itilde_xy(p[1], q[1])
+        return -self.matrix([p, q])[0, 2]
 
     def block(self, points):
-        """S, D and I~ at every pair of the points, as k x k arrays
-        (element (i, j) is s, d or itilde at points i and j), from one
-        evaluation of the family at the k values."""
-        t = np.array([p[1] for p in points], dtype=float)
-        q, phi = self._values(t)
-        # family index first, then the first point, then the second
-        q_x, q_y, phi_x, phi_y = q[:, :, None], q[:, None, :], phi[:, :, None], phi[:, None, :]
-        return (self._s(phi_x, q_y), self._pairs(q_x, q_y),
-                self._itilde(t[:, None], t[None, :], phi_x, phi_y))
+        """S, D and I~ at every pair of the points (k x k each): slices of matrix."""
+        m = self.matrix(points)
+        return m[0::2, 1::2], m[1::2, 1::2], -m[0::2, 0::2]
 
 
 # ---------------------------------------------------------------------------
@@ -105,12 +116,12 @@ def goe_density(n, x):
 
 def goe_d(n, x, y):
     """Antisymmetric partner kernel D_N(x, y) = dS_N(x, y)/dx."""
-    return GOEKernel(n).d_xy(x, y)
+    return GOEKernel(n).d(("r", x), ("r", y))
 
 
 def goe_itilde(n, x, y):
     """Antisymmetric partner kernel I~_N(x, y) from one-sided integrals."""
-    return GOEKernel(n).itilde_xy(x, y)
+    return GOEKernel(n).itilde(("r", x), ("r", y))
 
 
 def goe_semicircle(x):
@@ -323,68 +334,23 @@ def circular_law_density():
     return 1.0 / math.pi
 
 
-class GinibreKernel:
-    """Kernel-element source for n-point correlations of the real Ginibre ensemble."""
-
-    def __init__(self, n):
-        self.n = n
-
-    def s(self, p, q):
-        # npoint_correlation's S(p, q) is the element at (q, p)
-        p, q = q, p
-        if p[0] == "r" and q[0] == "r":
-            return ginibre_srr(self.n, p[1], q[1])
-        if p[0] == "r":
-            return ginibre_src(self.n, p[1], q[1])
-        if q[0] == "r":
-            return ginibre_scr(self.n, p[1], q[1])
-        return ginibre_scc(self.n, p[1], q[1])
-
-    def d(self, p, q):
-        if p[0] == "r" and q[0] == "r":
-            return ginibre_drr(self.n, p[1], q[1])
-        if p[0] == "r":
-            return ginibre_drc(self.n, p[1], q[1])
-        if q[0] == "r":
-            return -ginibre_drc(self.n, q[1], p[1])
-        return ginibre_dcc(self.n, p[1], q[1])
-
-    def itilde(self, p, q):
-        if p[0] == "r" and q[0] == "r":
-            return ginibre_irr(self.n, p[1], q[1])
-        if p[0] == "r":
-            return ginibre_irc(self.n, p[1], q[1])
-        if q[0] == "r":
-            return -ginibre_irc(self.n, q[1], p[1])
-        return ginibre_icc(self.n, p[1], q[1])
-
-    def block(self, points):
-        """S, D and I~ at every pair of the points, as for
-        _PairSumKernel.block, one scalar element at a time: S at all k^2
-        pairs, D and I~ above the diagonal (both are antisymmetric)."""
-        k = len(points)
-        s = [[self.s(p, q) for q in points] for p in points]
-        d = [[0.0] * k for _ in range(k)]
-        itld = [[0.0] * k for _ in range(k)]
-        for i in range(k):
-            for j in range(i + 1, k):
-                d[i][j] = self.d(points[i], points[j])
-                d[j][i] = -d[i][j]
-                itld[i][j] = self.itilde(points[i], points[j])
-                itld[j][i] = -itld[i][j]
-        return np.array(s), np.array(d), np.array(itld)
-
-
 # ---------------------------------------------------------------------------
 # partially symmetric real Ginibre ensemble
 
 
 class PartialKernel(_PairSumKernel):
-    """Kernel elements of the partially symmetric ensemble at real points, order
-    n: weight e^{-x^2/(2(1 + tau))}, norm factor 2."""
+    """Kernel elements of the partially symmetric ensemble at real and complex
+    points, order n: weight e^{-x^2/(2(1 + tau))}, norm factor 2."""
 
     def __init__(self, n, tau):
         super().__init__(sopoly.partial_family(n, tau), 2.0)
+
+
+class GinibreKernel(PartialKernel):
+    """The real Ginibre kernel: the partial one at tau = 0 (closed forms: ginibre_*)."""
+
+    def __init__(self, n):
+        super().__init__(n, 0.0)
 
 
 def partial_srr(n, tau, x, y):
@@ -533,18 +499,18 @@ class SphericalKernel:
         self.n = n
 
     def s(self, p, q):
-        return spherical_srr(self.n, p[1], q[1])
+        return spherical_srr(self.n, _point(p, False)[1], _point(q, False)[1])
 
     def d(self, p, q):
-        return spherical_drr(self.n, q[1], p[1])
+        return spherical_drr(self.n, _point(q, False)[1], _point(p, False)[1])
 
     def itilde(self, p, q):
-        return spherical_irr(self.n, q[1], p[1])
+        return spherical_irr(self.n, _point(q, False)[1], _point(p, False)[1])
 
     def block(self, points):
         """S, D and I~ at every pair of the points, as for
         _PairSumKernel.block: each element function once, on the k x k grid."""
-        t = np.array([p[1] for p in points], dtype=float)
+        t = np.array([_point(p, False)[1] for p in points])
         t_p, t_q = t[:, None], t[None, :]
         return (spherical_srr(self.n, t_p, t_q), spherical_drr(self.n, t_q, t_p),
                 spherical_irr(self.n, t_q, t_p))
@@ -626,11 +592,11 @@ def npoint_correlation(kernel, points):
     points is a sequence of (species, value) pairs with species 'r' or 'c'.
     The 2 x 2 block of points i and j is [[-I~_ij, S_ij], [-S_ji, D_ij]], so
     the matrix is [[-I~, S], [-S^T, D]] with its rows and columns interleaved;
-    I~ and D are antisymmetric. All three come from one kernel.block call;
-    at one point the Pfaffian of [[0, S], [-S, 0]] is S, so rho_1 takes only
-    kernel.s. Coincident points are rejected; use the density functions
-    instead. A value that is not finite (an element overflowed) raises
-    ArithmeticError.
+    I~ and D are antisymmetric. A kernel with a matrix method (the pair-sum
+    kernels) gives it whole, any other from one kernel.block call. At one
+    point the Pfaffian of [[0, S], [-S, 0]] is S, so rho_1 takes only kernel.s.
+    Coincident points are rejected (use the density functions instead), and a
+    value that is not finite (an element overflowed) raises ArithmeticError.
 
     Every kernel class here gives s, d and itilde, and block, in one layout:
     at real points D(x, y) = dS(x, y)/dx and dI~(x, y)/dx = S(y, x), so
@@ -639,19 +605,20 @@ def npoint_correlation(kernel, points):
     """
     pts = list(points)
     n = len(pts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if pts[i] == pts[j]:
-                raise ValueError("coincident points are not allowed")
+    if any(p == q for i, p in enumerate(pts) for q in pts[:i]):
+        raise ValueError("coincident points are not allowed")
     if n == 1:
         value = float(np.real(kernel.s(pts[0], pts[0])))
     else:
-        s, d, itld = kernel.block(pts)
-        mat = np.empty((2 * n, 2 * n), dtype=np.result_type(s, d, itld))
-        mat[0::2, 0::2] = -itld
-        mat[0::2, 1::2] = s
-        mat[1::2, 0::2] = -s.T
-        mat[1::2, 1::2] = d
+        if hasattr(kernel, "matrix"):
+            mat = kernel.matrix(pts)
+        else:
+            s, d, itld = kernel.block(pts)
+            mat = np.empty((2 * n, 2 * n), dtype=np.result_type(s, d, itld))
+            mat[0::2, 0::2] = -itld
+            mat[0::2, 1::2] = s
+            mat[1::2, 0::2] = -s.T
+            mat[1::2, 1::2] = d
         value = float(np.real(pfaffian.pfaffian(pfaffian.SkewMatrix(mat, tol=1e-8))))
     if not math.isfinite(value):
         raise ArithmeticError("n-point correlation is not finite: %r" % value)

@@ -1,6 +1,7 @@
 """Skew-orthogonal polynomial families of the five ensembles, with their weights,
 weight moments and normalising constants."""
 
+import cmath
 import math
 
 import numpy as np
@@ -87,32 +88,52 @@ class SkewFamily(PolynomialFamily):
         return np.cumprod([self._r0] + [self._ratio(k) for k in range((self.n - 1) // 2)])
 
     def values(self, x):
-        """q_j(x) and Phi_j(x) of every member j, each of shape (n,) + x.shape;
-        at one or two points on floats, where numpy's per-call cost dominates."""
+        """q_j(x) and Phi_j(x) of every member j, each of shape (n,) + x.shape."""
         x = np.asarray(x, dtype=float)
         flat = x.ravel()
-        w = self._weight(flat)
-        if flat.size <= 2:
-            rows = np.array([self._base(v, u) for v, u in zip(flat.tolist(), w.tolist())]).T
-        else:
-            rows = np.array(self._base(flat, w))
-        rows = rows.reshape(2, self.n, -1)
+        q = self._recur(flat, self._weight(flat))
+        rows = np.array(q + list(self._lower(flat, q))).reshape(2, self.n, -1)
         rows[1] -= self._half_nu
-        rows[:, 3::2] -= self._steps * rows[:, 1:self.n - 2:2]
-        if self._fold is not None:
-            rows[:, :-1] -= self._fold * rows[:, -1:]
+        self._step_and_fold(rows)
         return rows[0].reshape(self.n, *x.shape), rows[1].reshape(self.n, *x.shape)
 
-    def _base(self, x, w):
-        """q_0 .. q_{n-1} and F_0 .. F_{n-1} of the base over sigma_j, in one
-        list, from the weight w at x: floats at a float x, arrays at a 1-D
-        array x."""
+    def points(self, points):
+        """Rows 2i, 2i + 1: [F(x) | 1], [q(x) | 0] at the i-th point if real,
+        [-i conj(q(z)) | 0], [q(z) | 0] with the complex weight if complex
+        (Forrester & Nagao, J. Phys. A 41, 2008); Python scalars per point."""
+        rows = []
+        for real, v in points:
+            if real:
+                q = self._recur(v, self._weight(v))
+                rows += ([*self._lower(v, q), 1.0], q + [0.0])
+            else:
+                q = self._recur(v, self._complex_weight(v)) + [0.0]
+                rows += ([-1j * t.conjugate() for t in q], q)
+        return np.array(rows)
+
+    def point_map(self):
+        """V: row [b | c] of points() to [Phi | c] or [q | 0] (nu shift, step, fold)."""
+        v = np.eye(self.n + 1)
+        v[:-1] -= self._half_nu * v[-1]
+        self._step_and_fold(v[:-1])
+        return v
+
+    def _step_and_fold(self, rows):  # in place, the members along axis -2
+        rows[..., 3::2, :] -= self._steps * rows[..., 1:self.n - 2:2, :]
+        if self._fold is not None:
+            rows[..., :-1, :] -= self._fold * rows[..., -1:, :]
+
+    def _complex_weight(self, z):
+        raise ValueError("the %s family has no complex points" % self.ensemble)
+
+    def _recur(self, x, w):
+        """q_0 .. q_{n-1} of the base over sigma_j, from the weight w at x."""
         q, prev, a = [w / math.sqrt(self._r0)], 0.0, self._a
         for t, inv in self._coef:
             nxt = x * q[-1] if inv == 1.0 else inv * x * q[-1]
             q.append(nxt - a * t * prev if a else nxt)
             prev = q[-2]
-        return q + list(self._lower(x, q))
+        return q
 
 
 class GaussianFamily(SkewFamily):
@@ -130,7 +151,17 @@ class GaussianFamily(SkewFamily):
         super().__init__(ensemble, n, a, step, r0, ratio, params)
 
     def _weight(self, x):
-        return np.exp(x * x * (-0.5 / self._c))
+        return (math.exp if isinstance(x, float) else np.exp)(x * x * (-0.5 / self._c))
+
+    def _complex_weight(self, z):
+        """e^{-z^2/(2c)} sqrt(erfc(t)), t = |Im z| sqrt(2/(1 - tau^2)), c = 1 + tau (partial);
+        past t = 26, where erfc underflows, e^{t^2} erfc(t) comes from its series."""
+        if "tau" not in self.params:
+            return super()._complex_weight(z)
+        t = math.sqrt(2.0 / ((2.0 - self._c) * self._c)) * abs(z.imag)
+        scaled = (math.exp(t * t) * math.erfc(t) if t < 26.0 else math.pi ** -0.5 / t
+                  * sum((-0.5 / t / t) ** k * double_factorial(2 * k - 1) for k in range(8)))
+        return cmath.exp(z * z * (-0.5 / self._c) - t * t / 2.0) * math.sqrt(scaled)
 
     def _lower(self, x, q):
         c, slope, prev = self._c, self._c - self._a, 0.0
@@ -260,6 +291,8 @@ def _trunc_cw(big_l):
 def trunc_omega_real(big_l, x):
     """Real-axis weight of the truncated ensemble, 0 off [-1, 1] (vectorized in x)."""
     u = 1.0 - x * x
+    if isinstance(u, float) and u > 0.0:
+        return _trunc_cw(big_l) * u ** (big_l / 2.0 - 1.0)
     inside = u >= 0.0
     # off the support the power is taken at 1, as at odd L it is not real there
     return np.where(inside, _trunc_cw(big_l) * np.where(inside, u, 1.0) ** (big_l / 2.0 - 1.0),
@@ -289,11 +322,11 @@ def _trunc_moments(big_l, count, y):
     F_0 = G_b: G_{a+1} = (2a G_a + y (1 - y^2)^a) / (2a + 1), from
     G_1 = 1 + y (L even) or G_{1/2} = arccos(-y) (L odd).
     """
-    y = np.clip(y, -1.0, 1.0)
+    y = min(max(y, -1.0), 1.0) if isinstance(y, float) else np.clip(y, -1.0, 1.0)
     u = (1.0 - y) * (1.0 + y)
     a = 0.5 if big_l % 2 else 1.0
     g = np.arccos(-y) if big_l % 2 else 1.0 + y
-    power = np.sqrt(u) if big_l % 2 else u  # (1 - y^2)^a
+    power = u ** 0.5 if big_l % 2 else u  # (1 - y^2)^a
     while a < big_l / 2.0:
         g = (2.0 * a * g + y * power) / (2.0 * a + 1.0)
         power = power * u

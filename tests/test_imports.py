@@ -76,3 +76,24 @@ def test_commands_and_npoint_calls_do_not_import_scipy_special():
     assert res.returncode == 0, res.stderr
     assert float(res.stdout) == pytest.approx(
         kernels.spherical_density_complex(5, 0.3 + 0.2j), rel=1e-15)
+
+
+# n-point correlations of the real Ginibre and partial kernels at real and
+# complex points: the pair sum takes only math and numpy, so scipy never loads
+_NPOINT_SCRIPT = r"""
+import sys
+from realrmt import kernels
+
+pts = [("r", 0.3), ("c", 0.4 + 0.9j), ("r", -1.1), ("c", -0.2 + 0.5j)]
+for kern in (kernels.GinibreKernel(12), kernels.PartialKernel(9, 0.5)):
+    for k in (1, 2, 4):
+        kernels.npoint_correlation(kern, pts[:k])
+    kernels.npoint_correlation(kern, pts[1:2])
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_mixed_species_npoint_calls_do_not_import_scipy():
+    res = subprocess.run([sys.executable, "-c", _NPOINT_SCRIPT], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

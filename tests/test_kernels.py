@@ -297,6 +297,14 @@ def test_ginibre_complex_density_matches_scc():
     assert val == pytest.approx(kernels.ginibre_density_complex(8, w), rel=1e-10)
 
 
+def test_ginibre_complex_density_past_the_erfc_underflow():
+    # from sqrt(2) |Im z| = 26.5 on, erfc underflows, and sqrt(erfc) alone
+    # gave rho = 0; the complex weight takes e^{t^2} erfc(t) from its series
+    for n, w in ((400, 0.5 + 19.5j), (420, -3.0 + 20.0j)):
+        assert kernels.npoint_correlation(kernels.GinibreKernel(n), [("c", w)]) == pytest.approx(
+            kernels.ginibre_density_complex(n, w), rel=1e-11)
+
+
 def test_ginibre_complex_density_integrates_to_pair_count():
     n = 4
     mean = analytics.ginibre_expected_reals(n)
@@ -365,6 +373,19 @@ def test_partial_correlations_integrate_to_count_moments(n):
         y, wy = _gl(a, 9.0, 40)
         rr += 2.0 * wa * sum(wb * rho(("r", a), ("r", b)) for b, wb in zip(y, wy))
     assert rr == pytest.approx((k * (k - 1)) @ probs, abs=1e-7)
+
+
+@pytest.mark.parametrize("n,tau", [(4, 0.5), (4, -0.5), (5, 0.5), (6, 0.25)])
+def test_partial_complex_density_integrates_to_the_expected_pair_count(n, tau):
+    # over the upper half plane rho_1 integrates to E[m] = (n - E[k]) / 2;
+    # the ellipse has semi-axes (1 + tau) sqrt(n) and (1 - tau) sqrt(n)
+    probs = analytics.prob_table("partial", n, tau=tau)
+    kern = kernels.PartialKernel(n, tau)
+    u, wu = _gl(-(1.0 + tau) * math.sqrt(n) - 7.0, (1.0 + tau) * math.sqrt(n) + 7.0, 60)
+    v, wv = _gl(0.0, (1.0 - tau) * math.sqrt(n) + 7.0, 40)
+    got = sum(wa * wb * kernels.npoint_correlation(kern, [("c", complex(a, b))])
+              for a, wa in zip(u, wu) for b, wb in zip(v, wv))
+    assert got == pytest.approx((n - np.arange(n + 1) @ probs) / 2.0, rel=1e-9)
 
 
 def test_partial_bulk_limits():
@@ -667,6 +688,8 @@ KERNEL_CLASSES = {
 # real points (inside the truncated support) and upper-half-plane points
 REALS = (-0.6, 0.1, 0.7, 0.35, -0.2, 0.85)
 COMPLEX = (0.3 + 0.8j, -0.5 + 0.4j, 0.2 + 0.3j)
+# the kernels with complex elements
+COMPLEX_KERNELS = ("ginibre", "partial")
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_CLASSES))
@@ -674,7 +697,7 @@ COMPLEX = (0.3 + 0.8j, -0.5 + 0.4j, 0.2 + 0.3j)
 def test_no_more_than_n_eigenvalues(name, n):
     # rho vanishes at N + 1 distinct points, a complex point counting twice
     kern = KERNEL_CLASSES[name](n)
-    n_complex = range((n + 1) // 2 + 1) if name == "ginibre" else (0,)
+    n_complex = range((n + 1) // 2 + 1) if name in COMPLEX_KERNELS else (0,)
     for c in n_complex:
         pts = ([("r", x) for x in REALS[:n + 1 - 2 * c]]
                + [("c", w) for w in COMPLEX[:c]])
@@ -704,7 +727,7 @@ def test_kernel_block_matches_the_per_pair_elements(name, n):
     # block(points)[0], [1], [2] at (i, j) are s, d and itilde at points i and j
     kern = KERNEL_CLASSES[name](n)
     point_sets = [[("r", x) for x in REALS[:4]]]
-    if name == "ginibre":
+    if name in COMPLEX_KERNELS:
         point_sets += [[("r", REALS[0]), ("c", COMPLEX[0]), ("r", REALS[2]), ("c", COMPLEX[1])],
                        [("c", w) for w in COMPLEX]]
     for pts in point_sets:
@@ -713,6 +736,64 @@ def test_kernel_block_matches_the_per_pair_elements(name, n):
                                       ("itilde", itld, kern.itilde)):
             want = np.array([[element(p, q) for q in pts] for p in pts], dtype=complex)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15, err_msg=name_el)
+
+
+def _ginibre_elements(n, p, q):
+    """s, d and itilde at the points p and q from the ginibre_* element
+    functions, in npoint_correlation's layout: S(p, q) is the element S at
+    (q, p), and only the real-complex D and I~ are written out."""
+    (a, x), (b, y) = p, q
+    el = lambda kind, u, v, *args: getattr(kernels, "ginibre_" + kind + u + v)(n, *args)
+    s = el("s", b, a, y, x)
+    if (a, b) == ("c", "r"):
+        return s, -el("d", "r", "c", y, x), -el("i", "r", "c", y, x)
+    return s, el("d", a, b, x, y), el("i", a, b, x, y)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 12, 13, 20, 21])
+def test_ginibre_kernel_matches_the_element_functions(n):
+    # GinibreKernel is the partial kernel at tau = 0; the twelve ginibre_*
+    # functions (ten elements, two densities) are its closed forms
+    kern = kernels.GinibreKernel(n)
+    pts = [("r", -0.6), ("c", 0.3 + 0.8j), ("r", 0.7), ("c", -0.5 + 0.4j), ("r", 1.9),
+           ("c", 1.2 + 2.1j)]
+    for i, p in enumerate(pts):
+        density = {"r": kernels.ginibre_density_real, "c": kernels.ginibre_density_complex}
+        assert kern.s(p, p) == pytest.approx(density[p[0]](n, p[1]), rel=1e-12)
+        for q in pts[:i] + pts[i + 1:]:
+            got = (kern.s(p, q), kern.d(p, q), kern.itilde(p, q))
+            np.testing.assert_allclose(got, _ginibre_elements(n, p, q), rtol=1e-12, atol=0.0,
+                                       err_msg=str((p, q)))
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CLASSES))
+def test_a_real_point_off_the_real_axis_is_refused(name):
+    kern = KERNEL_CLASSES[name](4)
+    for pts in ([("r", 0.3 + 0.5j)], [("r", 0.1), ("r", 0.3 + 0.5j)]):
+        with pytest.raises(ValueError):
+            kernels.npoint_correlation(kern, pts)
+    # a real value held in a complex number is a real point
+    assert kernels.npoint_correlation(kern, [("r", 0.3 + 0.0j)]) == pytest.approx(
+        kernels.npoint_correlation(kern, [("r", 0.3)]), rel=1e-15)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CLASSES))
+def test_a_complex_point_on_or_below_the_real_axis_is_refused(name):
+    kern = KERNEL_CLASSES[name](4)
+    for w in (0.5, 0.5 + 0.0j, 0.3 - 0.8j):
+        for pts in ([("c", w)], [("r", 0.1), ("c", w)]):
+            with pytest.raises(ValueError):
+                kernels.npoint_correlation(kern, pts)
+
+
+@pytest.mark.parametrize("name", sorted(set(KERNEL_CLASSES) - set(COMPLEX_KERNELS)))
+def test_a_complex_point_is_refused_where_the_kernel_has_none(name):
+    kern = KERNEL_CLASSES[name](4)
+    for pts in ([("c", 0.3 + 0.5j)], [("r", 0.1), ("c", 0.3 + 0.5j)]):
+        with pytest.raises(ValueError, match="complex points"):
+            kernels.npoint_correlation(kern, pts)
+        with pytest.raises(ValueError, match="complex points"):
+            kern.block(pts)
 
 
 GAUSS_PINS = [("r", v) for v in (0.3, -1.1, 2.0, -3.1, 3.3, -2.2)]

@@ -191,8 +191,8 @@ def _lower(fam, x):
     sigma_j: a list at a float x, one array (integral j in row j) at an array x."""
     w = fam._weight(np.asarray(x, dtype=float))
     if isinstance(x, float):
-        return fam._base(x, float(w))[len(fam):]
-    return np.array(fam._base(x, w)[len(fam):])
+        return fam._lower(x, fam._recur(x, float(w)))
+    return np.array(fam._lower(x, fam._recur(x, w)))
 
 
 @pytest.mark.parametrize("x", [-11.95, -3.0, 0.0, 2.5])

@@ -1,6 +1,5 @@
 """Correlation kernels, eigenvalue densities and their scaling limits."""
 
-import functools
 import math
 
 import numpy as np
@@ -27,10 +26,6 @@ def _point(p, complex_points=True):
     raise ValueError("%r is not ('r', real x) or, with complex points, ('c', z), Im z > 0" % (p,))
 
 
-def _sandwich(a, form):  # einsum, as a matmul would map BLAS's 0.4 MB work buffer
-    return np.einsum("ik,jk->ij", np.einsum("ij,jk->ik", a, form), a)
-
-
 class _PairSumKernel:
     """Kernel elements from a skew-orthogonal family of order n.
 
@@ -49,34 +44,40 @@ class _PairSumKernel:
     q_{n-1}(y) / nu_{n-1} and I~ (Phi_{n-1}(x) - Phi_{n-1}(y)) / nu_{n-1},
     nu_{n-1} being the integral of q_{n-1}. The caller builds the family once.
 
-    A complex point z enters the same sums with Phi_j(z) = -i conj(q_j(z)),
-    q_j from the complex weight, and no sgn or unpaired term. With rows
-    [Phi(p) | c_p], [q(p) | 0] per point (c_p = 1 if p is real, else 0), the
-    interleaved [[-I~, S], [-S^T, D]] is A J A^T plus sgn/2 at real pairs: J is
-    c times the pair-skew form, -1/nu_{n-1} at (n-1, n) at odd n, A = B V^T for
-    B the family's points() and V its point_map(). Only s_xy takes real values.
-    """
+    A complex point z enters the same sums with Phi_j(z) = -i conj(q_j(z)), q_j
+    from the complex weight, and no sgn or unpaired term. With the columns A of
+    the family's points(), the interleaved [[-I~, S], [-S^T, D]] is A^T J A plus
+    sgn/2 at real pairs: J is c times the pair-skew form, -1/nu_{n-1} at (n-1, n)
+    at odd n. The *_xy methods take real values (elementwise)."""
 
     def __init__(self, family, factor):
         self.n, self._family, self._factor = len(family), family, factor
         self._unpaired = 1.0 / family.nu[-1] if self.n % 2 else 0.0
 
-    @functools.cached_property
-    def _form(self):  # V^T J V: O(n^3), so on the first point set, not for grids
-        j = np.zeros((self.n + 1, self.n + 1))
-        j[range(0, self.n - 1, 2), range(1, self.n, 2)] = self._factor
-        j[self.n - 1, self.n] = -self._unpaired
-        return _sandwich(self._family.point_map().T, j - j.T)
+    def _pairs(self, f, g):  # the members along axis 0
+        return self._factor * np.add.reduce(f[:-1:2] * g[1::2] - f[1::2] * g[:-1:2])
 
     def s_xy(self, x, y):
         q_x, phi_x = self._family.values(x)
         q_y = q_x if y is x else self._family.values(y)[0]
-        return (self._factor * np.add.reduce(phi_x[:-1:2] * q_y[1::2] - phi_x[1::2] * q_y[:-1:2])
-                + self._unpaired * q_y[-1])
+        return self._pairs(phi_x, q_y) + self._unpaired * q_y[-1]
+
+    def d_xy(self, x, y):
+        return self._pairs(self._family.values(x)[0], self._family.values(y)[0])
+
+    def itilde_xy(self, x, y):
+        phi_x, phi_y = self._family.values(x)[1], self._family.values(y)[1]
+        return (-self._pairs(phi_x, phi_y) - 0.5 * np.sign(x - y)
+                + self._unpaired * (phi_x[-1] - phi_y[-1]))
 
     def matrix(self, points):
         pts = [_point(p) for p in points]
-        m = _sandwich(self._family.points(pts), self._form)
+        a = self._family.points(pts)
+        if self._unpaired:  # J's (n-1, n) entry: p_{n-1} paired with the last row
+            a[-1] *= -self._unpaired / self._factor
+        end = self.n + self.n % 2
+        p = np.einsum("ki,kj->ij", a[0:end:2], a[1:end:2])
+        m = self._factor * (p - p.T)
         for i, (r, x) in enumerate(pts):
             for j, (s, y) in enumerate(pts[:i]):
                 if r and s:  # -I~ gains sgn(x - y) / 2 at a real pair
@@ -116,12 +117,12 @@ def goe_density(n, x):
 
 def goe_d(n, x, y):
     """Antisymmetric partner kernel D_N(x, y) = dS_N(x, y)/dx."""
-    return GOEKernel(n).d(("r", x), ("r", y))
+    return GOEKernel(n).d_xy(x, y)
 
 
 def goe_itilde(n, x, y):
     """Antisymmetric partner kernel I~_N(x, y) from one-sided integrals."""
-    return GOEKernel(n).itilde(("r", x), ("r", y))
+    return GOEKernel(n).itilde_xy(x, y)
 
 
 def goe_semicircle(x):
@@ -515,6 +516,12 @@ class SphericalKernel:
         return (spherical_srr(self.n, t_p, t_q), spherical_drr(self.n, t_q, t_p),
                 spherical_irr(self.n, t_q, t_p))
 
+    def matrix(self, points):  # npoint_correlation's [[-I~, S], [-S^T, D]], from block
+        s, d, itld = self.block(points)
+        m = np.empty((2 * len(s), 2 * len(s)))
+        m[0::2, 0::2], m[0::2, 1::2], m[1::2, 0::2], m[1::2, 1::2] = -itld, s, -s.T, d
+        return m
+
 
 # ---------------------------------------------------------------------------
 # real truncated orthogonal ensemble
@@ -592,13 +599,12 @@ def npoint_correlation(kernel, points):
     points is a sequence of (species, value) pairs with species 'r' or 'c'.
     The 2 x 2 block of points i and j is [[-I~_ij, S_ij], [-S_ji, D_ij]], so
     the matrix is [[-I~, S], [-S^T, D]] with its rows and columns interleaved;
-    I~ and D are antisymmetric. A kernel with a matrix method (the pair-sum
-    kernels) gives it whole, any other from one kernel.block call. At one
-    point the Pfaffian of [[0, S], [-S, 0]] is S, so rho_1 takes only kernel.s.
+    I~ and D are antisymmetric. It comes whole from one kernel.matrix call; at
+    one point the Pfaffian of [[0, S], [-S, 0]] is S, so rho_1 takes only kernel.s.
     Coincident points are rejected (use the density functions instead), and a
     value that is not finite (an element overflowed) raises ArithmeticError.
 
-    Every kernel class here gives s, d and itilde, and block, in one layout:
+    Every kernel class here gives s, d and itilde, block and matrix, in one layout:
     at real points D(x, y) = dS(x, y)/dx and dI~(x, y)/dx = S(y, x), so
     S(x, y) carries the weight of y. In the transposed layout rho_3 and up
     are wrong.
@@ -610,16 +616,8 @@ def npoint_correlation(kernel, points):
     if n == 1:
         value = float(np.real(kernel.s(pts[0], pts[0])))
     else:
-        if hasattr(kernel, "matrix"):
-            mat = kernel.matrix(pts)
-        else:
-            s, d, itld = kernel.block(pts)
-            mat = np.empty((2 * n, 2 * n), dtype=np.result_type(s, d, itld))
-            mat[0::2, 0::2] = -itld
-            mat[0::2, 1::2] = s
-            mat[1::2, 0::2] = -s.T
-            mat[1::2, 1::2] = d
-        value = float(np.real(pfaffian.pfaffian(pfaffian.SkewMatrix(mat, tol=1e-8))))
+        mat = pfaffian.SkewMatrix(kernel.matrix(pts), tol=1e-8)
+        value = float(np.real(pfaffian.pfaffian(mat)))
     if not math.isfinite(value):
         raise ArithmeticError("n-point correlation is not finite: %r" % value)
     return value

@@ -69,7 +69,7 @@ class SkewFamily(PolynomialFamily):
         self._steps = np.reshape([step(k) / rho[2 * k] for k in range(1, n // 2)], (-1, 1))
         self._inv_sigma = np.cumprod([r0 ** -0.5] + [inv for _, inv in self._coef])
         self.nu = np.array(self._lower(math.inf, [0.0] * n), dtype=float)
-        self._half_nu = 0.5 * self.nu[:, None]
+        self._half_nu = (0.5 * self.nu).tolist()
         self._fold = (self.nu[:-1] / self.nu[-1])[:, None] if n % 2 else None
 
     def __len__(self):
@@ -93,47 +93,45 @@ class SkewFamily(PolynomialFamily):
         flat = x.ravel()
         q = self._recur(flat, self._weight(flat))
         rows = np.array(q + list(self._lower(flat, q))).reshape(2, self.n, -1)
-        rows[1] -= self._half_nu
+        rows[1] -= np.reshape(self._half_nu, (-1, 1))
         self._step_and_fold(rows)
         return rows[0].reshape(self.n, *x.shape), rows[1].reshape(self.n, *x.shape)
 
     def points(self, points):
-        """Rows 2i, 2i + 1: [F(x) | 1], [q(x) | 0] at the i-th point if real,
-        [-i conj(q(z)) | 0], [q(z) | 0] with the complex weight if complex
-        (Forrester & Nagao, J. Phys. A 41, 2008); Python scalars per point."""
-        rows = []
+        """Columns 2i, 2i + 1 at the i-th point: [Phi(x) | 1], [q(x) | 0] if real, and if
+        complex [-i conj(q(z)) | 0], [q(z) | 0] with the complex weight (Forrester & Nagao,
+        J. Phys. A 41, 2008). One pass of Python scalars per point, then one odd step and fold."""
+        cols = []
         for real, v in points:
-            if real:
-                q = self._recur(v, self._weight(v))
-                rows += ([*self._lower(v, q), 1.0], q + [0.0])
-            else:
-                q = self._recur(v, self._complex_weight(v)) + [0.0]
-                rows += ([-1j * t.conjugate() for t in q], q)
-        return np.array(rows)
-
-    def point_map(self):
-        """V: row [b | c] of points() to [Phi | c] or [q | 0] (nu shift, step, fold)."""
-        v = np.eye(self.n + 1)
-        v[:-1] -= self._half_nu * v[-1]
-        self._step_and_fold(v[:-1])
-        return v
+            q = self._recur(v, *self._point_weight(v))
+            cols += ([f - h for f, h in zip(self._lower(v, q), self._half_nu)] + [1.0]
+                     if real else [-1j * t.conjugate() for t in q] + [0.0], q + [0.0])
+        a = np.array(cols).T
+        self._step_and_fold(a[:-1])
+        return a
 
     def _step_and_fold(self, rows):  # in place, the members along axis -2
         rows[..., 3::2, :] -= self._steps * rows[..., 1:self.n - 2:2, :]
         if self._fold is not None:
             rows[..., :-1, :] -= self._fold * rows[..., -1:, :]
 
-    def _complex_weight(self, z):
-        raise ValueError("the %s family has no complex points" % self.ensemble)
+    def _point_weight(self, v):
+        """(w, e): the weight at a real Python scalar v is w e^e (here e = 0)."""
+        if isinstance(v, complex):
+            raise ValueError("the %s family has no complex points" % self.ensemble)
+        return self._weight(v), 0.0
 
-    def _recur(self, x, w):
-        """q_0 .. q_{n-1} of the base over sigma_j, from the weight w at x."""
+    def _recur(self, x, w, e=0.0):
+        """q_0 .. q_{n-1} of the base over sigma_j, from the weight w e^e at x. At e < 0
+        (scalar x) they are held over e^e, which is taken in as they pass 1e150."""
         q, prev, a = [w / math.sqrt(self._r0)], 0.0, self._a
         for t, inv in self._coef:
             nxt = x * q[-1] if inv == 1.0 else inv * x * q[-1]
             q.append(nxt - a * t * prev if a else nxt)
+            if e and abs(q[-1]) > 1e150:  # up to e^345 of the scale at a time
+                e, q = min(e + 345.0, 0.0), [v * math.exp(max(e, -345.0)) for v in q]
             prev = q[-2]
-        return q
+        return [v * math.exp(e) for v in q] if e else q
 
 
 class GaussianFamily(SkewFamily):
@@ -151,17 +149,21 @@ class GaussianFamily(SkewFamily):
         super().__init__(ensemble, n, a, step, r0, ratio, params)
 
     def _weight(self, x):
-        return (math.exp if isinstance(x, float) else np.exp)(x * x * (-0.5 / self._c))
+        return np.exp(x * x * (-0.5 / self._c))
 
-    def _complex_weight(self, z):
-        """e^{-z^2/(2c)} sqrt(erfc(t)), t = |Im z| sqrt(2/(1 - tau^2)), c = 1 + tau (partial);
-        past t = 26, where erfc underflows, e^{t^2} erfc(t) comes from its series."""
-        if "tau" not in self.params:
-            return super()._complex_weight(z)
-        t = math.sqrt(2.0 / ((2.0 - self._c) * self._c)) * abs(z.imag)
+    def _point_weight(self, v):
+        """e^{-v^2/(2c)} sqrt(erfc(t)), t = |Im v| sqrt(2/(1 - tau^2)), c = 1 + tau:
+        the weight at a real v (t = 0), and at a complex v the partial family's,
+        with e^{t^2} erfc(t) from its series past t = 26, where erfc underflows.
+        Below e^-700 the real part of the exponent is given apart, as e."""
+        if isinstance(v, complex) and "tau" not in self.params:
+            return super()._point_weight(v)
+        t = math.sqrt(2.0 / ((2.0 - self._c) * self._c)) * abs(v.imag)
         scaled = (math.exp(t * t) * math.erfc(t) if t < 26.0 else math.pi ** -0.5 / t
                   * sum((-0.5 / t / t) ** k * double_factorial(2 * k - 1) for k in range(8)))
-        return cmath.exp(z * z * (-0.5 / self._c) - t * t / 2.0) * math.sqrt(scaled)
+        e = v * v * (-0.5 / self._c) - t * t / 2.0
+        out = e.real if e.real < -700.0 else 0.0
+        return (cmath.exp if isinstance(e, complex) else math.exp)(e - out) * scaled ** 0.5, out
 
     def _lower(self, x, q):
         c, slope, prev = self._c, self._c - self._a, 0.0

@@ -89,6 +89,17 @@ def test_goe_partner_kernels_are_antisymmetric():
     assert kernels.goe_d(6, x, y) == pytest.approx(fd, rel=1e-5)
 
 
+def test_goe_partner_kernels_take_arrays():
+    # elementwise over arrays, and equal to the kernel's elements at points
+    xs, ys = np.array([0.3, -1.2, 2.0]), np.array([-0.9, 0.4, 1.5])
+    kern = kernels.GOEKernel(7)
+    np.testing.assert_allclose(kernels.goe_d(7, xs, ys),
+                               [kern.d(("r", x), ("r", y)) for x, y in zip(xs, ys)], rtol=1e-12)
+    np.testing.assert_allclose(kernels.goe_itilde(7, xs, ys),
+                               [kern.itilde(("r", x), ("r", y)) for x, y in zip(xs, ys)],
+                               rtol=1e-12)
+
+
 def test_goe_s_is_continuous_near_the_diagonal():
     # D(x, x) = 0, so S(1 + d, 1) - S(1, 1) is of order d^2
     at = float(kernels.goe_s(8, 1.0, 1.0))
@@ -265,9 +276,10 @@ def test_npoint_refuses_a_value_that_is_not_finite():
         def s(self, p, q):
             return math.nan
 
-        def block(self, points):
-            k = len(points)
-            return np.full((k, k), math.nan), np.zeros((k, k)), np.zeros((k, k))
+        def matrix(self, points):
+            m = np.zeros((2 * len(points), 2 * len(points)))
+            m[0::2, 1::2], m[1::2, 0::2] = math.nan, math.nan
+            return m
 
     for pts in ([("r", 0.1)], [("r", 0.1), ("r", 0.4)]):
         with pytest.raises(ArithmeticError):
@@ -373,6 +385,23 @@ def test_partial_correlations_integrate_to_count_moments(n):
         y, wy = _gl(a, 9.0, 40)
         rr += 2.0 * wa * sum(wb * rho(("r", a), ("r", b)) for b, wb in zip(y, wy))
     assert rr == pytest.approx((k * (k - 1)) @ probs, abs=1e-7)
+
+
+def test_ginibre_kernel_past_the_weight_underflow():
+    # e^{-x^2/2} is subnormal from |x| = 37.6 and 0 from 38.6, inside the
+    # spectrum from n of about 1420; the recurrence keeps the weight's exponent
+    # apart until the values have risen, so the pair sum matches the closed forms
+    for n, x, w in ((1500, 38.0, 38.0 + 0.5j), (2000, 44.0, -30.0 + 32.0j)):
+        kern = kernels.GinibreKernel(n)
+        for p in (("r", x), ("r", -x)):
+            assert kern.s(p, p) == pytest.approx(kernels.ginibre_density_real(n, x), rel=1e-11)
+        assert kern.s(("c", w), ("c", w)) == pytest.approx(
+            kernels.ginibre_density_complex(n, w), rel=1e-11)
+    # ginibre_irr's own weights underflow past 38.6, so the elements at 38
+    kern = kernels.GinibreKernel(1500)
+    for p, q in ((("r", 38.0), ("r", 37.5)), (("r", -38.0), ("r", 37.0))):
+        np.testing.assert_allclose((kern.s(p, q), kern.d(p, q), kern.itilde(p, q)),
+                                   _ginibre_elements(1500, p, q), rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize("n,tau", [(4, 0.5), (4, -0.5), (5, 0.5), (6, 0.25)])

@@ -244,18 +244,26 @@ def _gin_even_terms(top, b):
     and phi_m from about m = 300. The first is a Poisson weight in m/2; the
     second is M_m(b) / (m-1)!! - sqrt(2 pi)/2 for the lower Gaussian moment
     M_m = (m-1) M_{m-2} - b^(m-1) e^(-b^2/2), whose recurrence divided by
-    (m-1)!! subtracts e^(-b^2/2) b^(m-1) / (m-1)!! at each step.
+    (m-1)!! subtracts u_{m-1} at each step, u_k = e^(-b^2/2) b^k / k!!, the
+    weights being u_m. Each parity of u_{k+2} = u_k b^2 / (k + 2) starts at its
+    first term above e^-700, found in log space; those before it are below
+    the float range.
     """
-    w = math.exp(-b * b / 2.0)
-    weights, phis = [w], []
-    lower, power = math.sqrt(math.pi / 2.0) * math.erfc(-b / math.sqrt(2.0)), b * w
+    u = [0.0] * (top + 1)
+    for k in range(2 if b else 1):
+        log_size = (k and math.log(abs(b))) - b * b / 2.0
+        while log_size < -700.0 and k + 2 <= top:
+            k += 2
+            log_size += math.log(b * b / k)
+        term = math.copysign(math.exp(log_size), b if k % 2 else 1.0)
+        for j in range(k, top + 1, 2):
+            u[j] = term
+            term *= b * b / (j + 2.0)
+    lower, phis = math.sqrt(math.pi / 2.0) * math.erfc(-b / math.sqrt(2.0)), []
     for m in range(0, top + 1, 2):
-        if m:
-            lower -= power
-            power *= b * b / (m + 1.0)
-            weights.append(weights[-1] * b * b / m)
+        lower -= u[m - 1] if m else 0.0
         phis.append(lower - sopoly.SQRT2PI / 2.0)
-    return weights, phis
+    return u[::2], phis
 
 
 def ginibre_irr(n, x, y):

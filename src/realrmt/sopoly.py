@@ -91,7 +91,7 @@ class SkewFamily(PolynomialFamily):
         """q_j(x) and Phi_j(x) of every member j, each of shape (n,) + x.shape."""
         x = np.asarray(x, dtype=float)
         flat = x.ravel()
-        q = self._recur(flat, self._weight(flat))
+        q = self._recur(flat, *self._weight(flat))
         rows = np.array(q + list(self._lower(flat, q))).reshape(2, self.n, -1)
         rows[1] -= np.reshape(self._half_nu, (-1, 1))
         self._step_and_fold(rows)
@@ -99,11 +99,13 @@ class SkewFamily(PolynomialFamily):
 
     def points(self, points):
         """Columns 2i, 2i + 1 at the i-th point: [Phi(x) | 1], [q(x) | 0] if real, and if
-        complex [-i conj(q(z)) | 0], [q(z) | 0] with the complex weight (Forrester & Nagao,
-        J. Phys. A 41, 2008). One pass of Python scalars per point, then one odd step and fold."""
+        complex [-i conj(q(z)) | 0], [q(z) | 0] with the complex weight. One pass of Python
+        scalars per point, then one odd step and fold."""
         cols = []
         for real, v in points:
-            q = self._recur(v, *self._point_weight(v))
+            if not (real or "tau" in self.params):  # only the partial family has a complex weight
+                raise ValueError("the %s family has no complex points" % self.ensemble)
+            q = self._recur(v, *self._weight(v))
             cols += ([f - h for f, h in zip(self._lower(v, q), self._half_nu)] + [1.0]
                      if real else [-1j * t.conjugate() for t in q] + [0.0], q + [0.0])
         a = np.array(cols).T
@@ -115,23 +117,19 @@ class SkewFamily(PolynomialFamily):
         if self._fold is not None:
             rows[..., :-1, :] -= self._fold * rows[..., -1:, :]
 
-    def _point_weight(self, v):
-        """(w, e): the weight at a real Python scalar v is w e^e (here e = 0)."""
-        if isinstance(v, complex):
-            raise ValueError("the %s family has no complex points" % self.ensemble)
-        return self._weight(v), 0.0
-
-    def _recur(self, x, w, e=0.0):
-        """q_0 .. q_{n-1} of the base over sigma_j, from the weight w e^e at x. At e < 0
-        (scalar x) they are held over e^e, which is taken in as they pass 1e150."""
+    def _recur(self, x, w, e=None):
+        """q_0 .. q_{n-1} of the base over sigma_j, from the weight w e^e at x (a scalar or
+        an array). Where e is given they are held over e^e, which each point takes in, up
+        to e^345 at a time, as its values pass 1e150."""
         q, prev, a = [w / math.sqrt(self._r0)], 0.0, self._a
         for t, inv in self._coef:
             nxt = x * q[-1] if inv == 1.0 else inv * x * q[-1]
             q.append(nxt - a * t * prev if a else nxt)
-            if e and abs(q[-1]) > 1e150:  # up to e^345 of the scale at a time
-                e, q = min(e + 345.0, 0.0), [v * math.exp(max(e, -345.0)) for v in q]
+            if e is not None and np.any(big := abs(q[-1]) > 1e150):
+                take = np.where(big, np.maximum(e, -345.0), 0.0)
+                e, q = e - take, [v * np.exp(take) for v in q]
             prev = q[-2]
-        return [v * math.exp(e) for v in q] if e else q
+        return q if e is None else [v * np.exp(e) for v in q]
 
 
 class GaussianFamily(SkewFamily):
@@ -149,21 +147,23 @@ class GaussianFamily(SkewFamily):
         super().__init__(ensemble, n, a, step, r0, ratio, params)
 
     def _weight(self, x):
-        return np.exp(x * x * (-0.5 / self._c))
-
-    def _point_weight(self, v):
-        """e^{-v^2/(2c)} sqrt(erfc(t)), t = |Im v| sqrt(2/(1 - tau^2)), c = 1 + tau:
-        the weight at a real v (t = 0), and at a complex v the partial family's,
-        with e^{t^2} erfc(t) from its series past t = 26, where erfc underflows.
-        Below e^-700 the real part of the exponent is given apart, as e."""
-        if isinstance(v, complex) and "tau" not in self.params:
-            return super()._point_weight(v)
-        t = math.sqrt(2.0 / ((2.0 - self._c) * self._c)) * abs(v.imag)
-        scaled = (math.exp(t * t) * math.erfc(t) if t < 26.0 else math.pi ** -0.5 / t
-                  * sum((-0.5 / t / t) ** k * double_factorial(2 * k - 1) for k in range(8)))
-        e = v * v * (-0.5 / self._c) - t * t / 2.0
-        out = e.real if e.real < -700.0 else 0.0
-        return (cmath.exp if isinstance(e, complex) else math.exp)(e - out) * scaled ** 0.5, out
+        """(w, e), the weight w e^e at x: e^{-x^2/(2c)} at a real x (float or array), times
+        sqrt(erfc(t)), t = |Im x| sqrt(2/(1 - tau^2)), c = 1 + tau, at a complex x (Forrester &
+        Nagao, J. Phys. A 41, 2008; e^{t^2} erfc(t) from its series past t = 26). e is the
+        real exponent at each point where it is below -700, None where it is nowhere."""
+        e = x * x * (-0.5 / self._c)
+        if isinstance(x, np.ndarray):  # one reduction when no point underflows
+            low = np.where(e < -700.0, e, 0.0) if e.min(initial=0.0) < -700.0 else None
+            return np.exp(e if low is None else e - low), low
+        scaled = 1.0
+        if isinstance(x, complex):
+            t = math.sqrt(2.0 / ((2.0 - self._c) * self._c)) * abs(x.imag)
+            scaled = (math.exp(t * t) * math.erfc(t) if t < 26.0 else math.pi ** -0.5 / t
+                      * sum((-0.5 / t / t) ** k * double_factorial(2 * k - 1) for k in range(8)))
+            e -= t * t / 2.0
+        low = e.real if e.real < -700.0 else None
+        exp = cmath.exp if isinstance(e, complex) else math.exp
+        return exp(e if low is None else e - low) * scaled ** 0.5, low
 
     def _lower(self, x, q):
         c, slope, prev = self._c, self._c - self._a, 0.0
@@ -185,7 +185,7 @@ class TruncatedFamily(SkewFamily):
                          {"L": big_l})
 
     def _weight(self, x):
-        return trunc_omega_real(self.params["L"], x)
+        return trunc_omega_real(self.params["L"], x), None
 
     def _lower(self, x, q):
         return (_trunc_moments(self.params["L"], self.n, x).T * self._inv_sigma).T

@@ -52,9 +52,9 @@ def upper_gamma_regularized(a, x):
     Integer a takes real (negative: the analytic continuation), complex or
     array x; half-integer a takes real x >= 0.
     The sum of x^j / Gamma(j + 1) is at most e^|x|, so up to |x| = 700 it is
-    formed by recurrence and scaled by e^(-x) once; at larger real x, where
-    that would overflow, each term is formed in log space, to a relative
-    error of about x float epsilons.
+    formed by recurrence and scaled by e^(-x) once; at larger |x|, where that
+    would overflow, each term is formed in log space (the complex log at a
+    complex x), to a relative error of about |x| float epsilons.
     """
     if a < 0 or int(2 * a) != 2 * a:
         raise ValueError("upper_gamma_regularized requires integer or half-integer a >= 0")
@@ -62,14 +62,16 @@ def upper_gamma_regularized(a, x):
     count = int(a - first)
     head = erfc_real(x ** 0.5) if first else 0.0
     size = np.max(np.abs(x)) if isinstance(x, np.ndarray) else abs(x)
-    if size > 700.0 and not np.iscomplexobj(x):
-        x = np.asarray(x, dtype=float)
+    if size > 700.0:
+        is_complex = np.iscomplexobj(x)
+        x = np.asarray(x, dtype=complex if is_complex else float)
         shape = (-1,) + (1,) * x.ndim
         j = (first + np.arange(count)).reshape(shape)
         log_gamma_j = np.reshape([math.lgamma(first + k + 1.0) for k in range(count)], shape)
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_x = np.where(j > 0, j * np.log(np.abs(x)), 0.0)
-        return head + np.sum(np.sign(x) ** j * np.exp(log_x - x - log_gamma_j), axis=0)
+            log_x = np.where(j > 0, j * np.log(x if is_complex else np.abs(x)), 0.0)
+        sign = 1.0 if is_complex else np.sign(x) ** j  # the complex log carries it
+        return head + np.sum(sign * np.exp(log_x - x - log_gamma_j), axis=0)
     term = 2.0 * (x / math.pi) ** 0.5 if first else 1.0
     total = term if count else 0.0
     for j in range(1, count):

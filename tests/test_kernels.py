@@ -397,11 +397,42 @@ def test_ginibre_kernel_past_the_weight_underflow():
             assert kern.s(p, p) == pytest.approx(kernels.ginibre_density_real(n, x), rel=1e-11)
         assert kern.s(("c", w), ("c", w)) == pytest.approx(
             kernels.ginibre_density_complex(n, w), rel=1e-11)
-    # ginibre_irr's own weights underflow past 38.6, so the elements at 38
+    # ginibre_irr starts its Poisson weights in log space, so the elements hold
+    # on both sides of 38.6
+    for n, x, y in ((1500, 38.0, 37.5), (2000, 44.0, 43.5)):
+        kern = kernels.GinibreKernel(n)
+        for p, q in ((("r", x), ("r", y)), (("r", -x), ("r", y - 0.5))):
+            np.testing.assert_allclose((kern.s(p, q), kern.d(p, q), kern.itilde(p, q)),
+                                       _ginibre_elements(n, p, q), rtol=1e-10, atol=1e-12)
+
+
+def test_ginibre_complex_closed_forms_near_the_edge_at_large_n():
+    # |w conj(z)| passes 700 here, where the finite sum of
+    # upper_gamma_regularized overflows, so its complex terms are formed in
+    # log space; the S elements are ginibre_scc(1500, 36.5 + 2i, 38 + 0.5i)
+    # and ginibre_src(1500, 38, 37 + i)
     kern = kernels.GinibreKernel(1500)
-    for p, q in ((("r", 38.0), ("r", 37.5)), (("r", -38.0), ("r", 37.0))):
+    for p, q in ((("c", 38.0 + 0.5j), ("c", 36.5 + 2.0j)), (("c", 37.0 + 1.0j), ("r", 38.0))):
         np.testing.assert_allclose((kern.s(p, q), kern.d(p, q), kern.itilde(p, q)),
-                                   _ginibre_elements(1500, p, q), rtol=1e-10, atol=1e-12)
+                                   _ginibre_elements(1500, p, q), rtol=1e-11)
+
+
+@pytest.mark.parametrize("name,args,xs", [
+    ("GOEKernel", (1000,), (38.5, -40.0, 42.0)),
+    ("GOEKernel", (1001,), (39.0, -41.0, 43.0)),
+    ("GOEKernel", (2000,), (39.0, -50.0, 60.0)),
+    ("PartialKernel", (1500, 0.3), (44.0, -46.0, 48.0)),
+    ("PartialKernel", (2001, -0.2), (34.5, -35.0, 35.5)),
+], ids=["goe-1000", "goe-1001", "goe-2000", "partial-1500", "partial-2001"])
+def test_grid_density_matches_the_point_path_past_the_weight_underflow(name, args, xs):
+    # e^{-x^2/(2c)} underflows from |x| = 37.6 sqrt(c), c = 1 + tau, inside the
+    # spectrum at these orders; the grid and the point path carry its exponent
+    # alike, so the density holds there
+    kern = getattr(kernels, name)(*args)
+    x = np.array(xs)
+    want = [kernels.npoint_correlation(kern, [("r", v)]) for v in xs]
+    assert np.all(np.array(want) > 0.1)
+    np.testing.assert_allclose(kern.s_xy(x, x), want, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("n,tau", [(4, 0.5), (4, -0.5), (5, 0.5), (6, 0.25)])

@@ -158,9 +158,21 @@ def test_fold_at_even_order_returns_the_array_unchanged(name):
     # at even order values() gives the members of matrix(), unfolded
     fam = _FOLD_FAMILIES[name](10)
     x = np.linspace(-0.95, 0.95, 7) if name == "truncated" else np.linspace(-6.0, 6.0, 7)
-    want = np.array([sopoly.eval_poly(c, x) for c in fam.matrix()]) * fam._weight(x)
+    want = np.array([sopoly.eval_poly(c, x) for c in fam.matrix()]) * fam._weight(x)[0]
     want /= _sigma(fam)[:, None]
     np.testing.assert_allclose(fam.values(x)[0], want, rtol=1e-12, atol=1e-14)
+
+
+def test_values_on_an_array_mixing_points_past_the_weight_underflow_with_others():
+    # e^{-x^2/2} is 0 from |x| = 38.6: the points past it keep its exponent
+    # apart, the others do not, and each gives the point path's columns
+    fam = sopoly.goe_family(1001)
+    x = np.array([0.5, 39.0, -20.0, -42.0, 37.0])
+    q, phi = fam.values(x)
+    a = fam.points([(True, v) for v in x.tolist()])[:-1]
+    assert np.all(np.abs(q).max(axis=0) > 1e-3)
+    for got, want in ((q, a[:, 1::2]), (phi, a[:, 0::2])):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15 * np.abs(want).max())
 
 
 def test_goe_inner_products_small():
@@ -189,10 +201,9 @@ def test_inner_product_rejects_unknown_family():
 def _lower(fam, x):
     """The one-sided integrals F_j(x) of the base b_j of a Gaussian family, over
     sigma_j: a list at a float x, one array (integral j in row j) at an array x."""
-    w = fam._weight(np.asarray(x, dtype=float))
     if isinstance(x, float):
-        return fam._lower(x, fam._recur(x, float(w)))
-    return np.array(fam._lower(x, fam._recur(x, w)))
+        return fam._lower(x, fam._recur(x, *fam._weight(x)))
+    return np.array(fam._lower(x, fam._recur(x, *fam._weight(x))))
 
 
 @pytest.mark.parametrize("x", [-11.95, -3.0, 0.0, 2.5])

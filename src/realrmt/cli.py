@@ -1,10 +1,11 @@
 """Command line interface: exact tables, sampling, densities and comparison."""
 
 import json
+import math
 import sys
+from collections import namedtuple
 from itertools import chain
 
-import click
 import numpy as np
 
 from . import analytics, ensembles
@@ -15,6 +16,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_COMPARE = 2
 EXIT_NUMERIC = 3
+
+
+class UsageError(Exception):
+    """A bad command line or output path: reported as "Error: ...", exit 1."""
 
 
 def _json_column(a):
@@ -61,17 +66,21 @@ def _emit(out, fmt, config, columns, verdict=None):
         with open(out, "w") as stream:
             stream.write(text)
     except OSError as exc:
-        raise click.FileError(out, exc.strerror) from exc
+        raise UsageError("Could not open file '%s': %s" % (out, exc.strerror)) from exc
 
 
 def _parse_grid(grid):
     try:
         lo, hi, bins = grid.split(":")
         lo, hi, bins = float(lo), float(hi), int(bins)
-    except (ValueError, AttributeError):
-        raise click.UsageError("--grid must have the form min:max:bins")
+    except ValueError:
+        raise UsageError("--grid must have the form min:max:bins") from None
     if not (hi > lo and bins > 0):
-        raise click.UsageError("--grid must have max > min and bins > 0")
+        raise UsageError("--grid must have max > min and bins > 0")
+    # so that max - min and the bin centers, (a + b) / 2 over adjacent edges,
+    # are finite too
+    if not (math.isfinite(2.0 * lo) and math.isfinite(2.0 * hi)):
+        raise UsageError("--grid must have a finite min and max, each below 2**1023 in size")
     return lo, hi, bins
 
 
@@ -94,39 +103,6 @@ def _prob_rows(ensemble, n, tau, big_l, reps, seed, workers):
     return columns
 
 
-common_options = [
-    click.option("--ensemble", required=True,
-                 type=click.Choice(list(ensembles.ENSEMBLES))),
-    click.option("--n", "--m", "n", type=int, required=True,
-                 help="matrix order (for truncated: the truncation size M)"),
-    click.option("--l", "big_l", type=int, default=None,
-                 help="number of removed rows/columns (truncated)"),
-    click.option("--tau", type=float, default=None,
-                 help="symmetry parameter (partial)"),
-    click.option("--seed", type=int, default=0),
-    click.option("--out", default="-"),
-    click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-                 default="csv"),
-    click.option("--workers", type=click.IntRange(min=1), default=1),
-]
-
-
-def _add_options(opts):
-    def wrap(fn):
-        for opt in reversed(opts):
-            fn = opt(fn)
-        return fn
-    return wrap
-
-
-@click.group()
-def cli():
-    """Exact and simulated real-eigenvalue statistics for real ensembles."""
-
-
-@cli.command()
-@_add_options(common_options)
-@click.option("--reps", type=click.IntRange(min=0), default=0)
 def probs(ensemble, n, big_l, tau, seed, out, fmt, workers, reps):
     """Exact distribution of the number of real eigenvalues, optionally with MC."""
     columns = _prob_rows(ensemble, n, tau, big_l, reps, seed, workers)
@@ -135,9 +111,6 @@ def probs(ensemble, n, big_l, tau, seed, out, fmt, workers, reps):
     _emit(out, fmt, config, columns)
 
 
-@cli.command()
-@_add_options(common_options)
-@click.option("--reps", type=click.IntRange(min=0), default=1)
 def sample(ensemble, n, big_l, tau, seed, out, fmt, workers, reps):
     """Draw matrices and emit their classified eigenvalues.
 
@@ -164,10 +137,6 @@ def sample(ensemble, n, big_l, tau, seed, out, fmt, workers, reps):
                              "re": re, "im": im})
 
 
-@cli.command()
-@_add_options(common_options)
-@click.option("--grid", required=True, help="min:max:bins")
-@click.option("--reps", type=click.IntRange(min=0), default=0)
 def density(ensemble, n, big_l, tau, seed, out, fmt, workers, grid, reps):
     """Analytic real-eigenvalue density on a grid, optionally with a histogram."""
     ens = ensembles.spec(ensemble, n, tau, big_l)
@@ -201,12 +170,6 @@ def density(ensemble, n, big_l, tau, seed, out, fmt, workers, grid, reps):
     _emit(out, fmt, config, columns)
 
 
-@cli.command()
-@_add_options(common_options)
-@click.option("--reps", type=click.IntRange(min=1), default=10000)
-@click.option("--z-max", type=float, default=4.0)
-@click.option("--perturb-exact", type=float, default=0.0,
-              help="testing aid: shift the exact values to force a mismatch")
 def compare(ensemble, n, big_l, tau, seed, out, fmt, workers, reps, z_max,
             perturb_exact):
     """Compare exact probabilities against a Monte Carlo run; exit 2 on mismatch."""
@@ -221,19 +184,157 @@ def compare(ensemble, n, big_l, tau, seed, out, fmt, workers, reps, z_max,
         sys.exit(EXIT_COMPARE)
 
 
+Option = namedtuple("Option", "names dest convert default metavar help")
+"""One command-line option: its flags, the keyword it fills, the function that
+turns its text into the value (raising ValueError on a bad one), the value
+when it is not given (REQUIRED: it must be given), and its help."""
+
+REQUIRED = object()
+
+
+def _number(kind, accept=None, bound=None):
+    """Converter to int or float that refuses values accept() rejects."""
+    def convert(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise ValueError("%r is not a valid %s." % (
+                text, "integer" if kind is int else "float")) from None
+        if accept is not None and not accept(value):
+            raise ValueError("%s is not in the range %s." % (text, bound))
+        return value
+    return convert
+
+
+def _choice(names):
+    def convert(text):
+        if text not in names:
+            raise ValueError("%r is not one of %s." % (text, ", ".join(map(repr, names))))
+        return text
+    return convert
+
+
+def _reps(low, default):
+    return Option(("--reps",), "reps", _number(int, lambda v: v >= low, "x>=%d" % low),
+                  default, "INTEGER", "number of Monte Carlo draws (at least %d)" % low)
+
+
+COMMON_OPTIONS = (
+    Option(("--ensemble",), "ensemble", _choice(tuple(ensembles.ENSEMBLES)), REQUIRED,
+           "[%s]" % "|".join(ensembles.ENSEMBLES), "the ensemble"),
+    Option(("--n", "--m"), "n", _number(int), REQUIRED, "INTEGER",
+           "matrix order (for truncated: the truncation size M)"),
+    Option(("--l",), "big_l", _number(int), None, "INTEGER",
+           "number of removed rows/columns (truncated)"),
+    Option(("--tau",), "tau", _number(float), None, "FLOAT",
+           "symmetry parameter (partial)"),
+    Option(("--seed",), "seed", _number(int, lambda v: 0 <= v < 2 ** 64, "0<=x<2**64"),
+           0, "INTEGER", "seed of the Monte Carlo draws, in [0, 2**64)"),
+    Option(("--out",), "out", str, "-", "PATH", "output file ('-': stdout)"),
+    Option(("--format",), "fmt", _choice(("csv", "json")), "csv", "[csv|json]",
+           "output format"),
+    Option(("--workers",), "workers", _number(int, lambda v: v >= 1, "x>=1"), 1,
+           "INTEGER", "worker processes for the Monte Carlo draws (at least 1)"),
+)
+
+# command name -> (command function, its options). The table holds the
+# functions themselves, so rebinding a module name does not change dispatch.
+COMMANDS = {
+    "probs": (probs, COMMON_OPTIONS + (_reps(0, 0),)),
+    "sample": (sample, COMMON_OPTIONS + (_reps(0, 1),)),
+    "density": (density, COMMON_OPTIONS + (
+        Option(("--grid",), "grid", str, REQUIRED, "MIN:MAX:BINS",
+               "bin edges: BINS equal bins from MIN to MAX"),
+        _reps(0, 0))),
+    "compare": (compare, COMMON_OPTIONS + (
+        _reps(1, 10000),
+        Option(("--z-max",), "z_max",
+               _number(float, lambda v: 0.0 < v < math.inf, "0<x<inf"), 4.0, "FLOAT",
+               "largest |z| that passes (finite, > 0)"),
+        Option(("--perturb-exact",), "perturb_exact", _number(float), 0.0, "FLOAT",
+               "testing aid: shift the exact values to force a mismatch"))),
+}
+
+
+def _help(name=None):
+    """Help text of the program (name None) or of one command."""
+    if name is None:
+        lines = ["Usage: realrmt COMMAND [OPTIONS]", "",
+                 "  Exact and simulated real-eigenvalue statistics for real ensembles.",
+                 "", "Commands:"]
+        lines += ["  %-8s %s" % (cmd, fn.__doc__.splitlines()[0])
+                  for cmd, (fn, _) in COMMANDS.items()]
+        lines += ["", "Run 'realrmt COMMAND --help' for the options of a command."]
+        return "\n".join(lines) + "\n"
+    fn, options = COMMANDS[name]
+    lines = ["Usage: realrmt %s [OPTIONS]" % name, ""]
+    lines += [("  " + line.strip()).rstrip() for line in fn.__doc__.rstrip().splitlines()]
+    lines += ["", "Options:"]
+    for opt in options:
+        note = ("  [required]" if opt.default is REQUIRED else
+                "" if opt.default is None else "  [default: %s]" % opt.default)
+        lines += ["  %s %s" % (", ".join(opt.names), opt.metavar),
+                  "      %s%s" % (opt.help, note)]
+    lines += ["  --help", "      Show this message and exit."]
+    return "\n".join(lines) + "\n"
+
+
+def _run(args):
+    """Parse a command line against COMMANDS and run its command.
+
+    An option's value is the text after "=" or the next argument, whatever it
+    begins with; a repeated option keeps its last value. Values are converted
+    after the whole line is read.
+    """
+    if args[:1] == ["--help"]:
+        sys.stdout.write(_help())
+        return
+    if not args:
+        raise UsageError("Missing command. Try 'realrmt --help' for help.")
+    if args[0] not in COMMANDS:
+        raise UsageError("No such %s %r." % (
+            "option" if args[0].startswith("-") else "command", args[0]))
+    name, rest = args[0], iter(args[1:])
+    command, options = COMMANDS[name]
+    flags = {flag: opt for opt in options for flag in opt.names}
+    given = {}
+    for arg in rest:
+        if arg == "--help":
+            sys.stdout.write(_help(name))
+            return
+        flag, eq, text = arg.partition("=")
+        opt = flags.get(flag)
+        if opt is None:
+            raise UsageError(("No such option %r." if arg.startswith("-")
+                              else "Got unexpected extra argument %r.") % arg)
+        if not eq:
+            text = next(rest, None)
+            if text is None:
+                raise UsageError("Option %r requires an argument." % flag)
+        given[opt.dest] = flag, text
+    kwargs = {}
+    for opt in options:
+        if opt.dest in given:
+            flag, text = given[opt.dest]
+            try:
+                kwargs[opt.dest] = opt.convert(text)
+            except ValueError as exc:
+                raise UsageError("Invalid value for %r: %s" % (flag, exc)) from None
+        elif opt.default is REQUIRED:
+            raise UsageError("Missing option %s." % " / ".join(map(repr, opt.names)))
+        else:
+            kwargs[opt.dest] = opt.default
+    command(**kwargs)
+
+
 def main():
     try:
-        cli.main(standalone_mode=False)
-    except click.ClickException as exc:
-        exc.show()
-        sys.exit(EXIT_CONFIG)
-    except click.exceptions.Abort:
-        sys.exit(EXIT_CONFIG)
-    except ensembles.ConfigError as exc:
+        _run(sys.argv[1:])
+    except (UsageError, ensembles.ConfigError) as exc:
         print("Error: %s" % exc, file=sys.stderr)
         sys.exit(EXIT_CONFIG)
-    except SystemExit:
-        raise
+    except KeyboardInterrupt:
+        sys.exit(EXIT_CONFIG)
     except (ValueError, ArithmeticError, np.linalg.LinAlgError, RuntimeError) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         sys.exit(EXIT_NUMERIC)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -297,6 +298,11 @@ def test_compare_passes_with_an_outcome_that_got_no_draws():
     ("sample", "--workers", "-2"),
     ("density", "--grid", "-1:1:4", "--workers", "0"),
     ("compare", "--reps", "100", "--workers", "0"),
+    ("probs", "--seed", "-1", "--reps", "10"),
+    ("sample", "--seed", str(2 ** 64)),
+    ("compare", "--reps", "100", "--z-max", "nan"),
+    ("compare", "--reps", "100", "--z-max", "inf"),
+    ("compare", "--reps", "100", "--z-max=0"),
 ])
 def test_invalid_reps_and_workers_exit_with_config_error(args):
     res = run_cli(args[0], "--ensemble", "ginibre", "--n", "4", *args[1:])
@@ -400,3 +406,73 @@ def test_unwritable_out_path_exits_with_config_error(tmp_path):
     assert res.stdout == ""
     assert "Traceback" not in res.stderr
     assert res.stderr.startswith("Error: ") and len(res.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("args,config", [
+    (["probs", "--ensemble=ginibre", "--n=4", "--seed=9"],
+     {"ensemble": "ginibre", "n": 4, "seed": 9}),
+    (["probs", "--ensemble", "truncated", "--m", "3", "--l", "2"], {"n": 3, "l": 2}),
+    (["probs", "--ensemble", "goe", "--n", "7", "--n", "4"], {"n": 4}),
+    (["probs", "--ensemble", "goe", "--n", "7", "--m=5"], {"n": 5}),
+    (["probs", "--ensemble", "partial", "--n", "4", "--tau", "-0.5"], {"tau": -0.5}),
+    (["density", "--ensemble", "goe", "--n", "4", "--grid", "-3:-1:4"], {"grid": "-3:-1:4"}),
+    (["density", "--ensemble", "goe", "--n", "4", "--grid=-3:3:12", "--out", "-"],
+     {"grid": "-3:3:12"}),
+], ids=["equals", "m-alias", "last-wins", "last-wins-alias", "negative-tau",
+        "negative-grid", "equals-negative-grid"])
+def test_option_spellings(args, config):
+    res = run_cli(*args, "--format", "json")
+    assert res.returncode == 0, res.stderr
+    got = json.loads(res.stdout)["config"]
+    assert {k: got[k] for k in config} == config
+
+
+@pytest.mark.parametrize("args,message", [
+    (["probs", "--ensemble", "goe", "--n", "4", "--bogus", "1"], "No such option '--bogus'"),
+    (["probs", "--ensemble", "goe", "--n", "4", "-h"], "No such option '-h'"),
+    (["--bogus"], "No such option '--bogus'"),
+    (["tables", "--ensemble", "goe", "--n", "4"], "No such command 'tables'"),
+    ([], "Missing command"),
+    (["probs", "--n", "4"], "Missing option '--ensemble'"),
+    (["probs", "--ensemble", "goe"], "Missing option '--n' / '--m'"),
+    (["density", "--ensemble", "goe", "--n", "4"], "Missing option '--grid'"),
+    (["probs", "--ensemble", "goe", "--n"], "Option '--n' requires an argument"),
+    (["probs", "--ensemble", "goe", "--n", "4", "5"], "unexpected extra argument '5'"),
+    (["probs", "--ensemble", "goa", "--n", "4"], "Invalid value for '--ensemble'"),
+    (["probs", "--ensemble", "goe", "--m", "four"], "Invalid value for '--m'"),
+    (["density", "--ensemble", "goe", "--n", "4", "--grid", "0:inf:10"], "--grid must"),
+    (["density", "--ensemble", "goe", "--n", "4", "--grid", "-inf:0:10"], "--grid must"),
+    (["density", "--ensemble", "goe", "--n", "4", "--grid", "nan:1:10"], "--grid must"),
+    (["density", "--ensemble", "goe", "--n", "4", "--grid", "-1e308:1e308:3"], "--grid must"),
+    (["density", "--ensemble", "goe", "--n", "4", "--grid", "1e308:1.7e308:2"], "--grid must"),
+])
+def test_bad_command_lines_exit_with_one_error_line(args, message):
+    res = run_cli(*args)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith("Error: ") and len(res.stderr.splitlines()) == 1, res.stderr
+    assert message in res.stderr
+
+
+COMMON_FLAGS = ["--ensemble", "--n", "--m", "--l", "--tau", "--seed", "--out", "--format",
+                "--workers", "--reps", "--help"]
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("probs", COMMON_FLAGS),
+    ("sample", COMMON_FLAGS),
+    ("density", COMMON_FLAGS + ["--grid"]),
+    ("compare", COMMON_FLAGS + ["--z-max", "--perturb-exact"]),
+])
+def test_command_help_lists_every_option(command, flags):
+    res = run_cli(command, "--help")
+    assert res.returncode == 0 and res.stderr == ""
+    assert sorted(set(re.findall(r"(?<![\w-])--[a-z-]+", res.stdout))) == sorted(flags)
+
+
+def test_help_lists_every_command():
+    res = run_cli("--help")
+    assert res.returncode == 0 and res.stderr == ""
+    commands = res.stdout.split("Commands:")[1]
+    assert re.findall(r"^  (\w+) ", commands, re.M) == ["probs", "sample", "density",
+                                                        "compare"]

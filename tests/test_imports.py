@@ -36,8 +36,8 @@ def test_no_module_imports_the_package_inside_a_function():
 # Every command on every ensemble, and n-point correlations of the GOE, the
 # real Ginibre (real and complex points) and the spherical kernels, in one
 # process: none of it may import scipy.special, nor numpy.polynomial (unless
-# numpy itself loads it, as numpy 1.x does). A library function that still
-# needs one imports it on first call.
+# numpy itself loads it, as numpy 1.x does), nor click. A library function
+# that still needs one imports it on first call.
 _NO_SCIPY_SCRIPT = r"""
 import contextlib, io, sys
 import numpy
@@ -65,6 +65,7 @@ kernels.npoint_correlation(gin, [("r", 0.3), ("r", -1.1), ("c", 0.4 + 0.9j)])
 kernels.npoint_correlation(gin, [("c", -0.2 + 0.5j), ("c", 1.0 + 1.2j)])
 kernels.npoint_correlation(kernels.SphericalKernel(5), [("r", 0.3), ("r", 2.0)])
 assert "scipy.special._ufuncs" not in sys.modules
+assert "click" not in sys.modules
 assert numpy_loads_polynomial or "numpy.polynomial" not in sys.modules
 print(kernels.spherical_density_complex(5, 0.3 + 0.2j))
 """

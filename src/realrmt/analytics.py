@@ -332,9 +332,9 @@ def prob_table(ensemble, n, tau=None, big_l=None):
     return probs
 
 
-def rational_form(x, max_denominator=2 ** 24, tol=1e-9):
-    """Best small-denominator rational approximation, or None outside tolerance."""
+def rational_form(x, max_denominator=2 ** 24):
+    """Best small-denominator rational approximation, or None beyond 1e-9 (relative)."""
     frac = Fraction(x).limit_denominator(max_denominator)
-    if abs(float(frac) - x) <= tol * max(1.0, abs(x)):
+    if abs(float(frac) - x) <= 1e-9 * max(1.0, abs(x)):
         return frac
     return None

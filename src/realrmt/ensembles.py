@@ -24,6 +24,8 @@ COND_MAX = 1e12
 That Frobenius product is at least the 2-norm condition number of A, so every
 kept A has a 2-norm condition number below COND_MAX.
 """
+MAX_ATTEMPTS = 10  # draws of A per matrix before sample_spherical gives up
+REL_TOL = 1e-9  # real: |Im| <= REL_TOL * max|eigenvalue| of the spectrum
 
 
 def _shape(size):
@@ -48,19 +50,17 @@ def sample_ginibre(n, rng, size=None):
     return rng.standard_normal(_shape(size) + (n, n))
 
 
-def sample_partial(n, tau, rng, b=None, size=None):
+def sample_partial(n, tau, rng, size=None):
     """Draw from the partially symmetric real Ginibre ensemble (size: as sample_goe).
 
     X = (S + sqrt(c) A) / sqrt(b) with c = (1 - tau)/(1 + tau), S symmetric
-    and A antisymmetric; the default b = 1/(1 + tau) gives off-diagonal
-    variance 1 and correlation tau. One n x n Gaussian G gives both, as
+    and A antisymmetric; b = 1/(1 + tau) gives off-diagonal variance 1 and
+    correlation tau. One n x n Gaussian G gives both, as
     S = (G + G^T)/2 and A = (G - G^T)/2 are independent, so
     X = p G + q G^T with p, q = (1 +- sqrt(c)) / (2 sqrt(b)).
     """
     spec("partial", n, tau=tau)
-    if b is None:
-        b = 1.0 / (1.0 + tau)
-    root_c, scale = math.sqrt((1.0 - tau) / (1.0 + tau)), 2.0 * math.sqrt(b)
+    root_c, scale = math.sqrt((1.0 - tau) / (1.0 + tau)), 2.0 * math.sqrt(1.0 / (1.0 + tau))
     g = rng.standard_normal(_shape(size) + (n, n))
     x = g * ((1.0 + root_c) / scale)
     x += g.swapaxes(-1, -2) * ((1.0 - root_c) / scale)
@@ -81,13 +81,14 @@ def _inverse_if_well_conditioned(a):
     return a_inv if np.all(sq < COND_MAX ** 2) else None
 
 
-def sample_spherical(n, rng, max_attempts=10, size=None):
+def sample_spherical(n, rng, size=None):
     """Draw Y = A^{-1} B with A, B independent real Ginibre matrices.
 
     Y is formed as inv(A) @ B. size: as sample_goe. A draw whose A fails the
-    COND_MAX guard, or is singular, is redrawn. If any draw of a stack needs
-    that, the stack is drawn again one matrix at a time from the same stream
-    position, so the variates stay those of size separate calls.
+    COND_MAX guard, or is singular, is redrawn, up to MAX_ATTEMPTS draws in
+    all. If any draw of a stack needs that, the stack is drawn again one matrix
+    at a time from the same stream position, so the variates stay those of size
+    separate calls.
     """
     if size is not None:
         state = rng.bit_generator.state
@@ -96,8 +97,8 @@ def sample_spherical(n, rng, max_attempts=10, size=None):
         if a_inv is not None:
             return a_inv @ ab[:, 1]
         rng.bit_generator.state = state
-        return np.stack([sample_spherical(n, rng, max_attempts) for _ in range(size)])
-    for _ in range(max_attempts):
+        return np.stack([sample_spherical(n, rng) for _ in range(size)])
+    for _ in range(MAX_ATTEMPTS):
         a = rng.standard_normal((n, n))
         b = rng.standard_normal((n, n))
         a_inv = _inverse_if_well_conditioned(a)
@@ -121,18 +122,18 @@ def sample_truncated(m, big_l, rng, size=None):
     return q[..., big_l:, :]
 
 
-def classify_spectra(eigs, rel_tol=1e-9):
+def classify_spectra(eigs):
     """Masks (real, upper) of the real and upper-half-plane eigenvalues, row by row.
 
     Each row of the 2-d eigs is one real matrix's spectrum. An eigenvalue is
-    real when |Im| <= rel_tol * max|eigenvalue| of its row. Where an odd
+    real when |Im| <= REL_TOL * max|eigenvalue| of its row. Where an odd
     number are non-real, the one nearest the axis is taken as real if it lies
     within ten tolerances; a row whose non-real eigenvalues still do not pair
     up raises RuntimeError.
     """
     rows = np.asarray(eigs, dtype=complex)
     scale = np.maximum(np.max(np.abs(rows), axis=1, initial=0.0), 1e-300)
-    tol = rel_tol * scale
+    tol = REL_TOL * scale
     real = np.abs(rows.imag) <= tol[:, None]
     for i in np.flatnonzero(np.sum(~real, axis=1) % 2):
         off_axis = np.where(real[i], np.inf, np.abs(rows[i].imag))
@@ -146,10 +147,10 @@ def classify_spectra(eigs, rel_tol=1e-9):
     return real, upper
 
 
-def classify_spectrum(eigs, rel_tol=1e-9):
+def classify_spectrum(eigs):
     """Split a real-matrix spectrum into real eigenvalues and upper-half-plane pairs."""
     eigs = np.asarray(eigs, dtype=complex)
-    real, upper = classify_spectra(eigs[None], rel_tol)
+    real, upper = classify_spectra(eigs[None])
     return eigs.real[real[0]], eigs[upper[0]]
 
 
@@ -172,14 +173,14 @@ def stack_spectra(mats):
     return (eigs,) + classify_spectra(eigs)
 
 
-def count_real_eigenvalues(mats, rel_tol=1e-9):
+def count_real_eigenvalues(mats):
     """Number of real eigenvalues for each matrix in a stacked array.
 
     An exactly symmetric stack needs no eigensolve: each of its n eigenvalues is real.
     """
     if _symmetric(mats):
         return np.full(mats.shape[:-2], mats.shape[-1])
-    return np.sum(classify_spectra(np.linalg.eigvals(mats), rel_tol)[0], axis=-1)
+    return np.sum(classify_spectra(np.linalg.eigvals(mats))[0], axis=-1)
 
 
 def mobius_to_disk(z):

@@ -1,32 +1,51 @@
 """Correlation kernels, eigenvalue densities and their scaling limits."""
 
+import functools
 import math
 
 import numpy as np
 
 from . import pfaffian, sopoly
 from .sopoly import trunc_omega_real, trunc_omega_sq_complex
-from .specfun import (lower_gamma_regularized, sp, upper_beta_regularized,
+from .specfun import (erfcx, lower_gamma_regularized, upper_beta_regularized,
                       upper_gamma_regularized)
 
 C2PI = 1.0 / sopoly.SQRT2PI
 
 
 # ---------------------------------------------------------------------------
-# the pair-sum kernel of the GOE, Ginibre, partial and truncated ensembles
+# every kernel's skew matrix, and the pair sum of four ensembles
 
 
-def _point(p, complex_points=True):
+def _point(p):
     """(True, x) at a real point ('r', x), (False, z) at a complex one ('c', z)."""
     species, z = p[0], complex(p[1])
     if species == "r" and not z.imag:
         return True, z.real
-    if species == "c" and z.imag > 0.0 and complex_points:
+    if species == "c" and z.imag > 0.0:
         return False, z
-    raise ValueError("%r is not ('r', real x) or, with complex points, ('c', z), Im z > 0" % (p,))
+    raise ValueError("%r is not ('r', real x) or ('c', z), Im z > 0" % (p,))
 
 
-class _PairSumKernel:
+class _Kernel:
+    """S, D and I~ as slices of matrix(points), the interleaved [[-I~, S], [-S^T, D]]."""
+
+    def s(self, p, q):
+        return self.matrix([p] if p == q else [p, q])[0, -1]
+
+    def d(self, p, q):
+        return self.matrix([p, q])[1, 3]
+
+    def itilde(self, p, q):
+        return -self.matrix([p, q])[0, 2]
+
+    def block(self, points):
+        """S, D and I~ at every pair of the points (k x k each): slices of matrix."""
+        m = self.matrix(points)
+        return m[0::2, 1::2], m[1::2, 1::2], -m[0::2, 0::2]
+
+
+class _PairSumKernel(_Kernel):
     """Kernel elements from a skew-orthogonal family of order n.
 
     With q_j = w p_j for the weight w, Phi_j(y) = (1/2) int sgn(y - t) q_j(t) dt,
@@ -85,20 +104,6 @@ class _PairSumKernel:
                     m[2 * j, 2 * i] -= 0.5 * ((x > y) - (x < y))
         return m
 
-    def s(self, p, q):
-        return self.matrix([p] if p == q else [p, q])[0, -1]
-
-    def d(self, p, q):
-        return self.matrix([p, q])[1, 3]
-
-    def itilde(self, p, q):
-        return -self.matrix([p, q])[0, 2]
-
-    def block(self, points):
-        """S, D and I~ at every pair of the points (k x k each): slices of matrix."""
-        m = self.matrix(points)
-        return m[0::2, 1::2], m[1::2, 1::2], -m[0::2, 0::2]
-
 
 # ---------------------------------------------------------------------------
 # Gaussian orthogonal ensemble
@@ -144,28 +149,29 @@ class GOEKernel(_PairSumKernel):
 
 
 def _gin_tail(n, w, y):
-    """Finite-size summand of S at points w (any species) and y (real).
+    """Finite-size summand of S at points w (any species) and y (real), times the
+    e^(-v^2), v = Im w, of sqrt(erfc(sqrt(2) v)) = sqrt(erfcx(sqrt(2) v)) e^(-v^2).
 
-    It is sgn(y)^(n-1) P((n-1)/2, y^2/2) w^(n-1) e^(-w^2/2) times
+    It is sgn(y)^(n-1) P((n-1)/2, y^2/2) w^(n-1) e^(-w^2/2 - v^2) times
     2^((n-3)/2) Gamma((n-1)/2) / Gamma(n-1), with every factor but P taken
     as the (n-1)-th power of one base, as w^(n-1) alone overflows near the
     spectrum edge from about n = 300. At n = 1 that product tends to 1,
-    leaving e^(-w^2/2).
+    leaving e^(-w^2/2 - v^2).
     """
     if n == 1:
-        return np.exp(-w * w / 2.0)
+        return np.exp(-w * w / 2.0 - w.imag ** 2)
     lead = ((n - 3.0) / 2.0 * math.log(2.0) + math.lgamma((n - 1.0) / 2.0)
             - math.lgamma(n - 1.0))
     inc = lower_gamma_regularized((n - 1.0) / 2.0, y * y / 2.0)
     if isinstance(w, float):  # the exponent is at most 0.23 here, so math.exp cannot overflow
         base = math.copysign(1.0, y) * w * math.exp((lead - w * w / 2.0) / (n - 1))
     else:
-        base = np.copysign(1.0, y) * w * np.exp((lead - w * w / 2.0) / (n - 1))
+        base = np.copysign(1.0, y) * w * np.exp((lead - w * w / 2.0 - w.imag ** 2) / (n - 1))
     return inc * base ** (n - 1)
 
 
-def _rt_erfc(w):
-    return math.sqrt(math.erfc(math.sqrt(2.0) * abs(w.imag)))
+def _rt_erfcx(*ws):  # the product of sqrt(erfcx(sqrt(2) |Im w|)) over the points ws
+    return math.sqrt(math.prod(erfcx(math.sqrt(2.0) * abs(w.imag)) for w in ws))
 
 
 def _gin_rr_sum(n, x, y):
@@ -200,21 +206,22 @@ def ginibre_src(n, x, w):
     """Real-complex kernel element S."""
     q = upper_gamma_regularized(n - 1, complex(x) * np.conj(w))
     wb = np.conj(w)
-    return 1j * C2PI * np.exp(-(x - wb) ** 2 / 2.0) * (wb - x) * q * _rt_erfc(w)
+    return 1j * C2PI * np.exp(-(x - wb) ** 2 / 2.0 - w.imag ** 2) * (wb - x) * q * _rt_erfcx(w)
 
 
 def ginibre_scr(n, w, x):
     """Complex-real kernel element S."""
     q = upper_gamma_regularized(n - 1, w * x)
-    return C2PI * (np.exp(-(w - x) ** 2 / 2.0) * q + _gin_tail(n, w, x)) * _rt_erfc(w)
+    return (C2PI * (np.exp(-(w - x) ** 2 / 2.0 - w.imag ** 2) * q + _gin_tail(n, w, x))
+            * _rt_erfcx(w))
 
 
 def ginibre_scc(n, w, z):
     """Complex-complex kernel element S."""
     zb = np.conj(z)
     q = upper_gamma_regularized(n - 1, w * zb)
-    return (1j * C2PI * np.exp(-(w - zb) ** 2 / 2.0) * (zb - w) * q
-            * _rt_erfc(w) * _rt_erfc(z))
+    return (1j * C2PI * np.exp(-(w - zb) ** 2 / 2.0 - w.imag ** 2 - z.imag ** 2) * (zb - w)
+            * q * _rt_erfcx(w, z))
 
 
 def ginibre_drr(n, x, y):
@@ -225,14 +232,14 @@ def ginibre_drr(n, x, y):
 def ginibre_drc(n, x, w):
     """Real-complex kernel element D."""
     q = upper_gamma_regularized(n - 1, complex(x) * w)
-    return C2PI * np.exp(-(x - w) ** 2 / 2.0) * (w - x) * q * _rt_erfc(w)
+    return C2PI * np.exp(-(x - w) ** 2 / 2.0 - w.imag ** 2) * (w - x) * q * _rt_erfcx(w)
 
 
 def ginibre_dcc(n, w, z):
     """Complex-complex kernel element D."""
     q = upper_gamma_regularized(n - 1, w * z)
-    return (C2PI * np.exp(-(w - z) ** 2 / 2.0) * (z - w) * q
-            * _rt_erfc(w) * _rt_erfc(z))
+    return (C2PI * np.exp(-(w - z) ** 2 / 2.0 - w.imag ** 2 - z.imag ** 2) * (z - w) * q
+            * _rt_erfcx(w, z))
 
 
 def _gin_even_terms(top, b):
@@ -289,29 +296,30 @@ def ginibre_irc(n, x, w):
     """Real-complex kernel element I~."""
     wb = np.conj(w)
     q = upper_gamma_regularized(n - 1, complex(x) * wb)
-    return (1j * C2PI * (np.exp(-(x - wb) ** 2 / 2.0) * q + _gin_tail(n, wb, x))
-            * _rt_erfc(w))
+    return (1j * C2PI * (np.exp(-(x - wb) ** 2 / 2.0 - w.imag ** 2) * q + _gin_tail(n, wb, x))
+            * _rt_erfcx(w))
 
 
 def ginibre_icc(n, w, z):
     """Complex-complex kernel element I~."""
     wb, zb = np.conj(w), np.conj(z)
     q = upper_gamma_regularized(n - 1, wb * zb)
-    return (-C2PI * np.exp(-(wb - zb) ** 2 / 2.0) * (wb - zb) * q
-            * _rt_erfc(w) * _rt_erfc(z))
+    return (-C2PI * np.exp(-(wb - zb) ** 2 / 2.0 - w.imag ** 2 - z.imag ** 2) * (wb - zb) * q
+            * _rt_erfcx(w, z))
 
 
 def ginibre_density_real(n, x):
     """Density of real eigenvalues for the real Ginibre ensemble (vectorized in x)."""
     x = np.asarray(x, dtype=float)
-    return C2PI * (upper_gamma_regularized(n - 1, x * x) + _gin_tail(n, x, x))
+    with np.errstate(over="ignore"):
+        return C2PI * (upper_gamma_regularized(n - 1, x * x) + _gin_tail(n, x, x))
 
 
 def ginibre_density_complex(n, w):
     """Density of complex eigenvalues for the real Ginibre ensemble."""
     v = abs(np.imag(w))
     q = upper_gamma_regularized(n - 1, abs(w) ** 2)
-    return math.sqrt(2.0 / math.pi) * v * q * sp.erfcx(math.sqrt(2.0) * v)
+    return math.sqrt(2.0 / math.pi) * v * q * erfcx(math.sqrt(2.0) * v)
 
 
 def ginibre_bulk_block_rr(x, y):
@@ -326,8 +334,8 @@ def ginibre_bulk_block_rr(x, y):
 def ginibre_bulk_scc(w1, w2):
     """Bulk-scaled complex-complex S element."""
     w2b = np.conj(w2)
-    return (1j * C2PI * (w2b - w1) * np.exp(-(w2b - w1) ** 2 / 2.0)
-            * _rt_erfc(w1) * _rt_erfc(w2))
+    return (1j * C2PI * (w2b - w1) * np.exp(-(w2b - w1) ** 2 / 2.0 - w1.imag ** 2 - w2.imag ** 2)
+            * _rt_erfcx(w1, w2))
 
 
 def ginibre_edge_srr(u, x, y):
@@ -384,7 +392,7 @@ def partial_bulk_srr(tau, delta):
 def partial_bulk_density_complex(tau, v):
     """Bulk density of complex eigenvalues at height v above the real axis."""
     c = 1.0 - tau * tau
-    return math.sqrt(2.0 / math.pi) * sp.erfcx(math.sqrt(2.0 / c) * v) * v / c
+    return math.sqrt(2.0 / math.pi) * erfcx(math.sqrt(2.0 / c) * v) * v / c
 
 
 def elliptical_support(n, tau):
@@ -397,17 +405,22 @@ def elliptical_density(tau):
     return 1.0 / (math.pi * (1.0 - tau * tau))
 
 
-def crossover_srr(alpha, x, y, nodes=400):
+@functools.cache
+def _crossover_rule():  # the 400-node Gauss-Legendre rule on [0, 1] of the crossover limits
+    return sopoly._gl_nodes(0.0, 1.0, np.polynomial.legendre.leggauss(400))
+
+
+def crossover_srr(alpha, x, y):
     """Weak-asymmetry limit int_0^1 e^{-alpha^2 t^2} cos(pi (x - y) t) dt of
     S(x/r, y/r)/r for the partially symmetric ensemble at order N and
     tau = 1 - alpha^2/N, r = sqrt(N)/pi being the real density at 0 as tau -> 1."""
-    tt, ww = sopoly._gl_nodes(0.0, 1.0, np.polynomial.legendre.leggauss(nodes))
+    tt, ww = _crossover_rule()
     return float(np.sum(ww * np.exp(-(alpha * tt) ** 2) * np.cos(math.pi * (x - y) * tt)))
 
 
-def crossover_scc(alpha, w1, w2, nodes=400):
+def crossover_scc(alpha, w1, w2):
     """Weak-asymmetry crossover limit of the scaled complex-complex S element."""
-    tt, ww = sopoly._gl_nodes(0.0, 1.0, np.polynomial.legendre.leggauss(nodes))
+    tt, ww = _crossover_rule()
     v1, v2 = abs(np.imag(w1)), abs(np.imag(w2))
     pref = 1j * math.pi * math.sqrt(math.erfc(math.pi * v1 / alpha)
                                     * math.erfc(math.pi * v2 / alpha))
@@ -499,35 +512,23 @@ def spherical_complex_limit_density(r):
     return 1.0 / (math.pi * (1.0 + r * r) ** 2)
 
 
-class SphericalKernel:
-    """Kernel-element source for correlations of real (angle) points. D and I~
-    are taken at (q, p): spherical_drr is the derivative of S in its second
-    angle, and spherical_irr integrates S over it."""
+class SphericalKernel(_Kernel):
+    """The real spherical kernel at real (angle) points, D and I~ taken at (q, p):
+    spherical_drr is dS/d(theta_2), and spherical_irr integrates S over theta_2."""
 
     def __init__(self, n):
         self.n = n
 
-    def s(self, p, q):
-        return spherical_srr(self.n, _point(p, False)[1], _point(q, False)[1])
-
-    def d(self, p, q):
-        return spherical_drr(self.n, _point(q, False)[1], _point(p, False)[1])
-
-    def itilde(self, p, q):
-        return spherical_irr(self.n, _point(q, False)[1], _point(p, False)[1])
-
-    def block(self, points):
-        """S, D and I~ at every pair of the points, as for
-        _PairSumKernel.block: each element function once, on the k x k grid."""
-        t = np.array([_point(p, False)[1] for p in points])
-        t_p, t_q = t[:, None], t[None, :]
-        return (spherical_srr(self.n, t_p, t_q), spherical_drr(self.n, t_q, t_p),
-                spherical_irr(self.n, t_q, t_p))
-
-    def matrix(self, points):  # npoint_correlation's [[-I~, S], [-S^T, D]], from block
-        s, d, itld = self.block(points)
-        m = np.empty((2 * len(s), 2 * len(s)))
-        m[0::2, 0::2], m[0::2, 1::2], m[1::2, 0::2], m[1::2, 1::2] = -itld, s, -s.T, d
+    def matrix(self, points):
+        pts = [_point(p) for p in points]
+        if not all(real for real, _ in pts):
+            raise ValueError("the spherical kernel has no complex points")
+        t = np.array([x for _, x in pts])  # t[:, None] is the row point's angle
+        m = np.empty((2 * len(t), 2 * len(t)))
+        m[0::2, 1::2] = s = spherical_srr(self.n, t[:, None], t)
+        m[1::2, 0::2] = -s.T
+        m[1::2, 1::2] = spherical_drr(self.n, t, t[:, None])
+        m[0::2, 0::2] = -spherical_irr(self.n, t, t[:, None])
         return m
 
 
@@ -602,30 +603,19 @@ class TruncatedKernel(_PairSumKernel):
 
 
 def npoint_correlation(kernel, points):
-    """n-point correlation from the kernel elements via a 2n x 2n Pfaffian.
-
-    points is a sequence of (species, value) pairs with species 'r' or 'c'.
-    The 2 x 2 block of points i and j is [[-I~_ij, S_ij], [-S_ji, D_ij]], so
-    the matrix is [[-I~, S], [-S^T, D]] with its rows and columns interleaved;
-    I~ and D are antisymmetric. It comes whole from one kernel.matrix call; at
-    one point the Pfaffian of [[0, S], [-S, 0]] is S, so rho_1 takes only kernel.s.
-    Coincident points are rejected (use the density functions instead), and a
-    value that is not finite (an element overflowed) raises ArithmeticError.
-
-    Every kernel class here gives s, d and itilde, block and matrix, in one layout:
-    at real points D(x, y) = dS(x, y)/dx and dI~(x, y)/dx = S(y, x), so
-    S(x, y) carries the weight of y. In the transposed layout rho_3 and up
-    are wrong.
-    """
+    """n-point correlation at points, (species, value) pairs with species 'r' or 'c':
+    the Pfaffian of kernel.matrix(points), the interleaved [[-I~, S], [-S^T, D]] whose
+    2 x 2 block at points i and j is [[-I~_ij, S_ij], [-S_ji, D_ij]]; at one point it
+    is S, the (0, 1) entry. At real points D(x, y) = dS(x, y)/dx and dI~(x, y)/dx =
+    S(y, x), so S(x, y) carries the weight of y (in the transposed layout rho_3 and up
+    are wrong). Coincident points are rejected (use the density functions instead),
+    and a value that is not finite (an element overflowed) raises ArithmeticError."""
     pts = list(points)
-    n = len(pts)
     if any(p == q for i, p in enumerate(pts) for q in pts[:i]):
         raise ValueError("coincident points are not allowed")
-    if n == 1:
-        value = float(np.real(kernel.s(pts[0], pts[0])))
-    else:
-        mat = pfaffian.SkewMatrix(kernel.matrix(pts), tol=1e-8)
-        value = float(np.real(pfaffian.pfaffian(mat)))
+    m = kernel.matrix(pts)
+    value = float(np.real(m[0, 1] if len(pts) == 1
+                          else pfaffian.pfaffian(pfaffian.SkewMatrix(m, tol=1e-8))))
     if not math.isfinite(value):
         raise ArithmeticError("n-point correlation is not finite: %r" % value)
     return value

@@ -161,8 +161,8 @@ def chequer_embed(a):
     return b
 
 
-def chequer_collapse(b, tol=1e-10):
-    """Inverse of chequer_embed; verifies the complementary entries vanish."""
+def chequer_collapse(b):
+    """Inverse of chequer_embed; verifies the complementary entries vanish (to 1e-10)."""
     b = _as_skew(b)
     n2 = b.shape[0]
     if n2 % 2 == 1:
@@ -171,7 +171,7 @@ def chequer_collapse(b, tol=1e-10):
     scale = max(1.0, np.max(np.abs(b)))
     ee = b[0::2, 0::2]
     oo = b[1::2, 1::2]
-    if np.max(np.abs(ee)) > tol * scale or np.max(np.abs(oo)) > tol * scale:
+    if np.max(np.abs(ee)) > 1e-10 * scale or np.max(np.abs(oo)) > 1e-10 * scale:
         raise ValueError("matrix does not have chequer sparsity")
     return b[0::2, 1::2]
 

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .specfun import double_factorial, erfc_real, half_beta, sp
+from .specfun import double_factorial, erfc_real, erfcx, half_beta, sp
 
 SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -149,19 +149,22 @@ class GaussianFamily(SkewFamily):
     def _weight(self, x):
         """(w, e), the weight w e^e at x: e^{-x^2/(2c)} at a real x (float or array), times
         sqrt(erfc(t)), t = |Im x| sqrt(2/(1 - tau^2)), c = 1 + tau, at a complex x (Forrester &
-        Nagao, J. Phys. A 41, 2008; e^{t^2} erfc(t) from its series past t = 26). e is the
-        real exponent at each point where it is below -700, None where it is nowhere."""
-        e = x * x * (-0.5 / self._c)
+        Nagao, J. Phys. A 41, 2008), as sqrt(erfcx(t)) e^{-t^2/2}. e is the real exponent at
+        each point where it is in [-1e299, -700), None where it is nowhere; below (|x| from
+        4e149, x * x overflowing) w is 0, as is w times any member, and x q_j overflows."""
         if isinstance(x, np.ndarray):  # one reduction when no point underflows
-            low = np.where(e < -700.0, e, 0.0) if e.min(initial=0.0) < -700.0 else None
+            with np.errstate(over="ignore"):
+                e = x * x * (-0.5 / self._c)
+            low = (np.where((e < -700.0) & (e >= -1e299), e, 0.0)
+                   if e.min(initial=0.0) < -700.0 else None)
             return np.exp(e if low is None else e - low), low
+        e = x * x * (-0.5 / self._c)
         scaled = 1.0
         if isinstance(x, complex):
             t = math.sqrt(2.0 / ((2.0 - self._c) * self._c)) * abs(x.imag)
-            scaled = (math.exp(t * t) * math.erfc(t) if t < 26.0 else math.pi ** -0.5 / t
-                      * sum((-0.5 / t / t) ** k * double_factorial(2 * k - 1) for k in range(8)))
+            scaled = erfcx(t)
             e -= t * t / 2.0
-        low = e.real if e.real < -700.0 else None
+        low = e.real if -1e299 <= e.real < -700.0 else None
         exp = cmath.exp if isinstance(e, complex) else math.exp
         return exp(e if low is None else e - low) * scaled ** 0.5, low
 
@@ -242,11 +245,9 @@ def _gamma_ratio(a):
             / math.sqrt(math.pi))
 
 
-def _gauss_moment(m, c=1.0):
-    """Integral of x^m e^{-x^2/(2c)} over the real line."""
-    if m % 2 == 1:
-        return 0.0
-    return double_factorial(m - 1) * math.sqrt(2.0 * math.pi * c) * c ** (m // 2)
+def _gauss_moment(m):
+    """Integral of x^m e^{-x^2/2} over the real line."""
+    return 0.0 if m % 2 else double_factorial(m - 1) * SQRT2PI
 
 
 def _sph_pairs(big_n):

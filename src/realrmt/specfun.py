@@ -54,7 +54,7 @@ def upper_gamma_regularized(a, x):
     The sum of x^j / Gamma(j + 1) is at most e^|x|, so up to |x| = 700 it is
     formed by recurrence and scaled by e^(-x) once; at larger |x|, where that
     would overflow, each term is formed in log space (the complex log at a
-    complex x), to a relative error of about |x| float epsilons.
+    complex x), to a relative error of about |x| float epsilons. Q(a, +inf) = 0.
     """
     if a < 0 or int(2 * a) != 2 * a:
         raise ValueError("upper_gamma_regularized requires integer or half-integer a >= 0")
@@ -68,10 +68,11 @@ def upper_gamma_regularized(a, x):
         shape = (-1,) + (1,) * x.ndim
         j = (first + np.arange(count)).reshape(shape)
         log_gamma_j = np.reshape([math.lgamma(first + k + 1.0) for k in range(count)], shape)
+        sign = 1.0 if is_complex else np.sign(x) ** j  # the complex log carries it
         with np.errstate(divide="ignore", invalid="ignore"):
             log_x = np.where(j > 0, j * np.log(x if is_complex else np.abs(x)), 0.0)
-        sign = 1.0 if is_complex else np.sign(x) ** j  # the complex log carries it
-        return head + np.sum(sign * np.exp(log_x - x - log_gamma_j), axis=0)
+            terms = sign * np.exp(log_x - x - log_gamma_j)  # nan at x = +inf
+        return head + np.sum(np.where(x == np.inf, 0.0, terms), axis=0)
     term = 2.0 * (x / math.pi) ** 0.5 if first else 1.0
     total = term if count else 0.0
     for j in range(1, count):
@@ -91,6 +92,12 @@ def erfc_real(x):
     if isinstance(x, np.ndarray):
         return np.fromiter(map(math.erfc, x.ravel().tolist()), float, x.size).reshape(x.shape)
     return math.erfc(x)
+
+
+def erfcx(t):
+    """e^(t^2) erfc(t) at a float t >= 0, past t = 26 from its asymptotic series."""
+    return (math.exp(t * t) * math.erfc(t) if t < 26.0 else math.pi ** -0.5 / t
+            * sum((-0.5 / t / t) ** k * double_factorial(2 * k - 1) for k in range(8)))
 
 
 def lower_gamma(a, x):
@@ -159,14 +166,13 @@ def double_factorial(n):
     return result
 
 
-def hyp2f1(a, b, c, x, tol=1e-13, max_terms=10000):
-    """Gauss hypergeometric 2F1(a, b; c; x) by direct series, |x| < 1."""
-    term = 1.0
-    total = 1.0
-    for k in range(max_terms):
+def hyp2f1(a, b, c, x):
+    """Gauss hypergeometric 2F1(a, b; c; x) by direct series to a 1e-13 term, |x| < 1."""
+    term = total = 1.0
+    for k in range(10000):
         term *= (a + k) * (b + k) / ((c + k) * (1.0 + k)) * x
         total += term
-        if abs(term) <= tol * max(abs(total), 1e-300):
+        if abs(term) <= 1e-13 * max(abs(total), 1e-300):
             return total
     raise RuntimeError("hyp2f1 series failed to converge")
 

@@ -80,7 +80,8 @@ def test_commands_and_npoint_calls_do_not_import_scipy_special():
 
 
 # n-point correlations of the real Ginibre and partial kernels at real and
-# complex points: the pair sum takes only math and numpy, so scipy never loads
+# complex points, and their complex densities: the pair sum and erfcx take
+# only math and numpy, so scipy never loads
 _NPOINT_SCRIPT = r"""
 import sys
 from realrmt import kernels
@@ -90,6 +91,8 @@ for kern in (kernels.GinibreKernel(12), kernels.PartialKernel(9, 0.5)):
     for k in (1, 2, 4):
         kernels.npoint_correlation(kern, pts[:k])
     kernels.npoint_correlation(kern, pts[1:2])
+kernels.ginibre_density_complex(12, 0.4 + 0.9j)
+kernels.partial_bulk_density_complex(0.5, 0.9)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 

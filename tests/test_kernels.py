@@ -417,6 +417,25 @@ def test_ginibre_complex_closed_forms_near_the_edge_at_large_n():
                                    _ginibre_elements(1500, p, q), rtol=1e-11)
 
 
+@pytest.mark.parametrize("p,q,closed_form", [
+    (("c", 0.3 + 25.0j), ("r", 0.3), lambda: kernels.ginibre_src(1500, 0.3, 0.3 + 25.0j)),
+    (("c", 5.0 + 20.0j), ("c", 5.3 + 20.2j),
+     lambda: kernels.ginibre_scc(1500, 5.3 + 20.2j, 5.0 + 20.0j)),
+    # the bulk element is ginibre_scc with Q(n - 1, w1 conj(w2)) = 1, as it is at
+    # n = 1500 and |w1 conj(w2)| = 403
+    (("c", 1.2 + 20.1j), ("c", 1.0 + 20.0j),
+     lambda: kernels.ginibre_bulk_scc(1.0 + 20.0j, 1.2 + 20.1j)),
+], ids=["src", "scc", "bulk_scc"])
+def test_ginibre_s_far_above_the_real_axis(p, q, closed_form):
+    # sqrt(erfc(sqrt(2) Im w)) underflows from Im w = 18.8, and the Gaussian
+    # factor of S carries e^{(Im w)^2/2} per point: ginibre_src read 0 here, and
+    # ginibre_scc and ginibre_bulk_scc nan. S is compared alone: the pair sum's I~
+    # at the first pair, and both paths' D and I~ at the other two (Q(n - 1, w z)
+    # at Re(w z) near -|w z|), cancel to no digits here
+    got = kernels.GinibreKernel(1500).s(p, q)
+    assert got == pytest.approx(closed_form(), rel=1e-11, abs=0.0)
+
+
 @pytest.mark.parametrize("name,args,xs", [
     ("GOEKernel", (1000,), (38.5, -40.0, 42.0)),
     ("GOEKernel", (1001,), (39.0, -41.0, 43.0)),
@@ -517,6 +536,22 @@ def test_spherical_irr_closed_form_matches_quadrature(n):
                                 epsabs=1e-13, epsrel=1e-13)
         assert kernels.spherical_irr(n, t1, t2) == pytest.approx(
             val + 0.5 * np.sign(t1 - t2), rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 4, 5])
+def test_spherical_matrix_is_the_closed_forms(n):
+    # npoint_correlation's [[-I~, S], [-S^T, D]], entry by entry: S(p, q) =
+    # srr(t_p, t_q), D(p, q) = drr(t_q, t_p) and I~(p, q) = irr(t_q, t_p)
+    t = (0.3, 2.1, 4.0, 5.5, 1.2)
+    m = kernels.SphericalKernel(n).matrix([("r", v) for v in t])
+    for i, a in enumerate(t):
+        for j, b in enumerate(t):
+            want = {(0, 0): -kernels.spherical_irr(n, b, a),
+                    (0, 1): kernels.spherical_srr(n, a, b),
+                    (1, 0): -kernels.spherical_srr(n, b, a),
+                    (1, 1): kernels.spherical_drr(n, b, a)}
+            for (r, c), value in want.items():
+                assert m[2 * i + r, 2 * j + c] == pytest.approx(value, rel=1e-13, abs=1e-15)
 
 
 def test_spherical_complex_density_matches_scc_diagonal():
@@ -642,6 +677,22 @@ def test_density_array_call_matches_per_point_loop(name):
     got = np.broadcast_to(density(n, tau, big_l, xs), xs.shape)
     want = np.array([float(density(n, tau, big_l, float(x))) for x in xs])
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("name", ["ginibre", "goe", "partial"])
+@pytest.mark.parametrize("n", [4, 5])
+def test_real_density_is_zero_where_x_squared_overflows(name, n):
+    # x * x overflows from |x| = 1.34e154, and from |x| = 4e149 the weight is
+    # taken as 0 (it underflows times any member): rho is 0 there on a grid,
+    # at a point and from the kernel
+    x = np.array([1e154, 1.25e155, 1e200, 1e307])
+    x = np.concatenate([-x, x])
+    density = ENSEMBLES[name].density
+    tau = 0.5 if name == "partial" else None
+    np.testing.assert_array_equal(density(n, tau, None, x), 0.0)
+    assert [density(n, tau, None, float(v)) for v in x] == [0.0] * len(x)
+    kern = KERNEL_CLASSES[name](n)
+    assert [kernels.npoint_correlation(kern, [("r", v)]) for v in x] == [0.0] * len(x)
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,8 @@ def test_upper_gamma_regularized_takes_arrays():
     # past x = 700 the terms are formed in log space, where e^(-x) x^j / j!
     # neither underflows nor overflows
     assert specfun.upper_gamma_regularized(40, 2.5e9) == 0.0
-    big = np.array([0.0, 650.0, 784.0, 1000.0])
+    assert specfun.upper_gamma_regularized(40, math.inf) == 0.0
+    big = np.array([0.0, 650.0, 784.0, 1000.0, np.inf])
     np.testing.assert_allclose(specfun.upper_gamma_regularized(800, big),
                                sp.gammaincc(800, big), rtol=1e-12, atol=1e-300)
     assert specfun.upper_gamma_regularized(800, 784.0) == pytest.approx(
@@ -79,9 +80,10 @@ def test_upper_gamma_regularized_at_half_integers(a):
                                rtol=1e-13, atol=1e-300)
     assert [specfun.upper_gamma_regularized(a, float(v)) for v in x] == pytest.approx(
         want, rel=1e-13, abs=1e-300)
-    far = np.array([0.0, 400.0, 701.0, 1e4])
+    far = np.array([0.0, 400.0, 701.0, 1e4, np.inf])
     np.testing.assert_allclose(specfun.upper_gamma_regularized(a, far),
                                sp.gammaincc(a, far), rtol=1e-12, atol=1e-300)
+    assert specfun.upper_gamma_regularized(a, math.inf) == 0.0
 
 
 def test_lower_plus_upper_is_one():

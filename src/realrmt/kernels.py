@@ -11,6 +11,9 @@ from .specfun import (erfcx, lower_gamma_regularized, upper_beta_regularized,
                       upper_gamma_regularized)
 
 C2PI = 1.0 / sopoly.SQRT2PI
+# the most numbers a pair-sum kernel keeps of the point columns it has formed
+# (2^20: 16 MiB of complex)
+STORED_NUMBERS = 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +75,7 @@ class _PairSumKernel(_Kernel):
     def __init__(self, family, factor):
         self.n, self._family, self._factor = len(family), family, factor
         self._unpaired = 1.0 / family.nu[-1] if self.n % 2 else 0.0
+        self._columns = {}  # the scaled columns of A (2 x (n + 1)) at each point seen
 
     def _pairs(self, f, g):  # the members along axis 0
         return self._factor * np.add.reduce(f[:-1:2] * g[1::2] - f[1::2] * g[:-1:2])
@@ -90,10 +94,28 @@ class _PairSumKernel(_Kernel):
                 + self._unpaired * (phi_x[-1] - phi_y[-1]))
 
     def matrix(self, points):
+        """The interleaved [[-I~, S], [-S^T, D]] at the points, a fresh array.
+
+        A point's two columns of A depend on no other point, so each is formed once
+        per kernel and kept, keyed by the point and the sign of its real part (0.0
+        and -0.0 give zero members of either sign). A real point's columns formed
+        beside a complex point are its real ones plus 0j, and are kept real, so every
+        value is the one a fresh kernel gives. The store is dropped whole once it
+        holds more than STORED_NUMBERS numbers."""
         pts = [_point(p) for p in points]
-        a = self._family.points(pts)
-        if self._unpaired:  # J's (n-1, n) entry: p_{n-1} paired with the last row
-            a[-1] *= -self._unpaired / self._factor
+        keys = [(real, v, math.copysign(1.0, v.real)) for real, v in pts]
+        cols = self._columns
+        new = [k for k in dict.fromkeys(keys) if k not in cols]
+        if new:
+            a = self._family.points([k[:2] for k in new])
+            if self._unpaired:  # J's (n-1, n) entry: p_{n-1} paired with the last row
+                a[-1] *= -self._unpaired / self._factor
+            rows = a.T  # the i-th new point's columns are rows 2i and 2i + 1
+            for i, k in enumerate(new):
+                cols[k] = rows[2 * i:2 * i + 2].real if k[0] else rows[2 * i:2 * i + 2]
+            if len(cols) * 2 * (self.n + 1) > STORED_NUMBERS:
+                self._columns = {}
+        a = np.concatenate([cols[k] for k in keys]).T
         end = self.n + self.n % 2
         p = np.einsum("ki,kj->ij", a[0:end:2], a[1:end:2])
         m = self._factor * (p - p.T)
@@ -611,7 +633,8 @@ def npoint_correlation(kernel, points):
     are wrong). Coincident points are rejected (use the density functions instead),
     and a value that is not finite (an element overflowed) raises ArithmeticError."""
     pts = list(points)
-    if any(p == q for i, p in enumerate(pts) for q in pts[:i]):
+    vals = [_point(p) for p in pts]
+    if any(p == q for i, p in enumerate(vals) for q in vals[:i]):
         raise ValueError("coincident points are not allowed")
     m = kernel.matrix(pts)
     value = float(np.real(m[0, 1] if len(pts) == 1

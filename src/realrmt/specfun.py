@@ -55,11 +55,16 @@ def upper_gamma_regularized(a, x):
     formed by recurrence and scaled by e^(-x) once; at larger |x|, where that
     would overflow, each term is formed in log space (the complex log at a
     complex x), to a relative error of about |x| float epsilons. Q(a, +inf) = 0.
+    At a complex scalar x the terms reach e^(|x| - Re x) where Q is of order 1, so
+    for 0 < |x| < a, Q is 1 - P(a, x) from the tail of the series
+    (_lower_gamma_tail), whose terms shrink from the first.
     """
     if a < 0 or int(2 * a) != 2 * a:
         raise ValueError("upper_gamma_regularized requires integer or half-integer a >= 0")
     first = a % 1  # the lowest j: 0 or 1/2
     count = int(a - first)
+    if isinstance(x, complex) and not first and 0.0 < abs(x) < count:
+        return 1.0 - _lower_gamma_tail(count, x)
     head = erfc_real(x ** 0.5) if first else 0.0
     size = np.max(np.abs(x)) if isinstance(x, np.ndarray) else abs(x)
     if size > 700.0:
@@ -79,6 +84,22 @@ def upper_gamma_regularized(a, x):
         term = term * x / (first + j)
         total = total + term
     return head + (math.exp(-x) if isinstance(x, float) else np.exp(-x)) * total
+
+
+def _lower_gamma_tail(a, x):
+    """P(a, x) = 1 - Q(a, x), the sum of e^(-x) x^j / j! over j >= a, at an integer
+    a and a complex scalar x with 0 < |x| < a. The first term is formed in log
+    space, and each next one is the last times x / (j + 1), of modulus below 1, so
+    the error is a few roundings of the first term. The sum stops where a term no
+    longer moves it, by j = 2a + 100 at the latest."""
+    term = complex(np.exp(a * np.log(x) - x - math.lgamma(a + 1.0)))  # inf past the float range
+    total = 0j
+    for j in range(a, 2 * a + 100):
+        total += term
+        if abs(term) <= 1e-17 * abs(total):
+            break
+        term *= x / (j + 1)
+    return total
 
 
 def lower_gamma_regularized(a, x):

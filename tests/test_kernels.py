@@ -1,6 +1,7 @@
 """Tests for the correlation kernels, densities and scaling limits."""
 
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -430,10 +431,22 @@ def test_ginibre_s_far_above_the_real_axis(p, q, closed_form):
     # sqrt(erfc(sqrt(2) Im w)) underflows from Im w = 18.8, and the Gaussian
     # factor of S carries e^{(Im w)^2/2} per point: ginibre_src read 0 here, and
     # ginibre_scc and ginibre_bulk_scc nan. S is compared alone: the pair sum's I~
-    # at the first pair, and both paths' D and I~ at the other two (Q(n - 1, w z)
-    # at Re(w z) near -|w z|), cancel to no digits here
+    # at the first pair, and its D and I~ at the other two (at Re(w z) near
+    # -|w z|), cancel to no digits here
     got = kernels.GinibreKernel(1500).s(p, q)
     assert got == pytest.approx(closed_form(), rel=1e-11, abs=0.0)
+
+
+def test_ginibre_closed_forms_where_the_finite_sum_cancels():
+    # Q(n - 1, x) at x = 25 - 125i and -377.5 + 207i: the finite sum's terms reach
+    # e^(|x| - Re x) while Q is of order 1, so Q comes from the tail 1 - P(n - 1, x).
+    # The values are 60-digit mpmath evaluations of the closed forms; the D element
+    # is 1.4e-353 there, 0 in floats, and no overflow is warned of
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kernels.ginibre_src(1500, 5.0, 5.0 + 25.0j) == pytest.approx(
+            2.41669996669053965e-136, rel=1e-12, abs=0.0)
+        assert kernels.ginibre_dcc(1500, 5.0 + 20.0j, 5.3 + 20.2j) == 0.0
 
 
 @pytest.mark.parametrize("name,args,xs", [
@@ -703,6 +716,11 @@ def test_npoint_rejects_coincident_points():
     kern = kernels.GinibreKernel(4)
     with pytest.raises(ValueError):
         kernels.npoint_correlation(kern, [("r", 1.0), ("r", 1.0)])
+    # the points are compared as values, whatever holds them
+    with pytest.raises(ValueError, match="coincident"):
+        kernels.npoint_correlation(kernels.GOEKernel(6), [("r", 1.0), ["r", 1.0]])
+    with pytest.raises(ValueError, match="coincident"):
+        kernels.npoint_correlation(kern, [("c", 0.5 + 1j), ["c", complex(0.5, 1.0)]])
 
 
 def test_ginibre_mixed_two_point_factorizes_at_separation():
@@ -847,6 +865,85 @@ def test_kernel_block_matches_the_per_pair_elements(name, n):
                                       ("itilde", itld, kern.itilde)):
             want = np.array([[element(p, q) for q in pts] for p in pts], dtype=complex)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15, err_msg=name_el)
+
+
+# ---------------------------------------------------------------------------
+# the pair-sum kernels' store of point columns
+
+
+PAIR_SUM_KERNELS = {name: k for name, k in KERNEL_CLASSES.items() if name != "spherical"}
+
+
+def _bits(value):
+    value = np.asarray(value)
+    return value.dtype.str, value.tobytes()
+
+
+def _store_cases(name):
+    """Calls on a kernel: rho_1, pairs in both orders, one 3-point set, s, d and
+    itilde. At a complex kernel the real point r4 is first formed beside a complex
+    point and later alone, and r1 the other way round."""
+    r1, r2, r3, r4 = ("r", 0.35), ("r", -0.6), ("r", 0.1), ("r", 0.7)
+    c1, c2 = ("c", 0.3 + 0.8j), ("c", -0.5 + 0.4j)
+    sets = [[r1], [r1, r2], [r2, r1]]
+    elements = [(r1, r2), (r2, r1)]
+    if name in COMPLEX_KERNELS:
+        sets += [[r4, c1], [c1, r4], [r4], [r1, c2], [c1, c2], [c2, c1], [c1], [r3, c2, r2]]
+        elements += [(c1, r1), (r1, c2), (c2, c1), (r4, r2)]
+    else:
+        sets += [[r1, r3, r2]]
+    return ([lambda k, pts=pts: kernels.npoint_correlation(k, pts) for pts in sets]
+            + [lambda k, el=el, p=p, q=q: getattr(k, el)(p, q)
+               for p, q in elements for el in ("s", "d", "itilde")])
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_SUM_KERNELS))
+@pytest.mark.parametrize("n", [6, 7])
+def test_a_reused_kernel_gives_a_fresh_kernels_bits(name, n):
+    reused = PAIR_SUM_KERNELS[name](n)
+    cases = _store_cases(name)
+    for _ in range(3):
+        for i, case in enumerate(cases):
+            assert _bits(case(reused)) == _bits(case(PAIR_SUM_KERNELS[name](n))), i
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_SUM_KERNELS))
+def test_a_kernel_evaluates_each_point_once(name, monkeypatch):
+    kern = PAIR_SUM_KERNELS[name](7)
+    family_points = kern._family.points
+    seen = []
+    monkeypatch.setattr(kern._family, "points",
+                        lambda pts: seen.extend(pts) or family_points(pts))
+    for case in _store_cases(name) * 2:
+        case(kern)
+    assert len(seen) == len(set(seen)) == (6 if name in COMPLEX_KERNELS else 3)
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_SUM_KERNELS))
+def test_writing_into_a_matrix_changes_no_later_call(name):
+    kern = PAIR_SUM_KERNELS[name](5)
+    pts = [("r", 0.35), ("r", -0.6)] + ([("c", 0.3 + 0.8j)] if name in COMPLEX_KERNELS else [])
+    kern.matrix(pts)[:] = 7.0
+    for part in kern.block(pts):
+        part[:] = 7.0
+    assert _bits(kern.matrix(pts)) == _bits(PAIR_SUM_KERNELS[name](5).matrix(pts))
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_SUM_KERNELS))
+@pytest.mark.parametrize("n", [4, 5])
+def test_the_store_stays_within_its_cap(name, n, monkeypatch):
+    # a cap of 10 points, passed more than thrice by 37 distinct points, alone and in pairs
+    cap = 10 * 2 * (n + 1)
+    monkeypatch.setattr(kernels, "STORED_NUMBERS", cap)
+    kern = PAIR_SUM_KERNELS[name](n)
+    xs = np.linspace(-0.9, 0.9, 37)
+    sets = [[("r", x)] for x in xs] + [[("r", x), ("r", y)] for x, y in zip(xs, xs[::-1]) if x != y]
+    if name in COMPLEX_KERNELS:
+        sets += [[("r", x), ("c", complex(x, 0.5))] for x in xs[::3]]
+    for pts in sets:
+        got = kernels.npoint_correlation(kern, pts)
+        assert len(kern._columns) * 2 * (n + 1) <= cap
+        assert _bits(got) == _bits(kernels.npoint_correlation(PAIR_SUM_KERNELS[name](n), pts))
 
 
 def _ginibre_elements(n, p, q):

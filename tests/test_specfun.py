@@ -55,6 +55,20 @@ def test_upper_gamma_regularized_negative_and_complex():
             specfun.upper_gamma_regularized(a, 1.0)
 
 
+def test_upper_gamma_regularized_at_complex_x_off_the_positive_axis():
+    # the finite sum's terms reach e^(|x| - Re x) here (e^102.5 and e^807) while Q
+    # is of order 1; with |x| < a, Q is 1 - P(a, x) from the tail's shrinking
+    # terms (60-digit mpmath values)
+    assert specfun.upper_gamma_regularized(1499, 25.0 - 125.0j) == pytest.approx(
+        1.0, rel=1e-14, abs=0.0)
+    assert specfun.upper_gamma_regularized(1499, -377.5 + 207.0j) == pytest.approx(
+        -3.34097125600451033 + 2.71941990379775018j, rel=1e-11, abs=0.0)
+    # no cancellation at small a: the tail agrees with the finite sum
+    for a, x in ((3, 1.5 + 2.0j), (10, -4.0 + 7.0j), (30, 20.0 - 10.0j)):
+        want = np.exp(-x) * sum(x ** j / math.factorial(j) for j in range(a))
+        assert specfun.upper_gamma_regularized(a, x) == pytest.approx(want, rel=1e-12)
+
+
 def test_upper_gamma_regularized_takes_arrays():
     x = np.array([-1.5, 0.0, 0.7, 30.0])
     for n in (1, 2, 9):

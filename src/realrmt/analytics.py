@@ -320,7 +320,9 @@ def prob_table(ensemble, n, tau=None, big_l=None):
 
     Raises ArithmeticError when the table misses the bound the registry
     states: some p_{N,k} outside [-1e-12, 1 + 1e-12], or a sum more than
-    1e-12 from 1.
+    1e-12 from 1. A partial table also raises it when its p_{N,N} is more
+    than 1e-9 relative from partial_pnn: at odd N and tau < 0 the factor
+    loses the small mu_i (p_{19,19} at tau = -0.99 would print as 0).
     """
     ensembles.spec(ensemble, n, tau=tau, big_l=big_l, table=True)
     probs = _TABLES[ensemble](n, tau, big_l)
@@ -329,6 +331,11 @@ def prob_table(ensemble, n, tau=None, big_l=None):
         raise ArithmeticError("p_{N,k} table outside the 1e-12 bound: min %.3g, "
                               "max %.3g, sum - 1 = %.3g"
                               % (probs.min(), probs.max(), probs.sum() - 1.0))
+    if ensemble == "partial":
+        pnn = partial_pnn(n, tau)
+        if not abs(probs[-1] - pnn) <= 1e-9 * pnn:
+            raise ArithmeticError("p_{N,N} = %.6g is more than 1e-9 relative from its "
+                                  "closed form %.6g" % (probs[-1], pnn))
     return probs
 
 

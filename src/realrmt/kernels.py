@@ -31,7 +31,10 @@ def _point(p):
 
 
 class _Kernel:
-    """S, D and I~ as slices of matrix(points), the interleaved [[-I~, S], [-S^T, D]]."""
+    """S, D and I~ as slices of matrix(points), the interleaved [[-I~, S], [-S^T, D]].
+
+    Every kernel's matrix is exactly skew-symmetric: m == -m.T bit for bit, with a
+    zero diagonal, at any points (npoint_correlation takes its Pfaffian unchecked)."""
 
     def s(self, p, q):
         return self.matrix([p] if p == q else [p, q])[0, -1]
@@ -118,7 +121,7 @@ class _PairSumKernel(_Kernel):
         a = np.concatenate([cols[k] for k in keys]).T
         end = self.n + self.n % 2
         p = np.einsum("ki,kj->ij", a[0:end:2], a[1:end:2])
-        m = self._factor * (p - p.T)
+        m = self._factor * (p - p.T)  # exactly skew, and the sgn/2 below is mirrored
         for i, (r, x) in enumerate(pts):
             for j, (s, y) in enumerate(pts[:i]):
                 if r and s:  # -I~ gains sgn(x - y) / 2 at a real pair
@@ -549,9 +552,13 @@ class SphericalKernel(_Kernel):
         m = np.empty((2 * len(t), 2 * len(t)))
         m[0::2, 1::2] = s = spherical_srr(self.n, t[:, None], t)
         m[1::2, 0::2] = -s.T
-        m[1::2, 1::2] = spherical_drr(self.n, t, t[:, None])
-        m[0::2, 0::2] = -spherical_irr(self.n, t, t[:, None])
+        m[1::2, 1::2] = _skew_part(spherical_drr(self.n, t, t[:, None]))
+        m[0::2, 0::2] = _skew_part(-spherical_irr(self.n, t, t[:, None]))
         return m
+
+
+def _skew_part(b):  # exactly skew, with a zero diagonal; b itself where b is exactly skew
+    return (b - b.T) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -631,14 +638,17 @@ def npoint_correlation(kernel, points):
     is S, the (0, 1) entry. At real points D(x, y) = dS(x, y)/dx and dI~(x, y)/dx =
     S(y, x), so S(x, y) carries the weight of y (in the transposed layout rho_3 and up
     are wrong). Coincident points are rejected (use the density functions instead),
-    and a value that is not finite (an element overflowed) raises ArithmeticError."""
+    and a value that is not finite (an element overflowed) raises ArithmeticError.
+
+    It relies on the kernel's contract that matrix is exactly skew-symmetric, and
+    takes the Pfaffian with no check or copy (pfaffian.pfaffian_rows): at two points
+    the order-4 closed form, at three or more the skew elimination."""
     pts = list(points)
     vals = [_point(p) for p in pts]
     if any(p == q for i, p in enumerate(vals) for q in vals[:i]):
         raise ValueError("coincident points are not allowed")
     m = kernel.matrix(pts)
-    value = float(np.real(m[0, 1] if len(pts) == 1
-                          else pfaffian.pfaffian(pfaffian.SkewMatrix(m, tol=1e-8))))
+    value = (m[0, 1] if len(pts) == 1 else pfaffian.pfaffian_rows(m.tolist())).real
     if not math.isfinite(value):
         raise ArithmeticError("n-point correlation is not finite: %r" % value)
-    return value
+    return float(value)

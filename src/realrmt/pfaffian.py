@@ -36,18 +36,24 @@ def _as_skew(a):
 def pfaffian_signed_log(a):
     """Pfaffian in signed-log form: (sign_or_phase, log|Pf|).
 
-    Skew elimination with partial pivoting, over Python scalars: at the small
-    orders of n-point correlations (2k for k points) per-step numpy calls
-    cost more than the arithmetic. Returns (0.0, -inf) for a singular matrix
-    and for odd order.
+    Skew elimination with partial pivoting over Python scalars on the validated
+    matrix. Returns (0.0, -inf) for a singular matrix and for odd order.
     """
     data = _as_skew(a)
-    n = data.shape[0]
-    if n % 2 == 1:
+    if data.shape[0] % 2 == 1:
         return 0.0, -math.inf
-    is_complex = np.iscomplexobj(data)
-    m = data.tolist()
-    sign = 1.0 + 0j if is_complex else 1.0
+    return _signed_log_rows(data.tolist())
+
+
+def _signed_log_rows(m):
+    """(sign_or_phase, log|Pf|) of rows as pfaffian_rows takes them, overwritten.
+
+    Skew elimination with partial pivoting: at the small orders of n-point
+    correlations (2k for k points) per-step numpy calls cost more than the
+    arithmetic. The diagonal is never read.
+    """
+    n = len(m)
+    sign = 1.0 + 0j if n and isinstance(m[0][0], complex) else 1.0
     log_abs = 0.0
     for k in range(0, n, 2):
         top = m[k]
@@ -72,12 +78,23 @@ def pfaffian_signed_log(a):
     return sign, log_abs
 
 
+def pfaffian_rows(m):
+    """Pfaffian of an even-order matrix given as a list of rows of Python scalars,
+    all float or all complex (as ndarray.tolist() gives them), trusted to be exactly
+    skew (no check): m01 m23 - m02 m13 + m03 m12 at order 4, and at any other order
+    the elimination of pfaffian_signed_log, which overwrites m."""
+    if len(m) == 4:
+        return m[0][1] * m[2][3] - m[0][2] * m[1][3] + m[0][3] * m[1][2]
+    return _from_signed_log(*_signed_log_rows(m))
+
+
+def _from_signed_log(sign, log_abs):
+    return 0.0 * sign if log_abs == -math.inf else sign * np.exp(log_abs)
+
+
 def pfaffian(a):
-    """Pfaffian of an even-order skew-symmetric matrix."""
-    sign, log_abs = pfaffian_signed_log(a)
-    if log_abs == -math.inf:
-        return 0.0 * sign
-    return sign * np.exp(log_abs)
+    """Pfaffian of an even-order skew-symmetric matrix, by elimination at every order."""
+    return _from_signed_log(*pfaffian_signed_log(a))
 
 
 def pfaffian_laplace(a):

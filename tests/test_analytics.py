@@ -143,8 +143,23 @@ def test_table_map_covers_exactly_the_registry():
     assert set(analytics._TABLES) == set(ENSEMBLES)
 
 
+def _loses_pnn(ensemble, n, kwargs):
+    """Whether prob_table refuses the table: a partial one whose p_{N,N} is more
+    than 1e-9 relative from its closed form (odd N at tau < 0 only)."""
+    if ensemble != "partial":
+        return False
+    pnn = analytics.partial_pnn(n, kwargs["tau"])
+    lost = abs(analytics.partial_prob_gf(n, kwargs["tau"])[n] - pnn) > 1e-9 * pnn
+    assert not lost or (n % 2 == 1 and kwargs["tau"] < 0.0), (n, kwargs)
+    return lost
+
+
 def test_exact_tables_are_distributions():
     for ensemble, n, kwargs in TABLE_CASES:
+        if _loses_pnn(ensemble, n, kwargs):
+            with pytest.raises(ArithmeticError, match=r"p_\{N,N\}"):
+                analytics.prob_table(ensemble, n, **kwargs)
+            continue
         probs = analytics.prob_table(ensemble, n, **kwargs)
         assert probs.min() >= -1e-12, (ensemble, n, kwargs)
         assert probs.max() <= 1.0 + 1e-12, (ensemble, n, kwargs)
@@ -188,8 +203,25 @@ ALL_REAL_CASES = (
 
 def test_all_real_probability_keeps_relative_accuracy_up_to_the_cap():
     for ensemble, n, kwargs, want, rel in ALL_REAL_CASES:
+        if _loses_pnn(ensemble, n, kwargs):
+            with pytest.raises(ArithmeticError, match=r"p_\{N,N\}"):
+                analytics.prob_table(ensemble, n, **kwargs)
+            continue
         got = analytics.prob_table(ensemble, n, **kwargs)[n]
         assert got == pytest.approx(want, rel=rel, abs=0.0), (ensemble, n, kwargs)
+
+
+def test_partial_tables_that_lose_the_all_real_probability_are_refused():
+    # the odd-order factor loses the small mu_i as tau nears -1 (p_{19,19} at
+    # -0.99 came out as 0); even N, N <= 5 and tau >= -0.3 keep p_{N,N} to 1e-9
+    for tau in (-0.99, -0.9, -0.5, -0.3, 0.0, 0.5):
+        for n in range(1, ENSEMBLES["partial"].max_table + 1):
+            if n % 2 == 0 or n <= 5 or tau >= -0.3:
+                got = analytics.prob_table("partial", n, tau=tau)[n]
+                assert got == pytest.approx(analytics.partial_pnn(n, tau), rel=1e-9, abs=0.0)
+    for n, tau in ((19, -0.99), (13, -0.99), (15, -0.9), (19, -0.5)):
+        with pytest.raises(ArithmeticError, match=r"p_\{N,N\}"):
+            analytics.prob_table("partial", n, tau=tau)
 
 
 @pytest.mark.parametrize("tau", [-0.9, -0.5, 0.5, 0.99])

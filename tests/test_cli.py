@@ -369,6 +369,15 @@ def test_table_outside_the_bound_exits_with_numeric_error(monkeypatch, capsys):
     assert "1e-12 bound" in res.err
 
 
+def test_partial_table_that_loses_the_all_real_probability_exits_with_numeric_error():
+    # p_{19,19} = 1.8e-197 at tau = -0.99, where the odd-order factor gives 0
+    res = run_cli("probs", "--ensemble", "partial", "--n", "19", "--tau", "-0.99")
+    assert res.returncode == 3
+    assert res.stdout == ""
+    assert "p_{N,N}" in res.stderr
+    assert run_cli("probs", "--ensemble", "partial", "--n", "19", "--tau", "0.5").returncode == 0
+
+
 def test_bernoulli_factor_off_the_unit_interval_exits_with_numeric_error(
         monkeypatch, capsys):
     monkeypatch.setattr(analytics, "_gauss_bernoulli", lambda n, tau: np.array([0.3, 1.2]))

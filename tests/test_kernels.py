@@ -3,13 +3,14 @@
 import math
 import warnings
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy import special as sp
 
-from realrmt import analytics, ensembles, kernels, sopoly
+from realrmt import analytics, ensembles, kernels, pfaffian, sopoly
 from realrmt.ensembles import ENSEMBLES
 
 C2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -865,6 +866,92 @@ def test_kernel_block_matches_the_per_pair_elements(name, n):
                                       ("itilde", itld, kern.itilde)):
             want = np.array([[element(p, q) for q in pts] for p in pts], dtype=complex)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15, err_msg=name_el)
+
+
+def _point_sets(name):
+    """Sets of 1 to 4 points: the fixed reals, and at the complex kernels mixed and
+    complex sets; then 40 seeded sets of 1 to 4 points, each complex at the complex
+    kernels with probability 0.4."""
+    sets = [[("r", x) for x in REALS[:k]] for k in range(1, 5)]
+    if name in COMPLEX_KERNELS:
+        mixed = [("r", REALS[0]), ("c", COMPLEX[0]), ("r", REALS[2]), ("c", COMPLEX[1])]
+        sets += [mixed[:k] for k in range(1, 5)] + [[("c", w) for w in COMPLEX[:k]]
+                                                      for k in range(1, 4)]
+    rng = np.random.default_rng(5)
+    reach = 0.95 if name == "truncated" else 3.0
+    for k in rng.integers(1, 5, size=40):
+        pts = []
+        for _ in range(k):
+            x = float(rng.uniform(-reach, reach))
+            if name in COMPLEX_KERNELS and rng.random() < 0.4:
+                pts.append(("c", complex(x, rng.uniform(0.05, 1.5))))
+            else:
+                pts.append(("r", x))
+        sets.append(pts)
+    return sets
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CLASSES))
+@pytest.mark.parametrize("n", [6, 7])
+def test_every_matrix_is_exactly_skew(name, n):
+    # npoint_correlation takes the Pfaffian of matrix with no check or copy
+    kern = KERNEL_CLASSES[name](n)
+    for pts in _point_sets(name):
+        m = kern.matrix(pts)
+        assert np.array_equal(m, -m.T), pts
+        assert not np.diagonal(m).any(), pts
+
+
+def _elimination(kern, pts):
+    """rho at pts by skew elimination on the validated matrix."""
+    return float(np.real(pfaffian.pfaffian(pfaffian.SkewMatrix(kern.matrix(pts)))))
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CLASSES))
+@pytest.mark.parametrize("n", [6, 7])
+def test_two_point_closed_form_matches_the_elimination(name, n):
+    # two points take the order-4 closed form, three and more the elimination itself
+    kern = KERNEL_CLASSES[name](n)
+    for pts in _point_sets(name):
+        got = kernels.npoint_correlation(kern, pts)
+        if len(pts) == 2:
+            assert got == pytest.approx(_elimination(kern, pts), rel=1e-12, abs=0.0), pts
+        elif len(pts) > 2:
+            assert _bits(got) == _bits(_elimination(kern, pts)), pts
+
+
+def _exact_order_four(m):
+    """The Pfaffian of a real 4 x 4 matrix in exact arithmetic, and the sum of its
+    three terms' sizes."""
+    m = [[Fraction(v) for v in row] for row in m.tolist()]
+    terms = (m[0][1] * m[2][3], -m[0][2] * m[1][3], m[0][3] * m[1][2])
+    return float(sum(terms)), float(sum(abs(t) for t in terms))
+
+
+@pytest.mark.parametrize("n", [6, 7, 20])
+def test_two_point_closed_form_at_nearly_coincident_points(n):
+    # at (x, x + 1e-6) rho_2 ~ 1e-6 is what is left of terms of order 1, so the
+    # matrix's own rounding leaves it 1e-10 relative; the closed form and the
+    # elimination each hold the exact Pfaffian of the one matrix to the rounding
+    # of those terms
+    kern = kernels.GOEKernel(n)
+    for x in (0.3, -1.1, 2.0, 0.0):
+        pts = [("r", x), ("r", x + 1e-6)]
+        exact, size = _exact_order_four(kern.matrix(pts))
+        got = kernels.npoint_correlation(kern, pts)
+        assert 0.0 < got < 1e-4 * size, x
+        assert abs(got - exact) <= 4e-16 * size, x
+        assert abs(_elimination(kern, pts) - exact) <= 4e-16 * size, x
+
+
+def test_two_point_closed_form_past_the_weight_underflow():
+    # at n = 2000 the weight e^(-x^2/2) underflows at |x| = 44, inside the spectrum
+    kern = kernels.GinibreKernel(2000)
+    for pts in ([("r", 44.0), ("r", -44.0)], [("r", 44.0), ("r", 43.5)],
+                [("r", -44.0), ("r", 0.5)], [("r", 44.0), ("c", 40.0 + 2.0j)],
+                [("c", -44.0 + 0.5j), ("r", 44.0)]):
+        assert kernels.npoint_correlation(kern, pts) == pytest.approx(
+            _elimination(kern, pts), rel=1e-12, abs=0.0), pts
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,21 @@ def test_elimination_matches_laplace(seed, half, is_complex):
         pfaffian.pfaffian_laplace(a), rel=1e-10, abs=1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6),
+       st.integers(min_value=1, max_value=5), st.booleans())
+def test_rows_are_the_closed_form_at_order_four_and_the_elimination_elsewhere(
+        seed, half, is_complex):
+    a = _skew(seed, 2 * half, is_complex)
+    got = pfaffian.pfaffian_rows(a.tolist())
+    if half == 2:
+        assert got == pfaffian.pfaffian_laplace(a)
+        assert got == pytest.approx(pfaffian.pfaffian(a), rel=1e-12, abs=1e-15)
+    else:
+        assert got == pfaffian.pfaffian(a)
+        assert type(got) is type(pfaffian.pfaffian(a))
+
+
 def test_order_twenty_pfaffian_is_the_product_of_its_blocks():
     # a block-diagonal matrix conjugated by a unit-determinant permutation
     vals = np.arange(1.0, 11.0) * np.exp(0.3j * np.arange(10))

@@ -578,7 +578,9 @@ def truncated_density_real(m, big_l, x):
 
 
 def truncated_density_complex(m, big_l, z):
-    """Density of complex eigenvalues for the truncated ensemble."""
+    """Density of complex eigenvalues for the truncated ensemble; 0 at m = 1."""
+    if m == 1:
+        return 0.0
     r2 = abs(z) ** 2
     tail_beta = upper_beta_regularized(m - 1, big_l + 1, r2)
     return (4.0 * abs(z.imag) * trunc_omega_sq_complex(big_l, z)

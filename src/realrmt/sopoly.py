@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .specfun import double_factorial, erfc_real, erfcx, half_beta, sp
+from .specfun import double_factorial, erfc_real, erfcx, half_beta, reg_incomplete_beta
 
 SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -281,8 +281,8 @@ def _sph_pre(big_n):
 def _sph_tail(u, big_n):
     """Integral of (1 + t^2)^(-(N/2 + 1)) from u to infinity (signed lower limit)."""
     b = (big_n + 1) / 2.0
-    btot = sp.beta(0.5, b)
-    half = 0.5 * btot * sp.betainc(b, 0.5, 1.0 / (1.0 + u * u))
+    btot = half_beta(1, big_n + 1)
+    half = 0.5 * btot * reg_incomplete_beta(1.0 / (1.0 + u * u), b, 0.5)
     return np.where(u >= 0, half, btot - half)
 
 
@@ -311,7 +311,8 @@ def trunc_omega_sq_complex(big_l, z):
     b = (big_l - 1) / 2.0
     # with u = 2 |Im z| / q, 1 - I_{u^2}(a, b) = I_{1-u^2}(b, a), and
     # 1 - u^2 = ((1 - |z|^2) / q)^2 needs no clipping to [0, 1]
-    tail = 0.5 * sp.beta(a, b) * sp.betainc(b, a, ((1.0 - abs(z) ** 2) / q) ** 2)
+    tail = 0.5 * half_beta(1, big_l - 1) * reg_incomplete_beta(((1.0 - abs(z) ** 2) / q) ** 2,
+                                                               b, a)
     return big_l * (big_l - 1.0) / (2.0 * math.pi) * q ** (big_l - 2.0) * tail
 
 
@@ -395,7 +396,7 @@ def inner_product_numeric(family, j, l, n=160):
         w = lambda t: np.exp(-t * t / (2.0 * (1.0 + tau)))
         alpha = _sgn_pair_integral(f, g, w, -9.0, 9.0, n)
         c = math.sqrt(2.0 / (1.0 - tau * tau))
-        wc = lambda x, y: np.exp((y * y - x * x) / (1.0 + tau)) * sp.erfc(c * y)
+        wc = lambda x, y: np.exp((y * y - x * x) / (1.0 + tau)) * erfc_real(c * y)
         beta = _im_pair_integral(f, g, wc, (-9.0, 9.0), (0.0, 9.0), n)
         return alpha + beta
 

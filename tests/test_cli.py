@@ -401,11 +401,15 @@ def test_truncated_table_and_density_at_large_l():
     assert res.returncode == 0, res.stderr
 
 
-def test_compare_fails_on_perturbed_exact_values():
-    res = run_cli("compare", "--ensemble", "ginibre", "--n", "4",
-                  "--reps", "5000", "--seed", "3", "--perturb-exact", "0.05")
-    assert res.returncode == 2
-    assert "#verdict=fail" in res.stdout
+def test_compare_fails_on_perturbed_exact_values(monkeypatch, capsys):
+    exact = analytics.prob_table
+    monkeypatch.setattr(analytics, "prob_table", lambda *a, **kw: exact(*a, **kw) + 0.05)
+    monkeypatch.setattr(sys, "argv", ["realrmt", "compare", "--ensemble", "ginibre",
+                                      "--n", "4", "--reps", "5000", "--seed", "3"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 2
+    assert "#verdict=fail" in capsys.readouterr().out
 
 
 def test_unwritable_out_path_exits_with_config_error(tmp_path):
@@ -471,7 +475,7 @@ COMMON_FLAGS = ["--ensemble", "--n", "--m", "--l", "--tau", "--seed", "--out", "
     ("probs", COMMON_FLAGS),
     ("sample", COMMON_FLAGS),
     ("density", COMMON_FLAGS + ["--grid"]),
-    ("compare", COMMON_FLAGS + ["--z-max", "--perturb-exact"]),
+    ("compare", COMMON_FLAGS + ["--z-max"]),
 ])
 def test_command_help_lists_every_option(command, flags):
     res = run_cli(command, "--help")

@@ -1,14 +1,17 @@
 """Layout checks on the package source, and what its commands import."""
 
 import ast
+import math
 import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from scipy import special as sp
 
 import realrmt
-from realrmt import kernels
+from realrmt import kernels, sopoly, specfun
 
 PACKAGE = pathlib.Path(realrmt.__file__).parent
 
@@ -36,8 +39,9 @@ def test_no_module_imports_the_package_inside_a_function():
 # Every command on every ensemble, and n-point correlations of the GOE, the
 # real Ginibre (real and complex points) and the spherical kernels, in one
 # process: none of it may import scipy.special, nor numpy.polynomial (unless
-# numpy itself loads it, as numpy 1.x does), nor click. A library function
-# that still needs one imports it on first call.
+# numpy itself loads it, as numpy 1.x does), nor click. No library function
+# needs scipy (see the blocked-import test below); the numeric inner products
+# take their Gauss-Legendre rule from numpy.polynomial.
 _NO_SCIPY_SCRIPT = r"""
 import contextlib, io, sys
 import numpy
@@ -101,3 +105,43 @@ def test_mixed_species_npoint_calls_do_not_import_scipy():
     res = subprocess.run([sys.executable, "-c", _NPOINT_SCRIPT], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+# Every function that once called scipy, in a process where importing scipy
+# fails: the complex densities and kernel elements of the spherical and
+# truncated ensembles, the numeric inner products, and the specfun wrappers
+_SCIPY_FREE_CALLS = """[
+    kernels.spherical_density_complex(5, 0.3 + 0.2j),
+    kernels.spherical_scc(6, 0.3 + 0.2j, -0.1 + 0.5j),
+    kernels.truncated_density_complex(4, 3, 0.2 + 0.3j),
+    sopoly.trunc_omega_sq_complex(4, 0.2 + 0.3j),
+    sopoly.inner_product_numeric(sopoly.spherical_family(4), 0, 1, n=12),
+    sopoly.inner_product_numeric(sopoly.truncated_family(4, 3), 0, 1, n=12),
+    sopoly.inner_product_numeric(sopoly.ginibre_family(4), 0, 1, n=12),
+    specfun.lower_gamma(2.5, 1.5),
+    specfun.upper_gamma(2.5, np.array([0.5, 3.0]))[1],
+    specfun.erfc_fn(0.7),
+    specfun.erf_fn(np.array([0.7]))[0],
+    specfun.reg_incomplete_beta(0.3, 2.5, 4.0),
+]"""
+_SCIPY_BLOCKED_SCRIPT = r"""
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+from realrmt import kernels, sopoly, specfun
+
+print(repr([complex(v) for v in %s]))
+""" % _SCIPY_FREE_CALLS
+
+
+def test_library_functions_run_with_scipy_blocked():
+    res = subprocess.run([sys.executable, "-c", _SCIPY_BLOCKED_SCRIPT],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    here = eval(_SCIPY_FREE_CALLS, {"np": np, "kernels": kernels, "sopoly": sopoly,
+                                    "specfun": specfun})
+    assert eval(res.stdout) == [complex(v) for v in here]
+    gamma = math.gamma(2.5)
+    assert here[7:] == pytest.approx([sp.gammainc(2.5, 1.5) * gamma,
+                                      sp.gammaincc(2.5, 3.0) * gamma, sp.erfc(0.7),
+                                      sp.erf(0.7), sp.betainc(2.5, 4.0, 0.3)], rel=1e-13)

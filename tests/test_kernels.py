@@ -614,6 +614,11 @@ def test_truncated_weights():
     assert kernels.trunc_omega_sq_complex(4, 0.2 + 0.3j) > 0
 
 
+def test_truncated_order_one_has_no_complex_eigenvalues():
+    for big_l in (1, 2, 5):
+        assert kernels.truncated_density_complex(1, big_l, 0.2 + 0.3j) == 0.0
+
+
 def test_truncated_complex_density_mass():
     # the upper-half-disk mass equals half the expected complex count
     m, big_l = 4, 2
@@ -1045,7 +1050,7 @@ def _ginibre_elements(n, p, q):
     return s, el("d", a, b, x, y), el("i", a, b, x, y)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 12, 13, 20, 21])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 12, 13, 20, 21])
 def test_ginibre_kernel_matches_the_element_functions(n):
     # GinibreKernel is the partial kernel at tau = 0; the twelve ginibre_*
     # functions (ten elements, two densities) are its closed forms

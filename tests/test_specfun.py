@@ -126,6 +126,36 @@ def test_reg_incomplete_beta_endpoints():
     assert specfun.reg_incomplete_beta(0.5, 2.0, 2.0) == pytest.approx(0.5)
 
 
+def test_reg_incomplete_beta_matches_scipy():
+    s = np.linspace(0.0, 1.0, 65)
+    half = np.arange(1, 61) / 2.0
+    got = [specfun.reg_incomplete_beta(s, a, b) for a in half for b in half]
+    np.testing.assert_allclose(got, [sp.betainc(a, b, s) for a in half for b in half],
+                               rtol=1e-12, atol=0.0)
+    # a float s takes the path in Python floats
+    got = [specfun.reg_incomplete_beta(x, a, b) for a in half for b in half for x in s[13::37]]
+    np.testing.assert_allclose(got, np.ravel([sp.betainc(a, b, s[13::37])
+                                              for a in half for b in half]),
+                               rtol=1e-12, atol=0.0)
+
+
+def test_reg_incomplete_beta_arcsine_near_one():
+    # I_s(1/2, 1/2) = (2/pi) arcsin(sqrt(s)) = 1 - (2/pi) arcsin(sqrt(1 - s)); at
+    # s = 1 - 2^-k, 1 - s is exact; scipy's betainc is up to 1.4e-13 off there
+    s = 1.0 - 2.0 ** -np.arange(1.0, 53.0)
+    want = 1.0 - 2.0 / math.pi * np.arcsin(np.sqrt(1.0 - s))
+    np.testing.assert_allclose(specfun.reg_incomplete_beta(s, 0.5, 0.5), want, rtol=1e-15,
+                               atol=0.0)
+    for x, w in zip(s[::7], want[::7]):
+        assert specfun.reg_incomplete_beta(x, 0.5, 0.5) == pytest.approx(w, rel=1e-15)
+
+
+def test_reg_incomplete_beta_refuses_other_parameters():
+    for a, b in ((0.0, 1.0), (1.0, -0.5), (0.3, 2.0), (2.0, 1.25)):
+        with pytest.raises(ValueError):
+            specfun.reg_incomplete_beta(0.5, a, b)
+
+
 @pytest.mark.parametrize("a", range(1, 15))
 def test_upper_beta_regularized_matches_scipy(a):
     s = np.linspace(0.0, 1.0, 257)  # dyadic: 1 - s is exact

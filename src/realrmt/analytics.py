@@ -32,19 +32,10 @@ def _bernoulli_table(mu, parity):
     return np.concatenate([np.zeros(parity), poly])
 
 
-def _fold(cols, nu):
-    """Columns j < h = len(nu) - 1 of a factor of alpha, each less (nu_j / nu_h)
-    column h: the fold of sopoly.SkewFamily, which at odd N stands for the
-    s-free border column of the bordered Pfaffian. In that basis (each pair of
-    skew norm 1) Z(s) / Z(1) = det(I + (s-1) alpha), alpha[j, l] being the
-    real-real part of the skew product of the members 2j and 2l+1."""
-    h = len(nu) - 1
-    return cols[:, :h] - np.outer(cols[:, h], nu[:h] / nu[h])
-
-
 def _gauss_factor(m, tau):
     """K with K^T K = alpha over the even members 0 .. 2m-2 of partial_family
-    (tau = 0: ginibre_family), in the scaled basis. Every entry is positive.
+    (tau = 0: ginibre_family), in the scaled basis: upper triangular and
+    positive on and above the diagonal, as _trunc_factor for truncated.
 
     With c = 1 + tau, s = c/2 and d = s - tau = (1 - tau)/2, the generating
     functions e^{xt - tau t^2/2} = e^{xt - s t^2/2} e^{d t^2/2} give
@@ -63,18 +54,19 @@ def _gauss_factor(m, tau):
     return np.where(j >= i, np.exp(log_k), 0.0)
 
 
-def _gauss_bernoulli(n, tau):
-    """mu_i of the partially symmetric family of order n (tau = 0: real Ginibre):
-    at even N the squared singular values of K. At odd N alpha is K~^T K, K~
-    the folded K, and K[h, :h] = 0, so they are the eigenvalues of the h x h
-    product K K~^T, which keeps more of their relative accuracy at tau < 0
-    than the product in the other order."""
-    k = _gauss_factor((n + 1) // 2, tau)
-    if n % 2 == 0:
+def _factor_mu(k, nu):
+    """mu_i from an upper-triangular factor K (K^T K similar to alpha) of Ginibre,
+    partial or truncated: at even N (nu None) the squared singular values of K.
+    At odd N, nu the even members' integrals in the basis of K's columns, K~
+    takes (nu_j / nu_h) column h from each column j < h = len(nu) - 1 (the fold
+    of sopoly.SkewFamily), the folded alpha is similar to K~^T K and
+    K[h, :h] = 0, so the mu_i are the eigenvalues of the h x h K K~^T, which
+    keeps more of their relative accuracy at tau < 0 than the other order."""
+    if nu is None:
         return np.linalg.svd(k, compute_uv=False) ** 2
-    h = n // 2
-    folded = _fold(k, sopoly.partial_family(n, tau).nu[0::2])
-    return np.linalg.eigvals(k[:h, :h] @ folded[:h].T)
+    h = len(nu) - 1
+    folded = k[:h, :h] - np.outer(k[:h, h], nu[:h] / nu[h])
+    return np.linalg.eigvals(k[:h, :h] @ folded.T)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +96,8 @@ def ginibre_alpha_via_recursion(j, l):
 def ginibre_prob_gf(n):
     """Probabilities p_{N,k} of k real eigenvalues for the real Ginibre ensemble."""
     ensembles.spec("ginibre", n, table=True)
-    return _bernoulli_table(_gauss_bernoulli(n, 0.0), n % 2)
+    nu = sopoly.partial_family(n, 0.0).nu[0::2] if n % 2 else None
+    return _bernoulli_table(_factor_mu(_gauss_factor((n + 1) // 2, 0.0), nu), n % 2)
 
 
 def ginibre_pnn(n):
@@ -180,7 +173,8 @@ def partial_nu(j):
 def partial_prob_gf(n, tau):
     """Probabilities p_{N,k} for the partially symmetric real Ginibre ensemble."""
     ensembles.spec("partial", n, tau=tau, table=True)
-    return _bernoulli_table(_gauss_bernoulli(n, tau), n % 2)
+    nu = sopoly.partial_family(n, tau).nu[0::2] if n % 2 else None
+    return _bernoulli_table(_factor_mu(_gauss_factor((n + 1) // 2, tau), nu), n % 2)
 
 
 def partial_pnn(n, tau):
@@ -238,29 +232,40 @@ def gaussian_local_limit_curve(n):
 
 
 def truncated_prob_gf(m, big_l):
-    """Probabilities p_{M,k} of k real eigenvalues for the truncated ensemble."""
+    """Probabilities p_{M,k} of k real eigenvalues for the truncated ensemble.
+    At odd M the fold takes nu_j over sqrt(L + 2j), the basis of _trunc_factor."""
     ensembles.spec("truncated", m, big_l=big_l, table=True)
-    family = sopoly.truncated_family(m, big_l)
-    alpha = _trunc_alpha(family)
+    rows, nu = (m + 1) // 2, None
     if m % 2:
-        alpha = _fold(alpha.T, family.nu[0::2]).T
-    return _bernoulli_table(np.linalg.eigvals(alpha), m % 2)
+        nu = sopoly.truncated_family(m, big_l).nu[0::2] / np.sqrt(big_l + 2.0 * np.arange(rows))
+    return _bernoulli_table(_factor_mu(_trunc_factor(rows, big_l), nu), m % 2)
 
 
-def _trunc_alpha(family):
-    """alpha over the even members 0 .. 2h and the odd ones of a truncated
-    family of order m, h = (m-1)//2, in its scaled basis.
+def _trunc_factor(h, big_l):
+    """K with K^T K = D^(1/2) alpha D^(-1/2), D = diag(1 / (L + 2j)), over the
+    even members 0 .. 2h-2 of truncated_family in its scaled basis: upper
+    triangular and positive on and above the diagonal.
 
-    (L + 2l) w p_2l+1 is minus the derivative of x^2l (1 - x^2)^(L/2), which
-    vanishes at x = +-1, so Phi_2l+1 = -c_w x^2l (1 - x^2)^(L/2) / (L + 2l)
-    and alpha = 2 c_w^2 G diag(1 / (L + 2l)), G_jl being the integral of
-    x^(2j+2l) (1 - x^2)^(L-1), B(j + l + 1/2, L), over sqrt(r_j r_l).
+    alpha_jl = 2 c_w^2 G_jl / (sqrt(r_j r_l) (L + 2l)), r_j = L! (2j)! / (L + 2j)!,
+    as Phi_2l+1 = -c_w x^2l (1 - x^2)^(L/2) / (L + 2l); G_jl integrates x^(2j+2l)
+    against (1 - x^2)^(L-1), the Gegenbauer weight of lam = L - 1/2. There
+    x^2j = sum_i c_ij C_2i, c_ij = (2j)! (lam + 2i) / (4^j (j-i)! (lam)_(i+j+1)) > 0,
+    so K_ij = sqrt(2 c_w^2 / ((L + 2j) r_j)) c_ij ||C_2i||, with ||C_2i||^2 =
+    pi 2^(1-2 lam) Gamma(2i + 2 lam) / ((2i)! (2i + lam) Gamma(lam)^2). From
+    K_00^2 = 2 c_w^2 B(1/2, L) / L, each step along row 0 or down a column is a
+    ratio of order 1, so no entry cancels log-gammas of order L log L.
     """
-    big_l, cols, scale = family.params["L"], len(family) // 2, family._inv_sigma[0::2]
-    gram = np.array([[half_beta(2 * (j + l) + 1, 2 * big_l) for l in range(cols)]
-                     for j in range(len(scale))])
-    return (2.0 * sopoly._trunc_cw(big_l) ** 2 * gram * scale[:, None]
-            * (scale[:cols] / (big_l + 2.0 * np.arange(cols))))
+    lam, k = big_l - 0.5, [[0.0] * h for _ in range(h)]
+    top = sopoly._trunc_cw(big_l) * math.sqrt(2.0 * half_beta(1, 2 * big_l) / big_l)
+    for j in range(h):
+        k[0][j] = top
+        for i in range(1, j + 1):
+            k[i][j] = k[i - 1][j] * (j - i + 1.0) / (lam + i + j) * math.sqrt(
+                (lam + 2 * i) * (2 * lam + 2 * i - 2) * (2 * lam + 2 * i - 1)
+                / ((lam + 2 * i - 2) * (2 * i - 1.0) * (2 * i)))
+        top *= (math.sqrt((big_l + 2 * j) * (big_l + 2 * j + 1.0) * (2 * j + 1.0) * (2 * j + 2.0))
+                / (4.0 * (j + 1) * (lam + j + 1)))
+    return np.array(k)
 
 
 def truncated_pmm(m, big_l):

@@ -103,15 +103,12 @@ def _prob_rows(ensemble, n, tau, big_l, reps, seed, workers):
     return columns
 
 
-def probs(ensemble, n, big_l, tau, seed, out, fmt, workers, reps):
+def probs(ensemble, n, big_l, tau, seed, workers, reps):
     """Exact distribution of the number of real eigenvalues, optionally with MC."""
-    columns = _prob_rows(ensemble, n, tau, big_l, reps, seed, workers)
-    config = {"command": "probs", "ensemble": ensemble, "n": n, "l": big_l,
-              "tau": tau, "reps": reps, "seed": seed}
-    _emit(out, fmt, config, columns)
+    return _prob_rows(ensemble, n, tau, big_l, reps, seed, workers), None
 
 
-def sample(ensemble, n, big_l, tau, seed, out, fmt, workers, reps):
+def sample(ensemble, n, big_l, tau, seed, workers, reps):
     """Draw matrices and emit their classified eigenvalues.
 
     Rows run draw by draw: the reals ascending, then the upper-half-plane
@@ -131,13 +128,10 @@ def sample(ensemble, n, big_l, tau, seed, out, fmt, workers, reps):
     parts = ensembles._run_stacks(ensemble, n, reps, seed, stack_columns, tau=tau,
                                   big_l=big_l, workers=workers)
     draw, pair, re, im = [np.concatenate(c) for c in zip(*parts)] or [np.zeros(0)] * 4
-    config = {"command": "sample", "ensemble": ensemble, "n": n, "l": big_l,
-              "tau": tau, "reps": reps, "seed": seed}
-    _emit(out, fmt, config, {"draw": draw, "species": np.where(pair, "c", "r"),
-                             "re": re, "im": im})
+    return {"draw": draw, "species": np.where(pair, "c", "r"), "re": re, "im": im}, None
 
 
-def density(ensemble, n, big_l, tau, seed, out, fmt, workers, grid, reps):
+def density(ensemble, n, big_l, tau, seed, workers, grid, reps):
     """Analytic real-eigenvalue density on a grid, optionally with a histogram."""
     ens = ensembles.spec(ensemble, n, tau, big_l)
     lo, hi, bins = _parse_grid(grid)
@@ -165,20 +159,13 @@ def density(ensemble, n, big_l, tau, seed, out, fmt, workers, grid, reps):
         hist, _ = np.histogram(vals, bins=edges)
         columns.update(emp=hist / (reps * width),
                        stderr=np.sqrt(np.maximum(hist, 1.0)) / (reps * width))
-    config = {"command": "density", "ensemble": ensemble, "n": n, "l": big_l,
-              "tau": tau, "reps": reps, "seed": seed, "grid": grid}
-    _emit(out, fmt, config, columns)
+    return columns, None
 
 
-def compare(ensemble, n, big_l, tau, seed, out, fmt, workers, reps, z_max):
+def compare(ensemble, n, big_l, tau, seed, workers, reps, z_max):
     """Compare exact probabilities against a Monte Carlo run; exit 2 on mismatch."""
     columns = _prob_rows(ensemble, n, tau, big_l, reps, seed, workers)
-    verdict = "pass" if np.max(np.abs(columns["z"])) <= z_max else "fail"
-    config = {"command": "compare", "ensemble": ensemble, "n": n, "l": big_l,
-              "tau": tau, "reps": reps, "seed": seed, "z_max": z_max}
-    _emit(out, fmt, config, columns, verdict=verdict)
-    if verdict == "fail":
-        sys.exit(EXIT_COMPARE)
+    return columns, "pass" if np.max(np.abs(columns["z"])) <= z_max else "fail"
 
 
 Option = namedtuple("Option", "names dest convert default metavar help")
@@ -236,6 +223,7 @@ COMMON_OPTIONS = (
 
 # command name -> (command function, its options). The table holds the
 # functions themselves, so rebinding a module name does not change dispatch.
+# Each returns its columns and verdict (None but for compare), which _run writes.
 COMMANDS = {
     "probs": (probs, COMMON_OPTIONS + (_reps(0, 0),)),
     "sample": (sample, COMMON_OPTIONS + (_reps(0, 1),)),
@@ -319,7 +307,14 @@ def _run(args):
             raise UsageError("Missing option %s." % " / ".join(map(repr, opt.names)))
         else:
             kwargs[opt.dest] = opt.default
-    command(**kwargs)
+    out, fmt = kwargs.pop("out"), kwargs.pop("fmt")
+    # the command and every option but --out, --format and --workers, by first flag
+    config = dict({opt.names[0][2:].replace("-", "_"): kwargs[opt.dest] for opt in options
+                   if opt.dest in kwargs and opt.dest != "workers"}, command=name)
+    columns, verdict = command(**kwargs)
+    _emit(out, fmt, config, columns, verdict)
+    if verdict == "fail":
+        sys.exit(EXIT_COMPARE)
 
 
 def main():

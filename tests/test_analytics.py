@@ -9,6 +9,7 @@ from scipy import integrate
 
 from realrmt import analytics, pfaffian, sopoly
 from realrmt.ensembles import ENSEMBLES
+from realrmt.specfun import half_beta
 
 
 @pytest.mark.parametrize("ensemble,n,kwargs", [
@@ -238,6 +239,15 @@ def test_ginibre_all_real_probability_at_even_orders():
         assert got == pytest.approx(analytics.ginibre_pnn(n), rel=1e-12, abs=0.0), n
 
 
+def test_truncated_all_real_probability_at_even_orders():
+    # the eigenvalues of the beta-function alpha lost 1.8e-11 at (12, 2)
+    for big_l in (1, 2, 3, 4, 6, 8):
+        for m in range(2, ENSEMBLES["truncated"].max_table + 1, 2):
+            got = analytics.truncated_prob_gf(m, big_l)[m]
+            want = analytics.truncated_pmm(m, big_l)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), (m, big_l)
+
+
 @pytest.mark.parametrize("mu", [(0.3, 1.2), (-0.1,), (0.5 + 1e-6j,)])
 def test_bernoulli_table_refuses_a_factor_off_the_unit_interval(mu):
     with pytest.raises(ArithmeticError, match="mu"):
@@ -292,11 +302,26 @@ def test_ginibre_alpha_factor_matches_closed_form():
 
 
 def _trunc_alpha(m, big_l):
-    """analytics._trunc_alpha times sqrt(r_j r_l), the alpha of the unscaled
-    members."""
-    family = sopoly.truncated_family(m, big_l)
-    root_r = np.sqrt(family.norms)
-    return analytics._trunc_alpha(family) * np.outer(root_r, root_r[:m // 2])
+    """The alpha of the unscaled members from analytics._trunc_factor:
+    (K^T K)_jl sqrt(r_j r_l) sqrt((L + 2j) / (L + 2l)), over columns l < m // 2."""
+    k = analytics._trunc_factor((m + 1) // 2, big_l)
+    root_r = np.sqrt(sopoly.truncated_family(m, big_l).norms)
+    root_d = np.sqrt(big_l + 2.0 * np.arange(len(k)))
+    return (k.T @ k * np.outer(root_r * root_d, root_r / root_d))[:, :m // 2]
+
+
+@pytest.mark.parametrize("big_l", [1, 2, 5, 8])
+def test_truncated_alpha_factor_matches_closed_form(big_l):
+    # alpha_jl = 2 c_w^2 B(j + l + 1/2, L) / (L + 2l) over the unscaled members
+    k = analytics._trunc_factor(6, big_l)
+    upper = np.triu(np.ones((6, 6), dtype=bool))
+    assert np.all(k[upper] > 0) and np.all(k[~upper] == 0)
+    alpha = _trunc_alpha(12, big_l)
+    cw2 = sopoly._trunc_cw(big_l) ** 2
+    for j in range(6):
+        for l in range(6):
+            want = 2.0 * cw2 * half_beta(2 * (j + l) + 1, 2 * big_l) / (big_l + 2 * l)
+            assert alpha[j, l] == pytest.approx(want, rel=1e-13)
 
 
 def _trunc_alpha_reference(fam, big_l):

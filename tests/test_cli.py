@@ -380,7 +380,7 @@ def test_partial_table_that_loses_the_all_real_probability_exits_with_numeric_er
 
 def test_bernoulli_factor_off_the_unit_interval_exits_with_numeric_error(
         monkeypatch, capsys):
-    monkeypatch.setattr(analytics, "_gauss_bernoulli", lambda n, tau: np.array([0.3, 1.2]))
+    monkeypatch.setattr(analytics, "_factor_mu", lambda k, nu: np.array([0.3, 1.2]))
     monkeypatch.setattr(sys, "argv", ["realrmt", "probs", "--ensemble", "partial",
                                       "--tau", "0.5", "--n", "5"])
     with pytest.raises(SystemExit) as exc:
@@ -438,6 +438,28 @@ def test_option_spellings(args, config):
     assert res.returncode == 0, res.stderr
     got = json.loads(res.stdout)["config"]
     assert {k: got[k] for k in config} == config
+
+
+@pytest.mark.parametrize("args,config", [
+    (["probs", "--ensemble", "goe", "--n", "4"],
+     {"command": "probs", "ensemble": "goe", "n": 4, "l": None, "tau": None, "reps": 0,
+      "seed": 0}),
+    (["sample", "--ensemble", "truncated", "--m", "3", "--l", "2", "--reps", "2",
+      "--seed", "5", "--workers", "2"],
+     {"command": "sample", "ensemble": "truncated", "n": 3, "l": 2, "tau": None,
+      "reps": 2, "seed": 5}),
+    (["density", "--ensemble", "goe", "--n", "4", "--grid", "-1:1:4"],
+     {"command": "density", "ensemble": "goe", "n": 4, "l": None, "tau": None,
+      "reps": 0, "seed": 0, "grid": "-1:1:4"}),
+    (["compare", "--ensemble", "partial", "--n", "3", "--tau", "0.5", "--reps", "200",
+      "--z-max", "50"],
+     {"command": "compare", "ensemble": "partial", "n": 3, "l": None, "tau": 0.5,
+      "reps": 200, "seed": 0, "z_max": 50.0}),
+], ids=["probs", "sample", "density", "compare"])
+def test_json_config_holds_every_option_but_the_output_ones(args, config):
+    res = run_cli(*args, "--format", "json", "--out", "-")
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["config"] == config
 
 
 @pytest.mark.parametrize("args,message", [

@@ -624,13 +624,12 @@ def test_truncated_complex_density_mass():
     m, big_l = 4, 2
     mean = analytics.truncated_expected_reals(m, big_l)
 
-    def integrand(y, x):
-        if x * x + y * y >= 1.0 - 1e-12:
-            return 0.0
-        return kernels.truncated_density_complex(m, big_l, x + 1j * y)
-
-    val, _ = integrate.dblquad(integrand, -1.0, 1.0, 0.0, 1.0,
-                               epsabs=1e-9, epsrel=1e-9)
+    # a 160 x 160 Gauss-Legendre rule in polar coordinates, r in (0, 1) and
+    # phi in (0, pi), on the density of the whole node array at once
+    x, w = np.polynomial.legendre.leggauss(160)
+    r, phi = (x + 1.0) / 2.0, math.pi * (x + 1.0) / 2.0
+    rho = kernels.truncated_density_complex(m, big_l, np.outer(r, np.exp(1j * phi)))
+    val = (w * r) @ rho @ w * math.pi / 4.0
     assert val == pytest.approx((m - mean) / 2.0, abs=1e-5)
 
 

@@ -1,7 +1,6 @@
 """Exact probabilities of k real eigenvalues and related closed forms."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -269,7 +268,11 @@ def _trunc_factor(h, big_l):
 
 
 def truncated_pmm(m, big_l):
-    """Closed-form probability that all eigenvalues of the truncation are real."""
+    """Closed-form probability that all eigenvalues of the truncation are real.
+
+    Its log-gamma sums cancel, so its rounding grows with L: against a 40-digit
+    evaluation it is within 9e-13 relative at L = 64, 2.3e-10 at L = 1000 and
+    1.4e-8 at L = 5000. It is a reference for small L, not for large."""
     log_c = (log_vol_orthogonal(big_l) + log_vol_orthogonal(m)
              - log_vol_orthogonal(big_l + m)
              + (m / 2.0) * (big_l * math.log(2.0 * math.pi) - math.lgamma(big_l + 1)))
@@ -346,6 +349,8 @@ def prob_table(ensemble, n, tau=None, big_l=None):
 
 def rational_form(x, max_denominator=2 ** 24):
     """Best small-denominator rational approximation, or None beyond 1e-9 (relative)."""
+    from fractions import Fraction  # here, so that no command loads fractions
+
     frac = Fraction(x).limit_denominator(max_denominator)
     if abs(float(frac) - x) <= 1e-9 * max(1.0, abs(x)):
         return frac

@@ -209,7 +209,8 @@ COMMON_OPTIONS = (
     Option(("--n", "--m"), "n", _number(int), REQUIRED, "INTEGER",
            "matrix order (for truncated: the truncation size M)"),
     Option(("--l",), "big_l", _number(int), None, "INTEGER",
-           "number of removed rows/columns (truncated)"),
+           "number of removed rows/columns (truncated: 1 to %d)"
+           % (ensembles.ENSEMBLES["truncated"].param_range[1] - 1)),
     Option(("--tau",), "tau", _number(float), None, "FLOAT",
            "symmetry parameter (partial)"),
     Option(("--seed",), "seed", _number(int, lambda v: 0 <= v < 2 ** 64, "0<=x<2**64"),

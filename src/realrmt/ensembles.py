@@ -1,8 +1,7 @@
 """The five real ensembles: their registry, samplers and spectrum utilities."""
 
 import math
-from collections.abc import Callable
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -206,23 +205,20 @@ class ConfigError(ValueError):
     """A configuration outside what an ensemble supports."""
 
 
-@dataclass(frozen=True)
-class Ensemble:
-    """What the package states about one ensemble.
+class Ensemble(namedtuple("Ensemble", "sample density param param_range max_table angles",
+                           defaults=(None, (), math.inf, False))):
+    """What the package states about one ensemble, an immutable record.
 
     sample(n, rng, tau, big_l, size) draws one matrix (size None) or a stack;
     density(n, tau, big_l, x) is the density of real eigenvalues at x, a float
-    or an array (spherical: a constant, whatever the shape of x). Exact
-    tables up to order max_table have every p_{N,k} within 1e-12 of [0, 1]
-    and their sum within 1e-12 of 1.
+    or an array (spherical: a constant, whatever the shape of x). param is the
+    keyword of the one parameter, if any, and param_range the open interval its
+    value must lie in. Exact tables up to order max_table have every p_{N,k}
+    within 1e-12 of [0, 1] and their sum within 1e-12 of 1. angles is set where
+    real eigenvalues are binned as boundary angles.
     """
 
-    sample: Callable
-    density: Callable
-    param: str | None = None  # keyword of the one parameter, if any
-    param_range: tuple = ()  # the open interval its value must lie in
-    max_table: float = math.inf
-    angles: bool = False  # real eigenvalues are binned as boundary angles
+    __slots__ = ()
 
 
 # the lambdas look their targets up at call time, so rebinding a name reaches them
@@ -246,7 +242,9 @@ ENSEMBLES = {
         sample=lambda n, rng, tau, big_l, size:
             sample_truncated(n, big_l, rng, size=size),
         density=lambda n, tau, big_l, x: kernels.truncated_density_real(n, big_l, x),
-        param="big_l", param_range=(0, math.inf), max_table=12),
+        # L <= 10^4: half_beta's exact double factorials make a table or a density cost
+        # about L^2, some tens of milliseconds at L = 10^4
+        param="big_l", param_range=(0, 10 ** 4 + 1), max_table=12),
 }
 
 

@@ -21,12 +21,14 @@ STORED_NUMBERS = 2 ** 20
 
 
 def _point(p):
-    """(True, x) at a real point ('r', x), (False, z) at a complex one ('c', z)."""
+    """(True, x, sign) at a real point ('r', x), (False, z, sign) at a complex one ('c', z),
+    sign being that of the real part: the key a kernel keeps the point's values under, as
+    0.0 and -0.0 give zero values of either sign."""
     species, z = p[0], complex(p[1])
     if species == "r" and not z.imag:
-        return True, z.real
+        return True, z.real, math.copysign(1.0, z.real)
     if species == "c" and z.imag > 0.0:
-        return False, z
+        return False, z, math.copysign(1.0, z.real)
     raise ValueError("%r is not ('r', real x) or ('c', z), Im z > 0" % (p,))
 
 
@@ -34,7 +36,12 @@ class _Kernel:
     """S, D and I~ as slices of matrix(points), the interleaved [[-I~, S], [-S^T, D]].
 
     Every kernel's matrix is exactly skew-symmetric: m == -m.T bit for bit, with a
-    zero diagonal, at any points (npoint_correlation takes its Pfaffian unchecked)."""
+    zero diagonal, at any points (npoint_correlation takes its Pfaffian unchecked).
+    A subclass assembles it in _matrix from the checked points, as _point gives them."""
+
+    def matrix(self, points):
+        """The interleaved [[-I~, S], [-S^T, D]] at the points, a fresh array."""
+        return self._matrix([_point(p) for p in points])
 
     def s(self, p, q):
         return self.matrix([p] if p == q else [p, q])[0, -1]
@@ -70,15 +77,20 @@ class _PairSumKernel(_Kernel):
     nu_{n-1} being the integral of q_{n-1}. The caller builds the family once.
 
     A complex point z enters the same sums with Phi_j(z) = -i conj(q_j(z)), q_j
-    from the complex weight, and no sgn or unpaired term. With the columns A of
-    the family's points(), the interleaved [[-I~, S], [-S^T, D]] is A^T J A plus
-    sgn/2 at real pairs: J is c times the pair-skew form, -1/nu_{n-1} at (n-1, n)
-    at odd n. The *_xy methods take real values (elementwise)."""
+    from the complex weight, and no sgn or unpaired term. With the rows B of the
+    family's points(), the interleaved [[-I~, S], [-S^T, D]] is B J B^T plus sgn/2
+    at real pairs: J is c times the pair-skew form, -1/nu_{n-1} at (n-1, n) at odd
+    n. The *_xy methods take real values (elementwise)."""
 
     def __init__(self, family, factor):
         self.n, self._family, self._factor = len(family), family, factor
         self._unpaired = 1.0 / family.nu[-1] if self.n % 2 else 0.0
-        self._columns = {}  # the scaled columns of A (2 x (n + 1)) at each point seen
+        # the product reads the even members of B against the odd ones, weighted by J:
+        # c at each pair, -1/nu_{n-1} at odd n for the last row, paired with p_{n-1}
+        self._end = self.n + self.n % 2
+        self._weights = np.array([1.0, factor] * (self.n // 2)
+                                 + ([1.0, -self._unpaired] if self.n % 2 else [1.0]))
+        self._columns = {}  # the two weighted rows of B at each point seen
 
     def _pairs(self, f, g):  # the members along axis 0
         return self._factor * np.add.reduce(f[:-1:2] * g[1::2] - f[1::2] * g[:-1:2])
@@ -96,38 +108,39 @@ class _PairSumKernel(_Kernel):
         return (-self._pairs(phi_x, phi_y) - 0.5 * np.sign(x - y)
                 + self._unpaired * (phi_x[-1] - phi_y[-1]))
 
-    def matrix(self, points):
-        """The interleaved [[-I~, S], [-S^T, D]] at the points, a fresh array.
+    def _matrix(self, pts):
+        """B J B^T from the stored rows of each point, plus sgn/2 at real pairs.
 
-        A point's two columns of A depend on no other point, so each is formed once
-        per kernel and kept, keyed by the point and the sign of its real part (0.0
-        and -0.0 give zero members of either sign). A real point's columns formed
-        beside a complex point are its real ones plus 0j, and are kept real, so every
-        value is the one a fresh kernel gives. The store is dropped whole once it
-        holds more than STORED_NUMBERS numbers."""
-        pts = [_point(p) for p in points]
-        keys = [(real, v, math.copysign(1.0, v.real)) for real, v in pts]
-        cols = self._columns
-        new = [k for k in dict.fromkeys(keys) if k not in cols]
-        if new:
-            a = self._family.points([k[:2] for k in new])
-            if self._unpaired:  # J's (n-1, n) entry: p_{n-1} paired with the last row
-                a[-1] *= -self._unpaired / self._factor
-            rows = a.T  # the i-th new point's columns are rows 2i and 2i + 1
-            for i, k in enumerate(new):
-                cols[k] = rows[2 * i:2 * i + 2].real if k[0] else rows[2 * i:2 * i + 2]
-            if len(cols) * 2 * (self.n + 1) > STORED_NUMBERS:
-                self._columns = {}
-        a = np.concatenate([cols[k] for k in keys]).T
-        end = self.n + self.n % 2
-        p = np.einsum("ki,kj->ij", a[0:end:2], a[1:end:2])
-        m = self._factor * (p - p.T)  # exactly skew, and the sgn/2 below is mirrored
-        for i, (r, x) in enumerate(pts):
-            for j, (s, y) in enumerate(pts[:i]):
-                if r and s:  # -I~ gains sgn(x - y) / 2 at a real pair
-                    m[2 * i, 2 * j] += 0.5 * ((x > y) - (x < y))
-                    m[2 * j, 2 * i] -= 0.5 * ((x > y) - (x < y))
+        A point's two rows of B depend on no other point, so each is formed once per
+        kernel, weighted by J's odd entries, and kept, keyed by the checked point. A
+        real point's rows formed beside a complex point are its real ones plus 0j, and
+        are kept real, so every value is the one a fresh kernel gives. The store is
+        dropped whole once it holds more than STORED_NUMBERS numbers."""
+        try:
+            b = np.concatenate([self._columns[p] for p in pts])
+        except KeyError:
+            b = np.concatenate(self._store(pts))
+        p = b[:, 0:self._end:2] @ b[:, 1:self._end:2].T
+        m = p - p.T  # exactly skew, and the sgn/2 below is mirrored
+        reals = [(2 * i, x) for i, (real, x, _) in enumerate(pts) if real]
+        for i, x in reals:
+            for j, y in reals:
+                if x > y:  # -I~ gains sgn(x - y) / 2 at a real pair
+                    m[i, j] += 0.5
+                    m[j, i] -= 0.5
         return m
+
+    def _store(self, pts):
+        """The rows of B at each point, after forming and keeping the new ones."""
+        cols = self._columns
+        new = [p for p in dict.fromkeys(pts) if p not in cols]
+        rows = self._family.points([p[:2] for p in new])
+        rows *= self._weights
+        for i, p in enumerate(new):
+            cols[p] = rows[2 * i:2 * i + 2].real if p[0] else rows[2 * i:2 * i + 2]
+        if len(cols) * 2 * (self.n + 1) > STORED_NUMBERS:
+            self._columns = {}
+        return [cols[p] for p in pts]
 
 
 # ---------------------------------------------------------------------------
@@ -544,11 +557,10 @@ class SphericalKernel(_Kernel):
     def __init__(self, n):
         self.n = n
 
-    def matrix(self, points):
-        pts = [_point(p) for p in points]
-        if not all(real for real, _ in pts):
+    def _matrix(self, pts):
+        if not all(p[0] for p in pts):
             raise ValueError("the spherical kernel has no complex points")
-        t = np.array([x for _, x in pts])  # t[:, None] is the row point's angle
+        t = np.array([p[1] for p in pts])  # t[:, None] is the row point's angle
         m = np.empty((2 * len(t), 2 * len(t)))
         m[0::2, 1::2] = s = spherical_srr(self.n, t[:, None], t)
         m[1::2, 0::2] = -s.T
@@ -642,14 +654,15 @@ def npoint_correlation(kernel, points):
     are wrong). Coincident points are rejected (use the density functions instead),
     and a value that is not finite (an element overflowed) raises ArithmeticError.
 
-    It relies on the kernel's contract that matrix is exactly skew-symmetric, and
-    takes the Pfaffian with no check or copy (pfaffian.pfaffian_rows): at two points
-    the order-4 closed form, at three or more the skew elimination."""
-    pts = list(points)
-    vals = [_point(p) for p in pts]
-    if any(p == q for i, p in enumerate(vals) for q in vals[:i]):
+    Each point is checked once, and the checked points go to the kernel's _matrix,
+    the assembly that matrix calls after its own check. It relies on the kernel's
+    contract that matrix is exactly skew-symmetric, and takes the Pfaffian with no
+    check or copy (pfaffian.pfaffian_rows): at two points the order-4 closed form, at
+    three or more the skew elimination."""
+    pts = [_point(p) for p in points]
+    if len({p[1] for p in pts}) < len(pts):
         raise ValueError("coincident points are not allowed")
-    m = kernel.matrix(pts)
+    m = kernel._matrix(pts)
     value = (m[0, 1] if len(pts) == 1 else pfaffian.pfaffian_rows(m.tolist())).real
     if not math.isfinite(value):
         raise ArithmeticError("n-point correlation is not finite: %r" % value)

@@ -401,6 +401,19 @@ def test_truncated_table_and_density_at_large_l():
     assert res.returncode == 0, res.stderr
 
 
+def test_truncated_l_past_its_cap_exits_with_config_error():
+    # the cost of a table or a density grows about as L^2; L is capped where a
+    # table at m = 12 still takes tens of milliseconds
+    cap = ENSEMBLES["truncated"].param_range[1] - 1
+    assert cap == 10 ** 4
+    assert run_cli("probs", "--ensemble", "truncated", "--m", "12", "--l", str(cap)).returncode == 0
+    for command in (["probs"], ["density", "--grid", "-1:1:50"]):
+        res = run_cli(*command, "--ensemble", "truncated", "--m", "4", "--l", str(cap + 1))
+        assert res.returncode == 1, (command, res.stderr)
+        assert "requires big_l in (0, %d)" % (cap + 1) in res.stderr
+    assert "1 to %d" % cap in run_cli("probs", "--help").stdout
+
+
 def test_compare_fails_on_perturbed_exact_values(monkeypatch, capsys):
     exact = analytics.prob_table
     monkeypatch.setattr(analytics, "prob_table", lambda *a, **kw: exact(*a, **kw) + 0.05)

@@ -39,9 +39,11 @@ def test_no_module_imports_the_package_inside_a_function():
 # Every command on every ensemble, and n-point correlations of the GOE, the
 # real Ginibre (real and complex points) and the spherical kernels, in one
 # process: none of it may import scipy.special, nor numpy.polynomial (unless
-# numpy itself loads it, as numpy 1.x does), nor click. No library function
-# needs scipy (see the blocked-import test below); the numeric inner products
-# take their Gauss-Legendre rule from numpy.polynomial.
+# numpy itself loads it, as numpy 1.x does), nor click, nor fractions, decimal
+# or dataclasses (numpy loads none of the three, and each costs a fresh
+# interpreter about 2 ms). No library function needs scipy (see the
+# blocked-import test below); the numeric inner products take their
+# Gauss-Legendre rule from numpy.polynomial.
 _NO_SCIPY_SCRIPT = r"""
 import contextlib, io, sys
 import numpy
@@ -70,6 +72,8 @@ kernels.npoint_correlation(gin, [("c", -0.2 + 0.5j), ("c", 1.0 + 1.2j)])
 kernels.npoint_correlation(kernels.SphericalKernel(5), [("r", 0.3), ("r", 2.0)])
 assert "scipy.special._ufuncs" not in sys.modules
 assert "click" not in sys.modules
+for module in ("fractions", "decimal", "dataclasses"):
+    assert module not in sys.modules, module
 assert numpy_loads_polynomial or "numpy.polynomial" not in sys.modules
 print(kernels.spherical_density_complex(5, 0.3 + 0.2j))
 """

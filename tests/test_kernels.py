@@ -1,5 +1,6 @@
 """Tests for the correlation kernels, densities and scaling limits."""
 
+import itertools
 import math
 import warnings
 from decimal import Decimal, localcontext
@@ -272,14 +273,11 @@ def test_ginibre_irr_past_the_factorial_range(n):
 
 
 def test_npoint_refuses_a_value_that_is_not_finite():
-    class Overflowed:
+    class Overflowed(kernels._Kernel):
         """A kernel whose S elements overflowed."""
 
-        def s(self, p, q):
-            return math.nan
-
-        def matrix(self, points):
-            m = np.zeros((2 * len(points), 2 * len(points)))
+        def _matrix(self, pts):
+            m = np.zeros((2 * len(pts), 2 * len(pts)))
             m[0::2, 1::2], m[1::2, 0::2] = math.nan, math.nan
             return m
 
@@ -904,6 +902,35 @@ def test_every_matrix_is_exactly_skew(name, n):
         m = kern.matrix(pts)
         assert np.array_equal(m, -m.T), pts
         assert not np.diagonal(m).any(), pts
+
+
+def _symmetry_sets(name):
+    """Real-real, and where the kernel has complex points real-complex and
+    complex-complex, pairs and triples."""
+    r, c = [("r", x) for x in REALS], [("c", w) for w in COMPLEX]
+    pairs, triples = [r[:2]], [r[:3]]
+    if name in COMPLEX_KERNELS:
+        pairs += [[r[0], c[0]], c[:2]]
+        triples += [[r[0], c[0], r[2]], [c[0], r[1], c[1]], c[:3]]
+    return pairs, triples
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CLASSES))
+@pytest.mark.parametrize("n", [6, 7])
+def test_correlations_are_symmetric_in_their_points(name, n):
+    # rho_k does not depend on the order of its points. Three complex points
+    # cancel to about 1e-6 of the matrix's entries, so the elimination's pivot
+    # order moves rho_3 by up to 5e-13 relative there
+    kern = KERNEL_CLASSES[name](n)
+    pairs, triples = _symmetry_sets(name)
+    for p, q in pairs:
+        assert kernels.npoint_correlation(kern, [q, p]) == pytest.approx(
+            kernels.npoint_correlation(kern, [p, q]), rel=1e-13, abs=0.0), (p, q)
+    for pts in triples:
+        want = kernels.npoint_correlation(kern, pts)
+        for perm in itertools.permutations(pts):
+            assert kernels.npoint_correlation(kern, list(perm)) == pytest.approx(
+                want, rel=1e-12, abs=0.0), perm
 
 
 def _elimination(kern, pts):

@@ -280,23 +280,28 @@ def sample_matrix(ensemble, n, rng, tau=None, big_l=None):
 
 CHUNK = 1024
 STACK = 256
+# the most matrix entries a stack draws, at n (n + L) a draw (L = 0 but for truncated):
+# 8 MiB of float64, twice that for the spherical A and B
+STACK_ENTRIES = 2 ** 20
 
 
 def _run_stacks(ensemble, n, reps, seed, use, tau=None, big_l=None, workers=1):
     """Results of use(first, mats) for each stack of draws, in draw order.
 
     Block c of CHUNK draws comes from rng_for(seed, c), as consecutive stacks
-    of at most STACK matrices; mats holds draws first, first + 1, ... and
-    equals as many sample_matrix calls on the block's stream. So the results
-    are identical for any worker count.
+    of at most STACK matrices and STACK_ENTRIES entries (one matrix at least);
+    mats holds draws first, first + 1, ... and equals as many sample_matrix
+    calls on the block's stream. So the results are identical for any worker
+    count and any stack size.
     """
     draw = spec(ensemble, n, tau, big_l).sample
+    size = min(STACK, max(1, STACK_ENTRIES // (n * (n + (big_l or 0)))))
 
     def run(c):
         rng = rng_for(seed, c)
         end = min((c + 1) * CHUNK, reps)
-        return [use(first, draw(n, rng, tau, big_l, min(STACK, end - first)))
-                for first in range(c * CHUNK, end, STACK)]
+        return [use(first, draw(n, rng, tau, big_l, min(size, end - first)))
+                for first in range(c * CHUNK, end, size)]
 
     n_chunks = (reps + CHUNK - 1) // CHUNK
     if workers and workers > 1:

@@ -11,7 +11,7 @@ from .specfun import (erfcx, lower_gamma_regularized, upper_beta_regularized,
                       upper_gamma_regularized)
 
 C2PI = 1.0 / sopoly.SQRT2PI
-# the most numbers a pair-sum kernel keeps of the point columns it has formed
+# the most numbers a pair-sum kernel keeps of the point rows it has formed
 # (2^20: 16 MiB of complex)
 STORED_NUMBERS = 2 ** 20
 
@@ -21,14 +21,13 @@ STORED_NUMBERS = 2 ** 20
 
 
 def _point(p):
-    """(True, x, sign) at a real point ('r', x), (False, z, sign) at a complex one ('c', z),
-    sign being that of the real part: the key a kernel keeps the point's values under, as
-    0.0 and -0.0 give zero values of either sign."""
-    species, z = p[0], complex(p[1])
+    """(True, x) at a real point ('r', x), (False, z) at a complex one ('c', z): the key a
+    kernel keeps the point's rows under, with -0.0 read as 0.0, so that both are one point."""
+    species, z = p[0], complex(p[1]) + 0.0
     if species == "r" and not z.imag:
-        return True, z.real, math.copysign(1.0, z.real)
+        return True, z.real
     if species == "c" and z.imag > 0.0:
-        return False, z, math.copysign(1.0, z.real)
+        return False, z
     raise ValueError("%r is not ('r', real x) or ('c', z), Im z > 0" % (p,))
 
 
@@ -77,10 +76,10 @@ class _PairSumKernel(_Kernel):
     nu_{n-1} being the integral of q_{n-1}. The caller builds the family once.
 
     A complex point z enters the same sums with Phi_j(z) = -i conj(q_j(z)), q_j
-    from the complex weight, and no sgn or unpaired term. With the rows B of the
-    family's points(), the interleaved [[-I~, S], [-S^T, D]] is B J B^T plus sgn/2
-    at real pairs: J is c times the pair-skew form, -1/nu_{n-1} at (n-1, n) at odd
-    n. The *_xy methods take real values (elementwise)."""
+    from the complex weight, and no sgn or unpaired term. With B the rows of the
+    family's point() at each point, the interleaved [[-I~, S], [-S^T, D]] is B J B^T
+    plus sgn/2 at real pairs: J is c times the pair-skew form, -1/nu_{n-1} at (n-1, n)
+    at odd n. The *_xy methods take real values (elementwise)."""
 
     def __init__(self, family, factor):
         self.n, self._family, self._factor = len(family), family, factor
@@ -88,9 +87,14 @@ class _PairSumKernel(_Kernel):
         # the product reads the even members of B against the odd ones, weighted by J:
         # c at each pair, -1/nu_{n-1} at odd n for the last row, paired with p_{n-1}
         self._end = self.n + self.n % 2
-        self._weights = np.array([1.0, factor] * (self.n // 2)
-                                 + ([1.0, -self._unpaired] if self.n % 2 else [1.0]))
-        self._columns = {}  # the two weighted rows of B at each point seen
+        weights = np.array([1.0, factor] * (self.n // 2)
+                           + ([1.0, -self._unpaired] if self.n % 2 else [1.0]))
+        # a point's two rows of B, weighted by J, depend on that point alone: each is formed
+        # once and kept, the least recently used dropped past STORED_NUMBERS numbers; the
+        # function holds the family and the weights, not the kernel, so that no reference
+        # cycle keeps a kernel alive
+        self._rows = functools.lru_cache(STORED_NUMBERS // (2 * self.n + 2))(
+            lambda p: family.point(*p) * weights)
 
     def _pairs(self, f, g):  # the members along axis 0
         return self._factor * np.add.reduce(f[:-1:2] * g[1::2] - f[1::2] * g[:-1:2])
@@ -109,38 +113,17 @@ class _PairSumKernel(_Kernel):
                 + self._unpaired * (phi_x[-1] - phi_y[-1]))
 
     def _matrix(self, pts):
-        """B J B^T from the stored rows of each point, plus sgn/2 at real pairs.
-
-        A point's two rows of B depend on no other point, so each is formed once per
-        kernel, weighted by J's odd entries, and kept, keyed by the checked point. A
-        real point's rows formed beside a complex point are its real ones plus 0j, and
-        are kept real, so every value is the one a fresh kernel gives. The store is
-        dropped whole once it holds more than STORED_NUMBERS numbers."""
-        try:
-            b = np.concatenate([self._columns[p] for p in pts])
-        except KeyError:
-            b = np.concatenate(self._store(pts))
+        """B J B^T from the kept rows of each point, plus sgn/2 at real pairs."""
+        b = np.concatenate([self._rows(p) for p in pts])
         p = b[:, 0:self._end:2] @ b[:, 1:self._end:2].T
         m = p - p.T  # exactly skew, and the sgn/2 below is mirrored
-        reals = [(2 * i, x) for i, (real, x, _) in enumerate(pts) if real]
+        reals = [(2 * i, x) for i, (real, x) in enumerate(pts) if real]
         for i, x in reals:
             for j, y in reals:
                 if x > y:  # -I~ gains sgn(x - y) / 2 at a real pair
                     m[i, j] += 0.5
                     m[j, i] -= 0.5
         return m
-
-    def _store(self, pts):
-        """The rows of B at each point, after forming and keeping the new ones."""
-        cols = self._columns
-        new = [p for p in dict.fromkeys(pts) if p not in cols]
-        rows = self._family.points([p[:2] for p in new])
-        rows *= self._weights
-        for i, p in enumerate(new):
-            cols[p] = rows[2 * i:2 * i + 2].real if p[0] else rows[2 * i:2 * i + 2]
-        if len(cols) * 2 * (self.n + 1) > STORED_NUMBERS:
-            self._columns = {}
-        return [cols[p] for p in pts]
 
 
 # ---------------------------------------------------------------------------
@@ -406,13 +389,6 @@ class GinibreKernel(PartialKernel):
 
     def __init__(self, n):
         super().__init__(n, 0.0)
-
-
-def partial_srr(n, tau, x, y):
-    """Real-real kernel element S for the partially symmetric ensemble
-    (vectorized in x and y). Like ginibre_srr it carries the weight of x: it is
-    PartialKernel's S transposed."""
-    return PartialKernel(n, tau).s_xy(y, x)
 
 
 def partial_density_real(n, tau, x):

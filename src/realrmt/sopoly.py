@@ -97,22 +97,18 @@ class SkewFamily(PolynomialFamily):
         self._step_and_fold(rows)
         return rows[0].reshape(self.n, *x.shape), rows[1].reshape(self.n, *x.shape)
 
-    def points(self, points):
-        """Rows 2i, 2i + 1 at the i-th point, one array: [Phi(x) | 1], [q(x) | 0] if real,
-        and if complex [-i conj(q(z)) | 0], [q(z) | 0] with the complex weight. One pass
-        of Python scalars per point, then one odd step and fold."""
-        rows, kind = [], float
-        for real, v in points:
-            if not (real or "tau" in self.params):  # only the partial family has a complex weight
-                raise ValueError("the %s family has no complex points" % self.ensemble)
-            q = self._recur(v, *self._weight(v))
-            if real:
-                rows += [f - h for f, h in zip(self._lower(v, q), self._half_nu)] + [1.0]
-            else:
-                rows += [-1j * t.conjugate() for t in q] + [0.0]
-                kind = complex
-            rows += q + [0.0]
-        a = np.array(rows, kind).reshape(-1, self.n + 1)
+    def point(self, real, v):
+        """The rows [Phi(x) | 1], [q(x) | 0] at a real point x, and [-i conj(q(z)) | 0],
+        [q(z) | 0] at a complex one z, with the complex weight: one pass of Python scalars,
+        then the odd step and fold."""
+        if not (real or "tau" in self.params):  # only the partial family has a complex weight
+            raise ValueError("the %s family has no complex points" % self.ensemble)
+        q = self._recur(v, *self._weight(v))
+        if real:
+            first = [f - h for f, h in zip(self._lower(v, q), self._half_nu)] + [1.0]
+        else:
+            first = [-1j * t.conjugate() for t in q] + [0.0]
+        a = np.array([first, q + [0.0]])
         self._step_and_fold(a[:, :-1].T)
         return a
 

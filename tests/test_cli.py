@@ -131,6 +131,15 @@ def test_sample_prints_the_per_draw_reference(ensemble, n, tau, big_l):
     assert res.stdout.endswith("\n")
 
 
+def test_sample_of_large_draws_prints_the_per_draw_reference():
+    # at m = 12, L = 10^4 a stack holds 8 draws, so 20 draws come in stacks of 8, 8 and 4
+    res = run_cli(*_sample_args("truncated", 12, 20, 13, None, 10 ** 4))
+    assert res.returncode == 0
+    assert res.stdout.splitlines()[2:] == [
+        "%d,%s,%.15g,%.15g" % (r["draw"], r["species"], r["re"], r["im"])
+        for r in _sample_reference_rows("truncated", 12, 20, 13, big_l=10 ** 4)]
+
+
 @pytest.mark.parametrize("ensemble,n,tau,big_l", SAMPLE_CELLS)
 def test_sample_json_prints_the_per_draw_reference(ensemble, n, tau, big_l):
     res = run_cli(*_sample_args(ensemble, n, 300, 17, tau, big_l), "--format", "json")

@@ -235,6 +235,21 @@ def test_simulations_equal_the_per_draw_loop(ensemble, n, tau, big_l):
         np.concatenate(ref))
 
 
+def test_large_draws_come_in_smaller_stacks_with_the_same_streams():
+    # at m = 12, L = 10^4 a draw has 120144 entries, so a stack holds 8 of them
+    m, big_l, reps, seed = 12, 10 ** 4, 20, 4
+    sizes = ensembles._run_stacks("truncated", m, reps, seed, lambda first, mats: len(mats),
+                                  big_l=big_l)
+    assert sizes == [8, 8, 4]
+    ref = _reference_draws("truncated", m, reps, seed, big_l=big_l)
+    np.testing.assert_array_equal(
+        ensembles.simulate_real_counts("truncated", m, reps, seed, big_l=big_l),
+        np.bincount([len(r) for r in ref], minlength=m + 1))
+    np.testing.assert_array_equal(
+        ensembles.simulate_real_eigenvalues("truncated", m, reps, seed, big_l=big_l),
+        np.concatenate(ref))
+
+
 # Low enough that about one 3 x 3 draw in ten is redrawn
 LOW_COND_MAX = 40.0
 

@@ -986,7 +986,7 @@ def test_two_point_closed_form_past_the_weight_underflow():
 
 
 # ---------------------------------------------------------------------------
-# the pair-sum kernels' store of point columns
+# the pair-sum kernels' store of point rows
 
 
 PAIR_SUM_KERNELS = {name: k for name, k in KERNEL_CLASSES.items() if name != "spherical"}
@@ -1027,14 +1027,15 @@ def test_a_reused_kernel_gives_a_fresh_kernels_bits(name, n):
 
 @pytest.mark.parametrize("name", sorted(PAIR_SUM_KERNELS))
 def test_a_kernel_evaluates_each_point_once(name, monkeypatch):
-    kern = PAIR_SUM_KERNELS[name](7)
-    family_points = kern._family.points
+    family_point = sopoly.SkewFamily.point
     seen = []
-    monkeypatch.setattr(kern._family, "points",
-                        lambda pts: seen.extend(pts) or family_points(pts))
+    monkeypatch.setattr(sopoly.SkewFamily, "point",
+                        lambda fam, real, v: seen.append((real, v)) or family_point(fam, real, v))
+    kern = PAIR_SUM_KERNELS[name](7)
     for case in _store_cases(name) * 2:
         case(kern)
     assert len(seen) == len(set(seen)) == (6 if name in COMPLEX_KERNELS else 3)
+    assert kern._rows.cache_info().misses == len(seen)
 
 
 @pytest.mark.parametrize("name", sorted(PAIR_SUM_KERNELS))
@@ -1060,8 +1061,34 @@ def test_the_store_stays_within_its_cap(name, n, monkeypatch):
         sets += [[("r", x), ("c", complex(x, 0.5))] for x in xs[::3]]
     for pts in sets:
         got = kernels.npoint_correlation(kern, pts)
-        assert len(kern._columns) * 2 * (n + 1) <= cap
+        assert kern._rows.cache_info().currsize * 2 * (n + 1) <= cap
         assert _bits(got) == _bits(kernels.npoint_correlation(PAIR_SUM_KERNELS[name](n), pts))
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_SUM_KERNELS))
+def test_the_store_drops_the_least_recently_used_point(name, monkeypatch):
+    monkeypatch.setattr(kernels, "STORED_NUMBERS", 3 * 2 * (5 + 1))  # a cap of 3 points
+    kern = PAIR_SUM_KERNELS[name](5)
+    a, b, c, d = [("r", x) for x in (0.35, -0.6, 0.1, 0.7)]
+    for p in (a, b, c, a, d):
+        kern.matrix([p])
+    assert kern._rows.cache_info().misses == 4
+    kern.matrix([a])  # kept, as a was used after b and c
+    assert kern._rows.cache_info().misses == 4
+    kern.matrix([b])  # dropped when d came in
+    assert kern._rows.cache_info().misses == 5
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_SUM_KERNELS))
+def test_minus_zero_and_zero_are_one_point(name):
+    kern = PAIR_SUM_KERNELS[name](5)
+    fresh = PAIR_SUM_KERNELS[name](5)
+    assert _bits(kern.matrix([("r", -0.0), ("r", 0.4)])) == _bits(
+        fresh.matrix([("r", 0.0), ("r", 0.4)]))
+    assert _bits(kern.s(("r", -0.0), ("r", -0.0))) == _bits(fresh.s(("r", 0.0), ("r", 0.0)))
+    assert kern._rows.cache_info().currsize == 2
+    with pytest.raises(ValueError):
+        kernels.npoint_correlation(kern, [("r", 0.0), ("r", -0.0)])
 
 
 def _ginibre_elements(n, p, q):

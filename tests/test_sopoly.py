@@ -169,7 +169,7 @@ def test_values_on_an_array_mixing_points_past_the_weight_underflow_with_others(
     fam = sopoly.goe_family(1001)
     x = np.array([0.5, 39.0, -20.0, -42.0, 37.0])
     q, phi = fam.values(x)
-    a = fam.points([(True, v) for v in x.tolist()])[:, :-1].T
+    a = np.concatenate([fam.point(True, v) for v in x.tolist()])[:, :-1].T
     assert np.all(np.abs(q).max(axis=0) > 1e-3)
     for got, want in ((q, a[:, 1::2]), (phi, a[:, 0::2])):
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15 * np.abs(want).max())

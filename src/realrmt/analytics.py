@@ -17,18 +17,24 @@ def _bernoulli_table(mu, parity):
 
     Each pair of eigenvalues is real with probability mu_i, independently of
     the others. The product adds no negative terms, so each p_{N,k} is as
-    accurate, relatively, as the mu_i it is built from. Raises ArithmeticError
-    for a mu_i off the real interval [0, 1] by more than 1e-12, and clips the
-    rest to it.
+    accurate, relatively, as the mu_i it is built from. It runs over Python
+    floats, one step per mu_i, c_k = p_k (1 - t) + p_{k-2} t: the two-term
+    sums of np.convolve with [1 - t, 0, t], so the table is the same bit for
+    bit. Raises ArithmeticError for a mu_i off the real interval [0, 1] by
+    more than 1e-12, and clips the rest to it.
     """
-    mu = np.asarray(mu, dtype=complex)
-    bad = (abs(mu.imag) > 1e-12) | (mu.real < -1e-12) | (mu.real > 1.0 + 1e-12)
-    if bad.any():
-        raise ArithmeticError("Bernoulli factor mu outside [0, 1]: %s" % mu[bad])
-    poly = np.array([1.0])
-    for t in np.clip(mu.real, 0.0, 1.0):
-        poly = np.convolve(poly, [1.0 - t, 0.0, t])
-    return np.concatenate([np.zeros(parity), poly])
+    even = [1.0]  # the coefficients of s^0, s^2, ...; those of odd powers are 0
+    for t in np.asarray(mu).tolist():
+        t = complex(t)
+        if abs(t.imag) > 1e-12 or t.real < -1e-12 or t.real > 1.0 + 1e-12:
+            raise ArithmeticError("Bernoulli factor mu outside [0, 1]: %r" % (t,))
+        t = min(max(t.real, 0.0), 1.0)
+        u = 1.0 - t
+        even = ([even[0] * u] + [a * u + b * t for a, b in zip(even[1:], even)]
+                + [even[-1] * t])
+    probs = [0.0] * (2 * len(even) - 1 + parity)
+    probs[parity::2] = even
+    return np.array(probs)
 
 
 def _gauss_factor(m, tau):
@@ -56,9 +62,10 @@ def _gauss_factor(m, tau):
 def _factor_mu(k, nu):
     """mu_i from an upper-triangular factor K (K^T K similar to alpha) of Ginibre,
     partial or truncated: at even N (nu None) the squared singular values of K.
-    At odd N, nu the even members' integrals in the basis of K's columns, K~
-    takes (nu_j / nu_h) column h from each column j < h = len(nu) - 1 (the fold
-    of sopoly.SkewFamily), the folded alpha is similar to K~^T K and
+    At odd N, nu the even members' integrals in the basis of K's columns (_odd_nu,
+    of which only the ratios nu_j / nu_h count), K~ takes (nu_j / nu_h) column h
+    from each column j < h = len(nu) - 1 (the fold of sopoly.SkewFamily, made
+    here with no family built), the folded alpha is similar to K~^T K and
     K[h, :h] = 0, so the mu_i are the eigenvalues of the h x h K K~^T, which
     keeps more of their relative accuracy at tau < 0 than the other order."""
     if nu is None:
@@ -66,6 +73,27 @@ def _factor_mu(k, nu):
     h = len(nu) - 1
     folded = k[:h, :h] - np.outer(k[:h, h], nu[:h] / nu[h])
     return np.linalg.eigvals(k[:h, :h] @ folded.T)
+
+
+def _odd_nu(h, big_l=None):
+    """nu_0, nu_2, ..., nu_2h-2, the even members' integrals that the fold at odd N
+    takes, in the basis of _gauss_factor (Ginibre, partial) or, with big_l, of
+    _trunc_factor, up to one scale, the only freedom _factor_mu leaves them:
+
+        (nu_2j+2 / nu_2j)^2 = (2j + 1) / (2j + 2),
+
+    times (L + 2j) / (L + 2j + 1) for truncated. In _gauss_factor's basis nu_2j is E[b_2j] = (2j - 1)!! over the
+    column scale sqrt((2j)!), whatever tau: b_2j integrates against the Gaussian of
+    variance c, and c - tau = 1 turns the generating function into e^{t^2/2}. In
+    _trunc_factor's basis it is truncated_family's nu_2j over sqrt(L + 2j). So no
+    table builds a sopoly.SkewFamily."""
+    nu = [1.0]
+    for j in range(h - 1):
+        sq = (2 * j + 1.0) / (2 * j + 2)
+        if big_l is not None:
+            sq *= (big_l + 2 * j) / (big_l + 2 * j + 1.0)
+        nu.append(nu[-1] * math.sqrt(sq))
+    return np.array(nu)
 
 
 # ---------------------------------------------------------------------------
@@ -93,10 +121,12 @@ def ginibre_alpha_via_recursion(j, l):
 
 
 def ginibre_prob_gf(n):
-    """Probabilities p_{N,k} of k real eigenvalues for the real Ginibre ensemble."""
+    """Probabilities p_{N,k} of k real eigenvalues for the real Ginibre ensemble, from
+    the mu_i of _gauss_factor at tau = 0; at odd N the fold takes _odd_nu's nu."""
     ensembles.spec("ginibre", n, table=True)
-    nu = sopoly.partial_family(n, 0.0).nu[0::2] if n % 2 else None
-    return _bernoulli_table(_factor_mu(_gauss_factor((n + 1) // 2, 0.0), nu), n % 2)
+    rows = (n + 1) // 2
+    nu = _odd_nu(rows) if n % 2 else None
+    return _bernoulli_table(_factor_mu(_gauss_factor(rows, 0.0), nu), n % 2)
 
 
 def ginibre_pnn(n):
@@ -170,10 +200,12 @@ def partial_nu(j):
 
 
 def partial_prob_gf(n, tau):
-    """Probabilities p_{N,k} for the partially symmetric real Ginibre ensemble."""
+    """Probabilities p_{N,k} for the partially symmetric real Ginibre ensemble, from
+    the mu_i of _gauss_factor; at odd N the fold takes _odd_nu's closed-form nu."""
     ensembles.spec("partial", n, tau=tau, table=True)
-    nu = sopoly.partial_family(n, tau).nu[0::2] if n % 2 else None
-    return _bernoulli_table(_factor_mu(_gauss_factor((n + 1) // 2, tau), nu), n % 2)
+    rows = (n + 1) // 2
+    nu = _odd_nu(rows) if n % 2 else None
+    return _bernoulli_table(_factor_mu(_gauss_factor(rows, tau), nu), n % 2)
 
 
 def partial_pnn(n, tau):
@@ -231,12 +263,12 @@ def gaussian_local_limit_curve(n):
 
 
 def truncated_prob_gf(m, big_l):
-    """Probabilities p_{M,k} of k real eigenvalues for the truncated ensemble.
-    At odd M the fold takes nu_j over sqrt(L + 2j), the basis of _trunc_factor."""
+    """Probabilities p_{M,k} of k real eigenvalues for the truncated ensemble, from
+    the mu_i of _trunc_factor; at odd M the fold takes _odd_nu's closed-form nu_j,
+    the family's over sqrt(L + 2j) in the basis of _trunc_factor."""
     ensembles.spec("truncated", m, big_l=big_l, table=True)
-    rows, nu = (m + 1) // 2, None
-    if m % 2:
-        nu = sopoly.truncated_family(m, big_l).nu[0::2] / np.sqrt(big_l + 2.0 * np.arange(rows))
+    rows = (m + 1) // 2
+    nu = _odd_nu(rows, big_l) if m % 2 else None
     return _bernoulli_table(_factor_mu(_trunc_factor(rows, big_l), nu), m % 2)
 
 

@@ -1,5 +1,6 @@
 """Correlation kernels, eigenvalue densities and their scaling limits."""
 
+import cmath
 import functools
 import math
 
@@ -22,13 +23,16 @@ STORED_NUMBERS = 2 ** 20
 
 def _point(p):
     """(True, x) at a real point ('r', x), (False, z) at a complex one ('c', z): the key a
-    kernel keeps the point's rows under, with -0.0 read as 0.0, so that both are one point."""
-    species, z = p[0], complex(p[1]) + 0.0
-    if species == "r" and not z.imag:
-        return True, z.real
-    if species == "c" and z.imag > 0.0:
-        return False, z
-    raise ValueError("%r is not ('r', real x) or ('c', z), Im z > 0" % (p,))
+    kernel keeps the point's rows under, with -0.0 read as 0.0, so that both are one point.
+    A value that is a string or not finite is refused before anything is formed."""
+    species, v = p[0], p[1]
+    z = math.nan if isinstance(v, str) else complex(v) + 0.0
+    if cmath.isfinite(z):
+        if species == "r" and not z.imag:
+            return True, z.real
+        if species == "c" and z.imag > 0.0:
+            return False, z
+    raise ValueError("%r is not ('r', finite real x) or ('c', finite z), Im z > 0" % (p,))
 
 
 class _Kernel:
@@ -625,9 +629,10 @@ def npoint_correlation(kernel, points):
     """n-point correlation at points, (species, value) pairs with species 'r' or 'c':
     the Pfaffian of kernel.matrix(points), the interleaved [[-I~, S], [-S^T, D]] whose
     2 x 2 block at points i and j is [[-I~_ij, S_ij], [-S_ji, D_ij]]; at one point it
-    is S, the (0, 1) entry. At real points D(x, y) = dS(x, y)/dx and dI~(x, y)/dx =
-    S(y, x), so S(x, y) carries the weight of y (in the transposed layout rho_3 and up
-    are wrong). Coincident points are rejected (use the density functions instead),
+    is S, the (0, 1) entry, and at none 1.0, the empty Pfaffian. At real points
+    D(x, y) = dS(x, y)/dx and dI~(x, y)/dx = S(y, x), so S(x, y) carries the weight
+    of y (in the transposed layout rho_3 and up are wrong). Coincident points are
+    rejected (use the density functions instead), as is a point that is not finite,
     and a value that is not finite (an element overflowed) raises ArithmeticError.
 
     Each point is checked once, and the checked points go to the kernel's _matrix,
@@ -636,6 +641,8 @@ def npoint_correlation(kernel, points):
     check or copy (pfaffian.pfaffian_rows): at two points the order-4 closed form, at
     three or more the skew elimination."""
     pts = [_point(p) for p in points]
+    if not pts:
+        return 1.0
     if len({p[1] for p in pts}) < len(pts):
         raise ValueError("coincident points are not allowed")
     m = kernel._matrix(pts)

@@ -259,6 +259,67 @@ def test_bernoulli_table_clips_factors_within_the_bound():
     assert probs.tolist() == [0.0, 0.0, 0.0, 1.0, 0.0, 0.0]
 
 
+def _convolved_table(mu, parity):
+    """The product of the steps [1 - t, 0, t] by np.convolve, as _bernoulli_table made it."""
+    poly = np.array([1.0])
+    for t in np.clip(np.asarray(mu).real, 0.0, 1.0):
+        poly = np.convolve(poly, [1.0 - t, 0.0, t])
+    return np.concatenate([np.zeros(parity), poly])
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+def test_bernoulli_table_equals_the_convolution_bit_for_bit(parity):
+    rng = np.random.default_rng(30)
+    for size in range(25):
+        for mu in (rng.random(size), rng.random(size) ** 8, 1.0 - rng.random(size) ** 8,
+                   rng.choice([0.0, 0.5, 1.0, 1e-300], size)):
+            got = analytics._bernoulli_table(mu, parity)
+            assert got.tobytes() == _convolved_table(mu, parity).tobytes(), (size, mu)
+        # the mu_i of an odd-order factor come as complex eigenvalues
+        mu = rng.random(size) + 0j
+        got = analytics._bernoulli_table(mu, parity)
+        assert got.tobytes() == _convolved_table(mu, parity).tobytes(), (size, mu)
+
+
+@pytest.mark.parametrize("tau", [-0.9, 0.0, 0.5, 0.99])
+def test_gaussian_odd_order_nu_ratios_match_the_family(tau):
+    for n in range(1, 20, 2):
+        nu = sopoly.partial_family(n, tau).nu[0::2]
+        np.testing.assert_allclose(analytics._odd_nu((n + 1) // 2), nu / nu[0], rtol=1e-14,
+                                   atol=0.0, err_msg=str(n))
+
+
+@pytest.mark.parametrize("big_l", [1, 2, 3, 8, 64, 10 ** 4])
+def test_truncated_odd_order_nu_ratios_match_the_family(big_l):
+    for m in range(1, 12, 2):
+        rows = (m + 1) // 2
+        nu = sopoly.truncated_family(m, big_l).nu[0::2] / np.sqrt(big_l + 2.0 * np.arange(rows))
+        np.testing.assert_allclose(analytics._odd_nu(rows, big_l), nu / nu[0], rtol=1e-14,
+                                   atol=0.0, err_msg=str(m))
+
+
+def test_no_table_builds_a_skew_family(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a table built a SkewFamily")
+
+    monkeypatch.setattr(sopoly.SkewFamily, "__init__", refuse)
+    configs = [("goe", {}), ("spherical", {}), ("ginibre", {}), ("partial", {"tau": 0.5}),
+               ("partial", {"tau": -0.5}), ("truncated", {"big_l": 3}),
+               ("truncated", {"big_l": 10 ** 4})]
+    for name, kwargs in configs:
+        for n in range(1, min(ENSEMBLES[name].max_table, 41) + 1):
+            try:
+                analytics.prob_table(name, n, **kwargs)
+            except ArithmeticError:  # the refused p_{N,N}; a family build is not one
+                assert (name, n % 2, kwargs.get("tau")) == ("partial", 1, -0.5), (name, n)
+
+
+def test_partial_order_15_at_minus_one_half_is_served():
+    # the family's nu lost enough of p_{15,15} here for prob_table to refuse it
+    got = analytics.prob_table("partial", 15, tau=-0.5)[15]
+    assert got == pytest.approx(analytics.partial_pnn(15, -0.5), rel=1e-10, abs=0.0)
+
+
 def _partial_monomial_table(n, tau):
     """p_{N,k} from the monomial-basis alpha and beta entries: Z(s) is the
     Pfaffian of the chequer matrix of s alpha + beta, bordered at odd N."""

@@ -1119,6 +1119,27 @@ def test_ginibre_kernel_matches_the_element_functions(n):
                                        err_msg=str((p, q)))
 
 
+@pytest.mark.parametrize("point", [("r", math.nan), ("r", math.inf), ("r", -math.inf),
+                                   ("c", complex(math.nan, 1.0)),
+                                   ("c", complex(1.0, math.inf)), ("r", "0.3"),
+                                   ("c", "0.3+1j")],
+                         ids=["r-nan", "r-inf", "r-minus-inf", "c-nan", "c-inf", "r-str",
+                              "c-str"])
+def test_a_point_not_finite_or_a_string_is_refused_before_it_is_formed(point):
+    kern = kernels.GinibreKernel(6)
+    with pytest.raises(ValueError, match="finite"):
+        kernels.npoint_correlation(kern, [point])
+    with pytest.raises(ValueError, match="finite"):
+        kern.matrix([("r", 0.1), point])
+    assert kern._rows.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CLASSES))
+def test_the_correlation_at_no_points_is_the_empty_pfaffian(name):
+    value = kernels.npoint_correlation(KERNEL_CLASSES[name](5), [])
+    assert value == 1.0 and type(value) is float
+
+
 @pytest.mark.parametrize("name", sorted(KERNEL_CLASSES))
 def test_a_real_point_off_the_real_axis_is_refused(name):
     kern = KERNEL_CLASSES[name](4)

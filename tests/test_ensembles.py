@@ -1,6 +1,7 @@
 """Tests for the matrix samplers and spectrum utilities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -134,21 +135,29 @@ def _no_eigvals(mats):
     raise AssertionError("general eigensolver called")
 
 
+def _no_hermite(mats):
+    raise AssertionError("Hermite count called")
+
+
 def test_symmetric_stack_counts_without_an_eigensolve(monkeypatch):
     mats = ensembles.sample_goe(5, ensembles.rng_for(3, 0), size=40)
     perturbed = mats.copy()
     perturbed[7, 0, 1] += 1e-3
     monkeypatch.setattr(np.linalg, "eigvals", _no_eigvals)
+    monkeypatch.setattr(ensembles, "_hermite_counts", _no_hermite)
     np.testing.assert_array_equal(ensembles.count_real_eigenvalues(mats), [5] * 40)
-    with pytest.raises(AssertionError, match="general eigensolver"):
+    with pytest.raises(AssertionError, match="general eigensolver|Hermite count"):
         ensembles.count_real_eigenvalues(perturbed)
 
 
 def test_symmetric_shortcut_keeps_seeded_goe_counts(monkeypatch):
     fast = ensembles.simulate_real_counts("goe", 6, 1300, 5)
     np.testing.assert_array_equal(fast, [0] * 6 + [1300])
-    # the same draws through the general eigensolver and the classification
+    # the same draws through the general count: at n = 6, the Hermite signature
     monkeypatch.setattr(ensembles, "_symmetric", lambda mats: False)
+    np.testing.assert_array_equal(ensembles.simulate_real_counts("goe", 6, 1300, 5), fast)
+    # and with the Hermite count off, through the eigensolver and the classification
+    monkeypatch.setattr(ensembles, "HERMITE_MAX", 0)
     np.testing.assert_array_equal(ensembles.simulate_real_counts("goe", 6, 1300, 5), fast)
 
 
@@ -369,3 +378,109 @@ def test_classify_spectra_rejects_unpaired_rows(bad):
         ensembles.classify_spectra(rows)
     with pytest.raises(RuntimeError, match="inconsistent complex-conjugate pairing"):
         ensembles.classify_spectrum(np.array(bad))
+
+
+# ---------------------------------------------------------------------------
+# real counts from Hermite's signature, certified draw by draw
+
+def _lapack_counts(mats):
+    return np.sum(ensembles.classify_spectra(np.linalg.eigvals(mats))[0], axis=1)
+
+
+HERMITE_CELLS = sorted(
+    {(e, n, tau, None) for e, tau in (("ginibre", None), ("partial", 0.5),
+                                      ("spherical", None))
+     for n in range(2, ensembles.HERMITE_MAX + 1)}
+    | {("truncated", n, None, 2) for n in range(2, ensembles.HERMITE_MAX + 1)}
+    # the benchmark's compare cells, GOE aside
+    | {("partial", n, tau, None) for n, tau in ((4, 0.25), (5, 0.25), (3, 0.75),
+                                                (5, 0.75), (3, -0.5))}
+    | {("truncated", m, None, big_l) for big_l, ms in ((1, (3, 4)), (2, (2, 4)),
+                                                        (3, (3, 4)), (4, (2, 4)),
+                                                        (8, (3, 4)))
+       for m in ms}, key=str)
+
+
+@pytest.mark.parametrize("ensemble,n,tau,big_l", HERMITE_CELLS)
+def test_counts_equal_the_eigensolver_counts_draw_by_draw(ensemble, n, tau, big_l):
+    certified_draws = []
+
+    def check(first, mats):
+        want = _lapack_counts(mats)
+        counts, certified = ensembles._hermite_counts(mats)
+        np.testing.assert_array_equal(counts[certified], want[certified])
+        np.testing.assert_array_equal(ensembles.count_real_eigenvalues(mats), want)
+        certified_draws.append(np.sum(certified))
+
+    ensembles._run_stacks(ensemble, n, 20480, 11, check, tau=tau, big_l=big_l)
+    # most draws are settled without the eigensolver (spherical n = 7 the fewest)
+    assert sum(certified_draws) > 0.5 * 20480
+
+
+def _conjugated(b, seed=5):
+    q = np.linalg.qr(ensembles.rng_for(seed, 0).standard_normal(b.shape))[0]
+    return q @ b @ q.T
+
+
+def _pair(im):
+    """A 4 x 4 matrix with eigenvalues 0.3 +- im i, 1 and -0.7."""
+    b = np.diag([0.3, 0.3, 1.0, -0.7])
+    b[0, 1], b[1, 0] = im, -im
+    return _conjugated(b)
+
+
+CONSTRUCTED = {
+    "pair 1e-12": _pair(1e-12), "pair 1e-10": _pair(1e-10), "pair 1e-9": _pair(1e-9),
+    "pair 3e-9": _pair(3e-9), "pair 1e-8": _pair(1e-8), "pair 1e-6": _pair(1e-6),
+    "identity": np.eye(4), "zero": np.zeros((4, 4)),
+    "jordan": np.eye(4) + np.eye(4, k=1),
+    "repeated real": _conjugated(np.diag([0.5, 0.5, -0.3, 0.9])),
+    "huge": 1e160 * ensembles.sample_ginibre(4, ensembles.rng_for(6, 0)),
+    "tiny": 1e-160 * ensembles.sample_ginibre(4, ensembles.rng_for(6, 1)),
+}
+# the exact count differs from the eigensolver's, or H is singular
+NOT_CERTIFIED = ["pair 1e-12", "pair 1e-10", "pair 1e-9", "identity", "zero", "jordan",
+                 "repeated real"]
+
+
+def test_constructed_matrices_count_as_the_eigensolver_does():
+    names = list(CONSTRUCTED)
+    mats = np.stack([CONSTRUCTED[k] for k in names])
+    want = _lapack_counts(mats)
+    # both sides of REL_TOL: a pair at 1e-9 counts as real, one at 3e-9 as complex
+    assert want[names.index("pair 1e-9")] == 4 and want[names.index("pair 3e-9")] == 2
+    np.testing.assert_array_equal(ensembles.count_real_eigenvalues(mats), want)
+    certified = ensembles._hermite_counts(mats)[1]
+    assert not certified[[names.index(k) for k in NOT_CERTIFIED]].any()
+    assert certified[names.index("pair 1e-6")]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_draw_raises_with_no_warning(bad):
+    mats = ensembles.sample_ginibre(4, ensembles.rng_for(7, 0), size=8)
+    mats[3, 1, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not ensembles._hermite_counts(mats)[1][3]
+        with pytest.raises(np.linalg.LinAlgError):
+            ensembles.count_real_eigenvalues(mats)
+
+
+def test_orders_past_the_cap_go_to_the_eigensolver(monkeypatch):
+    n = ensembles.HERMITE_MAX + 1
+    mats = ensembles.sample_ginibre(n, ensembles.rng_for(8, 0), size=30)
+    monkeypatch.setattr(ensembles, "_hermite_counts", _no_hermite)
+    np.testing.assert_array_equal(ensembles.count_real_eigenvalues(mats),
+                                  _lapack_counts(mats))
+
+
+@pytest.mark.parametrize("ensemble,tau,big_l", [("goe", None, None), ("ginibre", None, None),
+                                                ("partial", 0.5, None),
+                                                ("spherical", None, None),
+                                                ("truncated", None, 2)])
+def test_histograms_equal_those_with_the_hermite_count_off(monkeypatch, ensemble, tau,
+                                                          big_l):
+    hist = ensembles.simulate_real_counts(ensemble, 5, 5000, 12, tau=tau, big_l=big_l)
+    monkeypatch.setattr(ensembles, "HERMITE_MAX", 0)
+    np.testing.assert_array_equal(
+        ensembles.simulate_real_counts(ensemble, 5, 5000, 12, tau=tau, big_l=big_l), hist)
